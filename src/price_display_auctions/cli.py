@@ -133,7 +133,13 @@ def cmd_pay(args) -> int:
 
 
 def _build_space(args, instance):
-    levels = tuple(float(x) for x in args.gain_levels.split(","))
+    try:
+        levels = tuple(float(x) for x in args.gain_levels.split(","))
+    except ValueError:
+        levels = ()
+    if not levels or not all(math.isfinite(x) for x in levels):
+        raise AuctionError(f"--gain-levels expects comma-separated finite "
+                           f"numbers, got {args.gain_levels!r}")
     return StrategySpace.build(instance, gain_levels=levels,
                                overbidding=args.overbidding)
 

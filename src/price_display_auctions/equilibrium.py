@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import GuardExceededError
 from .mechanisms import MechanismKind, run_direct_vcg, run_mechanism
-from .model import (
-    AuctionInstance,
-    Outcome,
-    Strategy,
-    StrategyProfile,
-)
+from .model import AuctionInstance, Outcome, Strategy, StrategyProfile
 
 # An agent must gain strictly more than this to count as an improving
 # deviation; keeps floating-point welfare ties from manufacturing
@@ -36,10 +31,7 @@ class StrategySpace:
 
     @property
     def size(self) -> int:
-        out = 1
-        for opts in self.options:
-            out *= len(opts)
-        return out
+        return math.prod(len(opts) for opts in self.options)
 
     @staticmethod
     def build(instance: AuctionInstance, *, prices=None,
@@ -70,38 +62,14 @@ class StrategySpace:
         return StrategySpace(tuple(menus))
 
 
-class _OutcomeCache:
-    """Memoizes mechanism outcomes per profile within one analysis."""
-
-    def __init__(self, instance, kind, gsp_allow_zero_gain):
-        self.instance = instance
-        self.kind = kind
-        self.gsp_allow_zero_gain = gsp_allow_zero_gain
-        self._store: dict = {}
-
-    def outcome(self, profile: StrategyProfile) -> Outcome:
-        key = tuple((s.price, s.gain) for s in profile.strategies)
-        out = self._store.get(key)
-        if out is None:
-            out = run_mechanism(self.instance, self.kind, profile,
-                                gsp_allow_zero_gain=self.gsp_allow_zero_gain)
-            self._store[key] = out
-        return out
-
-    def utility(self, profile: StrategyProfile, agent: int) -> float:
-        return self.outcome(profile).utility(self.instance, agent)
-
-
 def best_response(instance: AuctionInstance, kind: MechanismKind,
                   space: StrategySpace, profile: StrategyProfile, agent: int,
-                  *, gsp_allow_zero_gain: bool = False,
-                  _cache: _OutcomeCache | None = None):
+                  *, gsp_allow_zero_gain: bool = False):
     """Utility-maximal strategy for one agent with the others fixed.
 
     Ties resolve toward the agent's current strategy, then to the
     lexicographically smallest (price, gain) pair.
     """
-    cache = _cache or _OutcomeCache(instance, kind, gsp_allow_zero_gain)
     current = profile[agent]
     best_s, best_u = None, -math.inf
     candidates = sorted(space.options[agent], key=lambda s: (s.price, s.gain))
@@ -109,7 +77,9 @@ def best_response(instance: AuctionInstance, kind: MechanismKind,
         candidates.remove(current)
         candidates.insert(0, current)
     for s in candidates:
-        u = cache.utility(profile.replace(agent, s), agent)
+        u = run_mechanism(instance, kind, profile.replace(agent, s),
+                          gsp_allow_zero_gain=gsp_allow_zero_gain
+                          ).utility(instance, agent)
         if u > best_u + NASH_TOL:
             best_s, best_u = s, u
     return best_s, best_u
@@ -117,20 +87,22 @@ def best_response(instance: AuctionInstance, kind: MechanismKind,
 
 def is_nash(instance: AuctionInstance, kind: MechanismKind,
             space: StrategySpace, profile: StrategyProfile,
-            *, gsp_allow_zero_gain: bool = False,
-            _cache: _OutcomeCache | None = None):
+            *, gsp_allow_zero_gain: bool = False):
     """True iff no agent has a strictly improving unilateral deviation.
 
     Returns (verdict, witness); the witness is (agent, strategy, gain in
     utility) for the first improving deviation found, else None.
     """
-    cache = _cache or _OutcomeCache(instance, kind, gsp_allow_zero_gain)
-    base = [cache.utility(profile, i) for i in range(instance.n)]
+    base = run_mechanism(instance, kind, profile,
+                         gsp_allow_zero_gain=gsp_allow_zero_gain
+                         ).utilities(instance)
     for i in range(instance.n):
         for s in space.options[i]:
             if s == profile[i]:
                 continue
-            u = cache.utility(profile.replace(i, s), i)
+            u = run_mechanism(instance, kind, profile.replace(i, s),
+                              gsp_allow_zero_gain=gsp_allow_zero_gain
+                              ).utility(instance, i)
             if u > base[i] + NASH_TOL:
                 return False, (i, s, u - base[i])
     return True, None
@@ -139,19 +111,45 @@ def is_nash(instance: AuctionInstance, kind: MechanismKind,
 def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
                         space: StrategySpace,
                         *, gsp_allow_zero_gain: bool = False,
-                        guard: int = ENUMERATION_GUARD) -> list[StrategyProfile]:
-    """All pure Nash profiles of the finite game, in lexicographic order."""
+                        guard: int = ENUMERATION_GUARD,
+                        with_outcomes: bool = False) -> list:
+    """All pure Nash profiles of the finite game, in lexicographic order.
+
+    Each joint profile runs through the mechanism once, filling a table
+    of every agent's utility (memory is O(profiles)).  A profile is Nash
+    iff each agent's utility is within NASH_TOL of the maximum along that
+    agent's axis of the table, which is the test ``is_nash`` applies.
+    With ``with_outcomes`` the result holds (profile, outcome) pairs.
+    """
     if space.size > guard:
         raise GuardExceededError(
             f"joint strategy space has {space.size} profiles (guard {guard})")
-    cache = _OutcomeCache(instance, kind, gsp_allow_zero_gain)
-    found = []
+    outcomes = []
+    table = [[] for _ in range(instance.n)]  # table[i][k]: u_i at profile k
     for combo in itertools.product(*space.options):
-        profile = StrategyProfile(combo)
-        ok, _ = is_nash(instance, kind, space, profile, _cache=cache)
-        if ok:
-            found.append(profile)
-    return found
+        outcome = run_mechanism(instance, kind, StrategyProfile(combo),
+                                gsp_allow_zero_gain=gsp_allow_zero_gain)
+        outcomes.append(outcome)
+        for column, u in zip(table, outcome.utilities(instance)):
+            column.append(u)
+    if not outcomes:  # some menu is empty
+        return []
+    nash = bytearray(b"\x01") * len(outcomes)
+    # Axis i has stride prod(|S_j| for j > i); each line along it starts
+    # at a profile whose axis-i strategy is the menu's first.
+    stride = len(outcomes)
+    for column, menu in zip(table, space.options):
+        block, stride = stride, stride // len(menu)
+        for start in range(0, len(outcomes), block):
+            for first in range(start, start + stride):
+                line = column[first:first + block:stride]
+                best = max(line)
+                for k, u in enumerate(line):
+                    if best > u + NASH_TOL:
+                        nash[first + k * stride] = 0
+    found = [(StrategyProfile(combo), outcome) for combo, outcome, ok
+             in zip(itertools.product(*space.options), outcomes, nash) if ok]
+    return found if with_outcomes else [eq for eq, _ in found]
 
 
 @dataclass(frozen=True)
@@ -190,11 +188,11 @@ def efficiency_report(instance: AuctionInstance, kind: MechanismKind,
     direct = run_direct_vcg(instance)
     benchmark_sw = direct.true_welfare
     benchmark_rev = direct.revenue
-    equilibria = enumerate_pure_nash(instance, kind, space,
-                                     gsp_allow_zero_gain=gsp_allow_zero_gain)
-    outcomes = [run_mechanism(instance, kind, eq,
-                              gsp_allow_zero_gain=gsp_allow_zero_gain)
-                for eq in equilibria]
+    pairs = enumerate_pure_nash(instance, kind, space,
+                                gsp_allow_zero_gain=gsp_allow_zero_gain,
+                                with_outcomes=True)
+    equilibria = [eq for eq, _ in pairs]
+    outcomes = [o for _, o in pairs]
     if not equilibria:
         poa_sw = pos_sw = poa_rev = pos_rev = math.inf
     else:

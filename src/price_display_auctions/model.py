@@ -7,6 +7,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import AuctionError
@@ -26,6 +27,9 @@ class AgentType:
     cost: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.cost)):
+            raise AuctionError(f"alpha and cost must be finite, got "
+                               f"{self.alpha}, {self.cost}")
         if not 0.0 <= self.alpha <= 1.0:
             raise AuctionError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.cost < 0.0:
@@ -73,6 +77,9 @@ class AuctionInstance:
     # Priority permutation: agents earlier in this tuple win ties.  None
     # means ascending agent index.
     tie_break: tuple[int, ...] | None = None
+    # _rank[agent] is the agent's position in tie_break; None with it.
+    _rank: tuple[int, ...] | None = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if not self.agents:
@@ -80,12 +87,25 @@ class AuctionInstance:
         grid = self.price_grid
         if not grid:
             raise AuctionError("price grid must be non-empty")
+        if not all(math.isfinite(p) for p in grid):
+            raise AuctionError("price grid values must be finite")
         if any(p < 0 for p in grid):
             raise AuctionError("price grid values must be >= 0")
         if list(grid) != sorted(set(grid)):
             raise AuctionError("price grid must be strictly ascending")
-        if self.tie_break is not None and sorted(self.tie_break) != list(range(len(self.agents))):
-            raise AuctionError("tie_break must be a permutation of agent indices")
+        rank = None
+        if self.tie_break is not None:
+            order = self.tie_break
+            if (any(isinstance(a, bool) or not isinstance(a, int)
+                    for a in order)
+                    or sorted(order) != list(range(self.n))):
+                raise AuctionError(
+                    "tie_break must be a permutation of agent indices")
+            rank = [0] * self.n
+            for position, agent in enumerate(order):
+                rank[agent] = position
+            rank = tuple(rank)
+        object.__setattr__(self, "_rank", rank)
 
     @property
     def n(self) -> int:
@@ -103,9 +123,7 @@ class AuctionInstance:
 
     def rank(self, agent: int) -> int:
         """Tie-break priority; lower rank wins."""
-        if self.tie_break is None:
-            return agent
-        return self.tie_break.index(agent)
+        return agent if self._rank is None else self._rank[agent]
 
 
 @dataclass(frozen=True)
@@ -117,10 +135,15 @@ class Strategy:
     standalone_price: float | None = None
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.price, self.gain)):
+            raise AuctionError(f"price and gain must be finite, got "
+                               f"{self.price}, {self.gain}")
         if self.price < 0:
             raise AuctionError(f"price must be >= 0, got {self.price}")
-        if self.standalone_price is not None and self.standalone_price < 0:
-            raise AuctionError("standalone price must be >= 0")
+        s = self.standalone_price
+        if s is not None and not (math.isfinite(s) and s >= 0):
+            raise AuctionError(f"standalone price must be finite and >= 0, "
+                               f"got {s}")
 
 
 @dataclass(frozen=True)

@@ -190,7 +190,10 @@ def build_t10(delta: float = 0.1, p_low: float = 1.0, p_high: float = 2.5,
         spaces={VCG: space, GSP: space},
         gsp_allow_zero_gain=True,
         expected={
-            "direct_revenue": p_low - delta * p_high,
+            # Without agent 0 the direct mechanism shows agent 1 alone at
+            # its best grid price, which can be interior; agent 1 pays 0.
+            "direct_revenue": max(q2.q(p, p) * p for p in grid)
+                              - delta * p_high,
             "optimal_sw": (1.0 + delta) * p_high,
         },
     )
@@ -256,13 +259,10 @@ def _reference_outcome(scenario, kind):
 
 
 def _equilibrium_outcomes(scenario, kind):
-    eqs = enumerate_pure_nash(
+    pairs = enumerate_pure_nash(
         scenario.instance, kind, scenario.spaces[kind],
-        gsp_allow_zero_gain=scenario.gsp_allow_zero_gain)
-    outs = [run_mechanism(scenario.instance, kind, eq,
-                          gsp_allow_zero_gain=scenario.gsp_allow_zero_gain)
-            for eq in eqs]
-    return eqs, outs
+        gsp_allow_zero_gain=scenario.gsp_allow_zero_gain, with_outcomes=True)
+    return [eq for eq, _ in pairs], [o for _, o in pairs]
 
 
 def reproduce(scenario_id: str, **params) -> VerdictReport:

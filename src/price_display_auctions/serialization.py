@@ -151,7 +151,12 @@ def instance_from_dict(data: dict) -> AuctionInstance:
     grid = _number_list(data, "price_grid", "$")
     tie_break = None
     if data.get("tie_break") is not None:
-        tie_break = tuple(int(x) for x in _require(data, "tie_break", "$", list))
+        tie_break = _require(data, "tie_break", "$", list)
+        for idx, x in enumerate(tie_break):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise InstanceFormatError(
+                    f"$.tie_break[{idx}]", f"expected an integer, got {x!r}")
+        tie_break = tuple(tie_break)
     try:
         return AuctionInstance(tuple(agents), slots, grid, tie_break)
     except ValueError as exc:

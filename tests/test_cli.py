@@ -168,3 +168,14 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command", ["equilibria", "report"])
+@pytest.mark.parametrize("levels", ["a,b", "0,nan", "inf"])
+def test_bad_gain_levels_exit_two(instance_file, capsys, command, levels):
+    code, out, err = run(capsys, command, instance_file,
+                         "--gain-levels", levels)
+    assert code == 2
+    assert "--gain-levels" in err
+    assert "Traceback" not in err
+    assert out == ""

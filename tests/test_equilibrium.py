@@ -165,3 +165,78 @@ def test_truthful_direct_profile_structure():
         else:
             assert prof[i].price == p
             assert prof[i].gain == pytest.approx(inst.atype(i).gain(p))
+
+
+def _plain_nash(inst, kind, space, allow_zero_gain):
+    """Reference enumeration: run every profile once, then look up every
+    unilateral deviation in a dict.  Shares no code with the engine."""
+    import itertools
+    from price_display_auctions.equilibrium import NASH_TOL
+    utilities = {
+        combo: run_mechanism(inst, kind, StrategyProfile(combo),
+                             gsp_allow_zero_gain=allow_zero_gain
+                             ).utilities(inst)
+        for combo in itertools.product(*space.options)}
+    found = []
+    for combo, u in utilities.items():
+        stable = True
+        for i, menu in enumerate(space.options):
+            for s in menu:
+                deviation = combo[:i] + (s,) + combo[i + 1:]
+                if utilities[deviation][i] > u[i] + NASH_TOL:
+                    stable = False
+        if stable:
+            found.append(StrategyProfile(combo))
+    return found
+
+
+def _differential_spaces(inst):
+    plain = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
+    # Agent 0 keeps only its first strategy: a menu of size 1.
+    single = StrategySpace((plain.options[0][:1],) + plain.options[1:])
+    over = StrategySpace.build(inst, gain_levels=(0.0, 1.0), overbidding=True,
+                               extra_gains=(2.5,))
+    return {"plain": plain, "single": single, "overbidding": over}
+
+
+def _differential_instances():
+    """Seeded games with n = 2-3, m = 1-2, 2-4 grid prices and mixed
+    quality kinds."""
+    out = {2: [], 3: []}
+    seed = 0
+    while min(len(group) for group in out.values()) < 4:
+        inst = random_instance(seed, max_agents=3, max_slots=2, max_prices=4)
+        seed += 1
+        if inst.n in out and len(out[inst.n]) < 4:
+            out[inst.n].append(inst)
+    return out[2] + out[3]
+
+
+@pytest.mark.parametrize("kind,allow_zero_gain", [
+    (VCG, False),
+    (MechanismKind.INDIRECT_GSP, False),
+    (MechanismKind.INDIRECT_GSP, True),
+])
+def test_engine_matches_plain_enumeration(kind, allow_zero_gain):
+    kinds_seen = set()
+    for inst in _differential_instances():
+        kinds_seen.update(inst.quality(i).kind for i in range(inst.n))
+        for name, space in _differential_spaces(inst).items():
+            want = _plain_nash(inst, kind, space, allow_zero_gain)
+            got = enumerate_pure_nash(inst, kind, space,
+                                      gsp_allow_zero_gain=allow_zero_gain)
+            assert got == want, name
+            report = efficiency_report(inst, kind, space,
+                                       gsp_allow_zero_gain=allow_zero_gain)
+            assert list(report.equilibria) == want, name
+            for eq, outcome in zip(report.equilibria, report.outcomes):
+                assert outcome == run_mechanism(
+                    inst, kind, eq, gsp_allow_zero_gain=allow_zero_gain)
+            assert len(report.outcomes) == len(report.equilibria)
+    assert len(kinds_seen) >= 3
+
+
+def test_enumeration_of_an_empty_menu_finds_nothing():
+    inst = second_price_instance()
+    space = StrategySpace(((), (Strategy(2.0, 1.5),)))
+    assert enumerate_pure_nash(inst, VCG, space) == []

@@ -39,6 +39,36 @@ def test_agent_type_validation():
     assert AgentType(0.5, 0.2).gain(1.0) == pytest.approx(0.4)
 
 
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_agent_type_rejects_non_finite(bad):
+    with pytest.raises(AuctionError, match="finite"):
+        AgentType(bad, 0.0)
+    with pytest.raises(AuctionError, match="finite"):
+        AgentType(0.5, bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_price_grid_rejects_non_finite(bad):
+    inst = make_instance()
+    with pytest.raises(AuctionError, match="finite"):
+        AuctionInstance(inst.agents, inst.slots, (1.0, bad))
+    with pytest.raises(AuctionError, match="finite"):
+        AuctionInstance(inst.agents, inst.slots, (bad,))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_strategy_rejects_non_finite(bad):
+    with pytest.raises(AuctionError, match="finite"):
+        Strategy(bad, 0.0)
+    with pytest.raises(AuctionError, match="finite"):
+        Strategy(1.0, bad)
+    with pytest.raises(AuctionError, match="finite"):
+        Strategy(1.0, 0.5, bad)
+
 def test_slot_profile_validation():
     with pytest.raises(AuctionError):
         SlotProfile(())
@@ -69,6 +99,18 @@ def test_tie_break_rank():
     flipped = AuctionInstance(inst.agents, inst.slots, inst.price_grid, (1, 0))
     assert flipped.rank(1) == 0
     assert flipped.rank(0) == 1
+
+
+def test_tie_break_must_hold_integer_indices():
+    inst = make_instance()
+    for bad in ((1.0, 0.0), (True, False), (0, 0), (0, 2)):
+        with pytest.raises(AuctionError, match="permutation"):
+            AuctionInstance(inst.agents, inst.slots, inst.price_grid, bad)
+    three = inst.agents + inst.agents[:1]
+    shuffled = AuctionInstance(three, inst.slots, inst.price_grid, (2, 0, 1))
+    assert [shuffled.rank(i) for i in range(3)] == [1, 2, 0]
+    assert shuffled == AuctionInstance(three, inst.slots, inst.price_grid,
+                                       (2, 0, 1))
 
 
 def test_strategy_validation():

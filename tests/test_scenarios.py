@@ -73,6 +73,21 @@ def test_t10_space_has_interior_prices():
     assert scenario.gsp_allow_zero_gain
 
 
+def test_t10_direct_revenue_with_interior_optimum():
+    # Alone, agent 1 is shown at an interior grid price here, so the
+    # direct revenue exceeds p_low - delta * p_high.
+    params = dict(p_low=1.311, p_high=3.662, delta=0.2424, interior_points=3)
+    scenario = build("T10", **params)
+    assert scenario.expected["direct_revenue"] == pytest.approx(
+        0.508743932225, abs=1e-9)
+    verdict = reproduce("T10", **params)
+    assert verdict.passed, [c for c in verdict.checks if not c.passed]
+    flat = build("T10", **{**params, "interior_points": 0})
+    assert flat.expected["direct_revenue"] == pytest.approx(
+        1.311 - 0.2424 * 3.662)
+    assert build("T10").expected["direct_revenue"] == pytest.approx(0.75)
+
+
 def test_verdict_report_shape():
     verdict = reproduce("T12")
     assert verdict.scenario_id == "T12-gsp-rev"

@@ -139,3 +139,47 @@ def test_written_file_is_plain_json(tmp_path):
     save_instance(path, inst)
     data = json.loads(path.read_text())
     assert set(data) >= {"agents", "prominences", "price_grid"}
+
+
+def _one_agent(**extra):
+    return {"agents": [{"alpha": 1.0, "cost": 0.0,
+                        "quality": {"kind": "only-min"}}],
+            "prominences": [1.0], "price_grid": [1.0], **extra}
+
+
+@pytest.mark.parametrize("tie_break", [["a"], [0.5], [True], [0.0]])
+def test_tie_break_must_be_integers(tie_break):
+    with pytest.raises(InstanceFormatError) as err:
+        instance_from_dict(_one_agent(tie_break=tie_break))
+    assert err.value.field_path == "$.tie_break[0]"
+    assert "integer" in str(err.value)
+
+
+def test_tie_break_permutation_round_trips():
+    data = _one_agent(tie_break=[0])
+    assert instance_to_dict(instance_from_dict(data))["tie_break"] == [0]
+    with pytest.raises(InstanceFormatError):
+        instance_from_dict(_one_agent(tie_break=[1]))
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_refused(tmp_path, text):
+    good = json.dumps(_one_agent())
+    for field, value in (('"cost": 0.0', f'"cost": {text}'),
+                         ('"alpha": 1.0', f'"alpha": {text}'),
+                         ('"price_grid": [1.0]', f'"price_grid": [{text}]')):
+        path = tmp_path / "instance.json"
+        path.write_text(good.replace(field, value))
+        with pytest.raises(InstanceFormatError, match="finite"):
+            load_instance(path)
+
+
+def test_bad_instance_files_exit_two_without_traceback(tmp_path, capsys):
+    from price_display_auctions.cli import main
+    path = tmp_path / "instance.json"
+    for data in (_one_agent(tie_break=["a"]), _one_agent(tie_break=[0.5])):
+        path.write_text(json.dumps(data))
+        assert main(["equilibria", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "tie_break" in err
+        assert "Traceback" not in err
