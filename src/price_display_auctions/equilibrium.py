@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 
 from .errors import GuardExceededError
 from .mechanisms import MechanismKind, run_direct_vcg, run_mechanism
-from .model import AuctionInstance, Outcome, Strategy, StrategyProfile
+from .model import (
+    AuctionInstance,
+    Outcome,
+    Strategy,
+    StrategyProfile,
+)
 
 # An agent must gain strictly more than this to count as an improving
 # deviation; keeps floating-point welfare ties from manufacturing
@@ -31,7 +36,10 @@ class StrategySpace:
 
     @property
     def size(self) -> int:
-        return math.prod(len(opts) for opts in self.options)
+        out = 1
+        for opts in self.options:
+            out *= len(opts)
+        return out
 
     @staticmethod
     def build(instance: AuctionInstance, *, prices=None,
@@ -112,14 +120,16 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
                         space: StrategySpace,
                         *, gsp_allow_zero_gain: bool = False,
                         guard: int = ENUMERATION_GUARD,
-                        with_outcomes: bool = False) -> list:
+                        with_outcomes: bool = False,
+                        ) -> list[StrategyProfile] | list[tuple[StrategyProfile, Outcome]]:
     """All pure Nash profiles of the finite game, in lexicographic order.
 
     Each joint profile runs through the mechanism once, filling a table
     of every agent's utility (memory is O(profiles)).  A profile is Nash
     iff each agent's utility is within NASH_TOL of the maximum along that
     agent's axis of the table, which is the test ``is_nash`` applies.
-    With ``with_outcomes`` the result holds (profile, outcome) pairs.
+    With ``with_outcomes`` the result holds (profile, outcome) pairs,
+    which spares callers a second mechanism run per equilibrium.
     """
     if space.size > guard:
         raise GuardExceededError(

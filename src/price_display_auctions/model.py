@@ -77,9 +77,6 @@ class AuctionInstance:
     # Priority permutation: agents earlier in this tuple win ties.  None
     # means ascending agent index.
     tie_break: tuple[int, ...] | None = None
-    # _rank[agent] is the agent's position in tie_break; None with it.
-    _rank: tuple[int, ...] | None = field(init=False, repr=False,
-                                          compare=False)
 
     def __post_init__(self):
         if not self.agents:
@@ -93,19 +90,12 @@ class AuctionInstance:
             raise AuctionError("price grid values must be >= 0")
         if list(grid) != sorted(set(grid)):
             raise AuctionError("price grid must be strictly ascending")
-        rank = None
-        if self.tie_break is not None:
-            order = self.tie_break
-            if (any(isinstance(a, bool) or not isinstance(a, int)
+        order = self.tie_break
+        if order is not None and (
+                any(isinstance(a, bool) or not isinstance(a, int)
                     for a in order)
-                    or sorted(order) != list(range(self.n))):
-                raise AuctionError(
-                    "tie_break must be a permutation of agent indices")
-            rank = [0] * self.n
-            for position, agent in enumerate(order):
-                rank[agent] = position
-            rank = tuple(rank)
-        object.__setattr__(self, "_rank", rank)
+                or sorted(order) != list(range(len(self.agents)))):
+            raise AuctionError("tie_break must be a permutation of agent indices")
 
     @property
     def n(self) -> int:
@@ -123,7 +113,9 @@ class AuctionInstance:
 
     def rank(self, agent: int) -> int:
         """Tie-break priority; lower rank wins."""
-        return agent if self._rank is None else self._rank[agent]
+        if self.tie_break is None:
+            return agent
+        return self.tie_break.index(agent)
 
 
 @dataclass(frozen=True)
