@@ -13,6 +13,7 @@ from .allocation import (
     DirectAllocationResult,
     brute_force_allocate,
     direct_allocate,
+    direct_pivots,
     indirect_allocate,
 )
 from .equilibrium import (

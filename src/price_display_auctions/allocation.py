@@ -12,6 +12,7 @@ agents sort by descending weighted value with the instance tie-break.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import GuardExceededError
@@ -21,7 +22,6 @@ from .model import (
     Allocation,
     AuctionInstance,
     StrategyProfile,
-    declared_welfare,
 )
 
 BRUTE_FORCE_MAX_AGENTS = 6
@@ -137,6 +137,81 @@ def _fill_zero_gain(instance, profile, agents, allocation):
     return Allocation(agents_out, prices_out)
 
 
+def _direct_table(instance, reported):
+    """Per grid price p_hat: (p_hat, diagonal weights, ranked best entries).
+
+    An agent's diagonal weight is q(p_hat, p_hat) * gain(p_hat), what she
+    brings when designated to show p_hat.  Her best entry is her
+    (agent, price, weight) at the first price >= p_hat whose weight beats
+    the best so far by more than WELFARE_TOL; it depends on p_hat alone,
+    not on the designated agent or on who is excluded, so one table serves
+    every solve.  Agents with no positive weight have no entry.
+    """
+    grid = instance.price_grid
+    gains = [[reported[h].gain(p) for p in grid] for h in range(instance.n)]
+    table = []
+    for k, p_hat in enumerate(grid):
+        diagonal = []
+        best = []
+        for h in range(instance.n):
+            q = instance.quality(h).q
+            best_h = None
+            for j in range(k, len(grid)):
+                w = q(grid[j], p_hat) * gains[h][j]
+                if j == k:
+                    diagonal.append(w)
+                if w > 0.0 and (best_h is None or w > best_h[2] + WELFARE_TOL):
+                    best_h = (h, grid[j], w)
+            if best_h is not None:
+                best.append(best_h)
+        table.append((p_hat, diagonal, _ranked(instance, best)))
+    return table
+
+
+def _solve_direct(instance, table, exclude):
+    """Best (welfare, entries, designated) over the table without ``exclude``.
+
+    Candidates run in ascending (p_hat, designated agent) order.  The
+    designated agent i shows p_hat; the other slots go to the first m - 1
+    ranked entries that are neither i nor excluded: the first m entries
+    not excluded (``top``) less i's own entry, or else less the m-th.  The
+    designated entry is inserted where ``_ranked`` would put it.
+    """
+    m = instance.m
+    rank = instance.rank
+    best_sw = 0.0
+    best_entries: list = []
+    best_designated = None
+    for p_hat, diagonal, ranked in table:
+        top = [e for e in ranked if e[0] not in exclude][:m]
+        top_agents = [a for a, _, _ in top]
+        top_keys = [(-w, rank(a)) for a, _, w in top]
+        for i, w_i in enumerate(diagonal):
+            if w_i <= 0.0 or i in exclude:
+                continue
+            # Drop i's own entry, or else the m-th.
+            k = top_agents.index(i) if i in top_agents else m - 1
+            others = top[:k] + top[k + 1:]
+            keys = top_keys[:k] + top_keys[k + 1:]
+            pos = bisect_left(keys, (-w_i, rank(i)))
+            chosen = others[:pos] + [(i, p_hat, w_i)] + others[pos:]
+            sw = _weighted_sw(instance, chosen)
+            if sw > best_sw + WELFARE_TOL:
+                best_sw = sw
+                best_entries = chosen
+                best_designated = i
+    return best_sw, best_entries, best_designated
+
+
+def _direct_result(instance, reported, solved):
+    sw, entries, designated = solved
+    allocation = _allocation_from(entries) if entries else EMPTY_ALLOCATION
+    gains = [0.0] * instance.n
+    for a in allocation.assigned:
+        gains[a] = reported[a].gain(allocation.price_of(a))
+    return DirectAllocationResult(allocation, sw, designated, tuple(gains))
+
+
 def direct_allocate(instance: AuctionInstance, reported,
                     *, exclude: frozenset = frozenset()) -> DirectAllocationResult:
     """Joint assignment-and-price optimum over the instance price grid.
@@ -144,52 +219,33 @@ def direct_allocate(instance: AuctionInstance, reported,
     Tries every (candidate minimum price, designated agent) pair: the
     designated agent is fixed at the candidate price, every other agent
     gets her best allowed price (when it yields positive value), and
-    slots are filled greedily.
+    slots are filled greedily.  Each agent's best price per candidate is
+    computed once and ranked once, so the search makes O(n |P|^2)
+    quality evaluations and then O(|P| n m) steps.
     """
-    agents = [i for i in range(instance.n) if i not in exclude]
-    grid = instance.price_grid
-    m = instance.m
+    table = _direct_table(instance, reported)
+    return _direct_result(instance, reported,
+                          _solve_direct(instance, table, exclude))
 
-    best_sw = 0.0
-    best_entries: list = []
-    best_designated = None
-    for p_hat in grid:
-        # Per-agent best price >= p_hat when the minimum displayed price
-        # is p_hat (ties to the lowest qualifying price).
-        for i in agents:
-            w_i = instance.quality(i).q(p_hat, p_hat) * reported[i].gain(p_hat)
-            if w_i <= 0.0:
-                continue
-            entries = [(i, p_hat, w_i)]
-            for h in agents:
-                if h == i:
-                    continue
-                best_h = None
-                for p in grid:
-                    if p < p_hat:
-                        continue
-                    w = instance.quality(h).q(p, p_hat) * reported[h].gain(p)
-                    if w > 0.0 and (best_h is None or w > best_h[1] + WELFARE_TOL):
-                        best_h = (p, w)
-                if best_h is not None:
-                    entries.append((h, best_h[0], best_h[1]))
-            others = _ranked(instance, entries[1:])
-            pool = _ranked(instance, entries)
-            if (i, p_hat, w_i) in pool[:m]:
-                chosen = pool[:m]
-            else:
-                chosen = _ranked(instance, others[:m - 1] + [entries[0]])
-            sw = _weighted_sw(instance, chosen)
-            if sw > best_sw + WELFARE_TOL:
-                best_sw = sw
-                best_entries = chosen
-                best_designated = i
 
-    allocation = _allocation_from(best_entries) if best_entries else EMPTY_ALLOCATION
-    gains = [0.0] * instance.n
-    for a in allocation.assigned:
-        gains[a] = reported[a].gain(allocation.price_of(a))
-    return DirectAllocationResult(allocation, best_sw, best_designated, tuple(gains))
+def direct_pivots(instance: AuctionInstance, reported, pivots=None
+                  ) -> tuple[DirectAllocationResult, dict[int, float]]:
+    """The direct optimum and, for each pivot agent, the declared welfare
+    of the direct optimum without her.
+
+    ``pivots`` defaults to the agents the optimum assigns (the VCG
+    pivots).  All solves share one table, so each pivot adds O(|P| n m)
+    steps and no quality evaluations.  Equal to calling
+    ``direct_allocate`` with and without each ``exclude={i}``.
+    """
+    table = _direct_table(instance, reported)
+    result = _direct_result(instance, reported,
+                            _solve_direct(instance, table, frozenset()))
+    if pivots is None:
+        pivots = result.allocation.assigned
+    without = {i: _solve_direct(instance, table, frozenset({i}))[0]
+               for i in pivots}
+    return result, without
 
 
 def _check_guard(n, m, n_prices=1):
@@ -273,8 +329,3 @@ def _canonical(instance, assignment, prices, gains):
     entries = [(a, prices[a], instance.quality(a).q(prices[a], p_min) * gains[a])
                for a, _ in assignment]
     return _allocation_from(_ranked(instance, entries))
-
-
-def recomputed_declared_welfare(instance, allocation, gains) -> float:
-    """Declared welfare recomputed from scratch on a result allocation."""
-    return declared_welfare(instance, allocation, gains)

@@ -12,9 +12,10 @@ import enum
 from dataclasses import dataclass
 
 from . import quality as quality_mod
-from .allocation import direct_allocate, indirect_allocate
+from .allocation import direct_allocate, direct_pivots, indirect_allocate
 from .errors import AuctionError, InferenceError
 from .model import (
+    EMPTY_ALLOCATION,
     AgentType,
     AuctionInstance,
     Outcome,
@@ -51,16 +52,16 @@ def run_direct_vcg(instance: AuctionInstance, reported=None) -> Outcome:
     ``reported`` is a sequence of AgentType (defaults to the true types).
     Each assigned agent pays her declared value minus the welfare
     improvement her presence brings over the best allocation without her.
+    The optimum and every pivot come from one shared direct search.
     """
     if reported is None:
         reported = [instance.atype(i) for i in range(instance.n)]
-    result = direct_allocate(instance, reported)
+    result, without = direct_pivots(instance, reported)
     alloc, sw = result.allocation, result.declared_welfare
     payments = [0.0] * instance.n
     for i in alloc.assigned:
-        without = direct_allocate(instance, reported, exclude=frozenset({i}))
         v_hat = declared_value(instance, alloc, i, result.gains[i])
-        payments[i] = max(0.0, without.declared_welfare - (sw - v_hat))
+        payments[i] = max(0.0, without[i] - (sw - v_hat))
     return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc))
 
 
@@ -119,11 +120,6 @@ def run_indirect_gsp(instance: AuctionInstance, profile: StrategyProfile,
     return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc))
 
 
-def diagonal_derivative(quality, p: float) -> float:
-    """Derivative of the diagonal map p -> q(p, p) at ``p``."""
-    return quality_mod.diagonal_derivative(quality, p)
-
-
 def infer_type(quality, bid) -> InferredType:
     """Recover (cost, conversion probability) from a (b, p, p*) bid.
 
@@ -132,7 +128,7 @@ def infer_type(quality, bid) -> InferredType:
     the conversion probability from the declared gain at (p, cost).
     """
     b, p, p_star = bid
-    d = diagonal_derivative(quality, p_star)
+    d = quality_mod.diagonal_derivative(quality, p_star)
     if abs(d) < DERIVATIVE_FLOOR:
         raise InferenceError(
             f"diagonal derivative is zero at standalone price {p_star}")
@@ -168,14 +164,10 @@ def run_indirect_vcg_star(instance: AuctionInstance,
 
     alloc = indirect_allocate(instance, profile)
     sw = declared_welfare(instance, alloc, profile.gains)
-    sw_without = []
-    for i in range(instance.n):
-        res = direct_allocate(instance, inferred, exclude=frozenset({i}))
-        sw_without.append(res.declared_welfare)
+    _, sw_without = direct_pivots(instance, inferred, range(instance.n))
 
-    if sw < max(sw_without, default=0.0) - STAR_TOL:
+    if sw < max(sw_without.values(), default=0.0) - STAR_TOL:
         payments = (0.0,) * instance.n
-        from .model import EMPTY_ALLOCATION
         return Outcome(EMPTY_ALLOCATION, payments, 0.0, 0.0,
                        tuple(diagnostics + ["fallback: no ad allocated"]))
 

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .errors import InferenceError, QualityDomainError
+from .errors import AuctionError, InferenceError, QualityDomainError
 
 # Incremented on every quality evaluation.  Profiling aid only; reset it
 # with reset_evaluation_count() before measuring.
@@ -26,6 +26,20 @@ def evaluation_count() -> int:
 def reset_evaluation_count() -> None:
     global _EVALUATIONS
     _EVALUATIONS = 0
+
+
+def _require_finite(model, *names):
+    """Reject NaN and infinite values of the named fields."""
+    for name in names:
+        value = getattr(model, name)
+        if not math.isfinite(value):
+            raise AuctionError(f"{model.kind}: {name} must be finite, "
+                               f"got {value}")
+
+
+def _require_level(level):
+    if not 0.0 < level <= 1.0:
+        raise AuctionError(f"level must be in (0, 1], got {level}")
 
 
 class QualityModel:
@@ -94,8 +108,9 @@ class OnlyMinQuality(QualityModel):
     kind = "only-min"
 
     def __post_init__(self):
-        if not 0.0 < self.level <= 1.0:
-            raise ValueError(f"level must be in (0, 1], got {self.level}")
+        if self.cap != math.inf:
+            _require_finite(self, "cap")
+        _require_level(self.level)
 
     def _evaluate(self, p, p_min):
         return self.level if p <= self.cap and p == p_min else 0.0
@@ -116,8 +131,8 @@ class PriceThresholdQuality(QualityModel):
     kind = "price-threshold"
 
     def __post_init__(self):
-        if not 0.0 < self.level <= 1.0:
-            raise ValueError(f"level must be in (0, 1], got {self.level}")
+        _require_finite(self, "threshold")
+        _require_level(self.level)
 
     def _evaluate(self, p, p_min):
         return self.level if p <= self.threshold else 0.0
@@ -144,12 +159,13 @@ class HyperbolaQuality(QualityModel):
     kind = "psi-hyperbola"
 
     def __post_init__(self):
+        _require_finite(self, "low", "high", "delta")
         if not 1.0 <= self.low:
-            raise ValueError(f"low must be >= 1, got {self.low}")
+            raise AuctionError(f"low must be >= 1, got {self.low}")
         if not self.low < self.high / 2.0:
-            raise ValueError(f"need low < high/2, got {self.low}, {self.high}")
+            raise AuctionError(f"need low < high/2, got {self.low}, {self.high}")
         if not 0.0 < self.delta < self.low / self.high:
-            raise ValueError(
+            raise AuctionError(
                 f"delta must be in (0, low/high), got {self.delta}"
             )
 
@@ -199,10 +215,11 @@ class SmoothDecayQuality(QualityModel):
     kind = "smooth-decay"
 
     def __post_init__(self):
+        _require_finite(self, "price_slope", "gap_slope", "intercept")
         if self.price_slope < 0 or self.gap_slope < 0:
-            raise ValueError("slopes must be non-negative")
+            raise AuctionError("slopes must be non-negative")
         if not 0.0 < self.intercept <= 1.0:
-            raise ValueError(f"intercept must be in (0, 1], got {self.intercept}")
+            raise AuctionError(f"intercept must be in (0, 1], got {self.intercept}")
 
     def _evaluate(self, p, p_min):
         raw = self.intercept - self.price_slope * p - self.gap_slope * (p - p_min)
@@ -241,15 +258,20 @@ class TabulatedQuality(QualityModel):
     kind = "tabulated"
 
     def __post_init__(self):
+        cells = [x for row in self.values for x in row]
+        if not all(math.isfinite(x)
+                   for x in (*self.prices, *self.min_prices, *cells)):
+            raise AuctionError("tabulated: prices, min_prices and values "
+                               "must be finite")
         if list(self.prices) != sorted(set(self.prices)):
-            raise ValueError("prices must be strictly ascending")
+            raise AuctionError("prices must be strictly ascending")
         if list(self.min_prices) != sorted(set(self.min_prices)):
-            raise ValueError("min_prices must be strictly ascending")
+            raise AuctionError("min_prices must be strictly ascending")
         if len(self.values) != len(self.prices):
-            raise ValueError("values must have one row per price")
+            raise AuctionError("values must have one row per price")
         for row in self.values:
             if len(row) != len(self.min_prices):
-                raise ValueError("values rows must match min_prices length")
+                raise AuctionError("values rows must match min_prices length")
 
     def _cell(self, p, p_min):
         i = max(bisect_right(self.prices, p) - 1, 0)

@@ -9,6 +9,7 @@ test suite and CLI.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -170,6 +171,7 @@ def build_t10(delta: float = 0.1, p_low: float = 1.0, p_high: float = 2.5,
     _require(1.0 <= p_low, "1 <= p_low")
     _require(p_low < p_high / 2, "p_low < p_high / 2")
     _require(0 < delta < p_low / p_high, "0 < delta < p_low / p_high")
+    _require(interior_points >= 0, "interior_points >= 0")
     q1 = OnlyMinQuality(cap=p_high)
     q2 = HyperbolaQuality(p_low, p_high, delta)
     step = (p_high - p_low) / (interior_points + 1)
@@ -230,11 +232,27 @@ SCENARIO_IDS = tuple(_BUILDERS)
 
 
 def build(scenario_id: str, **params) -> Scenario:
+    """Build a scenario by id or alias.  Each parameter must be one the
+    builder takes: an integer where its default is an integer, else a
+    finite number."""
     key = _ALIASES.get(scenario_id.upper(), scenario_id)
     builder = _BUILDERS.get(key)
     if builder is None:
         raise AuctionError(f"unknown scenario id {scenario_id!r}; "
                            f"known: {', '.join(SCENARIO_IDS)}")
+    accepted = inspect.signature(builder).parameters
+    for name, value in params.items():
+        if name not in accepted:
+            raise AuctionError(f"{key}: unknown parameter {name!r}; "
+                               f"known: {', '.join(accepted)}")
+        if isinstance(accepted[name].default, int):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise AuctionError(f"{key}: parameter {name} must be an "
+                                   f"integer, got {value!r}")
+        elif (isinstance(value, bool) or not isinstance(value, (int, float))
+              or not math.isfinite(value)):
+            raise AuctionError(f"{key}: parameter {name} must be a finite "
+                               f"number, got {value!r}")
     return builder(**params)
 
 

@@ -1,5 +1,7 @@
 """Allocation algorithms against hand-worked cases and the oracle."""
 
+import random
+
 import pytest
 
 from price_display_auctions import (
@@ -10,15 +12,27 @@ from price_display_auctions import (
     PriceThresholdQuality,
     SlotProfile,
     SmoothDecayQuality,
+    TabulatedQuality,
     brute_force_allocate,
     direct_allocate,
+    direct_pivots,
     indirect_allocate,
     profile,
     random_instance,
     random_profile,
 )
 from price_display_auctions import quality as quality_mod
-from price_display_auctions.model import declared_welfare
+from price_display_auctions.allocation import (
+    DirectAllocationResult,
+    _allocation_from,
+    _ranked,
+    _weighted_sw,
+)
+from price_display_auctions.model import (
+    EMPTY_ALLOCATION,
+    WELFARE_TOL,
+    declared_welfare,
+)
 
 
 def two_agent_instance():
@@ -158,12 +172,13 @@ def _direct_eval_count(n, n_prices):
 
 
 def test_direct_evaluation_count_scales_quadratically():
-    # The search is O(n^2 |P|^2) quality evaluations; doubling n should
-    # roughly quadruple the count, never blow up combinatorially.
+    # The search is O(n |P|^2) quality evaluations: linear in n (each
+    # agent's best price per candidate minimum is found once, not once per
+    # designated agent) and quadratic in |P|.
     base = _direct_eval_count(6, 5)
-    doubled = _direct_eval_count(12, 5)
-    assert base <= 5 * 6 * 6 * 5 * 5
-    assert doubled <= 4.6 * base
+    assert base <= 6 * 5 * 5
+    assert _direct_eval_count(12, 5) <= 2.3 * base
+    assert _direct_eval_count(6, 10) <= 4.6 * base
 
 
 def test_indirect_evaluation_count_scales_quadratically():
@@ -173,3 +188,111 @@ def test_indirect_evaluation_count_scales_quadratically():
         quality_mod.reset_evaluation_count()
         indirect_allocate(inst, prof)
         assert quality_mod.evaluation_count() <= 5 * n * n
+
+
+def _reference_direct_allocate(instance, reported, *, exclude=frozenset()):
+    """The original O(n^2 |P|^2) direct search, kept verbatim as an exact
+    oracle: every agent's best price is recomputed per (p_hat, designated)
+    pair."""
+    agents = [i for i in range(instance.n) if i not in exclude]
+    grid = instance.price_grid
+    m = instance.m
+
+    best_sw = 0.0
+    best_entries: list = []
+    best_designated = None
+    for p_hat in grid:
+        # Per-agent best price >= p_hat when the minimum displayed price
+        # is p_hat (ties to the lowest qualifying price).
+        for i in agents:
+            w_i = instance.quality(i).q(p_hat, p_hat) * reported[i].gain(p_hat)
+            if w_i <= 0.0:
+                continue
+            entries = [(i, p_hat, w_i)]
+            for h in agents:
+                if h == i:
+                    continue
+                best_h = None
+                for p in grid:
+                    if p < p_hat:
+                        continue
+                    w = instance.quality(h).q(p, p_hat) * reported[h].gain(p)
+                    if w > 0.0 and (best_h is None or w > best_h[1] + WELFARE_TOL):
+                        best_h = (p, w)
+                if best_h is not None:
+                    entries.append((h, best_h[0], best_h[1]))
+            others = _ranked(instance, entries[1:])
+            pool = _ranked(instance, entries)
+            if (i, p_hat, w_i) in pool[:m]:
+                chosen = pool[:m]
+            else:
+                chosen = _ranked(instance, others[:m - 1] + [entries[0]])
+            sw = _weighted_sw(instance, chosen)
+            if sw > best_sw + WELFARE_TOL:
+                best_sw = sw
+                best_entries = chosen
+                best_designated = i
+
+    allocation = _allocation_from(best_entries) if best_entries else EMPTY_ALLOCATION
+    gains = [0.0] * instance.n
+    for a in allocation.assigned:
+        gains[a] = reported[a].gain(allocation.price_of(a))
+    return DirectAllocationResult(allocation, best_sw, best_designated, tuple(gains))
+
+
+def _tie_heavy_instance(seed):
+    """A random instance with a shuffled tie-break, some agents duplicated
+    (exact weight ties) and, for every fourth seed, a single slot."""
+    rng = random.Random(seed)
+    base = random_instance(seed, max_agents=6, max_slots=4, max_prices=6)
+    agents = list(base.agents)
+    agents += [rng.choice(base.agents) for _ in range(rng.randint(0, 3))]
+    order = list(range(len(agents)))
+    rng.shuffle(order)
+    slots = SlotProfile((1.0,)) if seed % 4 == 0 else base.slots
+    return AuctionInstance(tuple(agents), slots, base.price_grid, tuple(order))
+
+
+def _fields(result):
+    return (result.allocation.slot_agents, result.allocation.display_prices,
+            result.declared_welfare, result.designated, result.gains)
+
+
+def test_direct_matches_reference_exactly():
+    for seed in range(120):
+        inst = _tie_heavy_instance(seed)
+        reported = [inst.atype(i) for i in range(inst.n)]
+        result, without = direct_pivots(inst, reported, range(inst.n))
+        expected = _reference_direct_allocate(inst, reported)
+        assert _fields(result) == _fields(expected), seed
+        assert _fields(direct_allocate(inst, reported)) == _fields(expected)
+        for i in range(inst.n):
+            exclude = frozenset({i})
+            expected = _reference_direct_allocate(inst, reported,
+                                                  exclude=exclude)
+            fast = direct_allocate(inst, reported, exclude=exclude)
+            assert _fields(fast) == _fields(expected), (seed, i)
+            assert without[i] == expected.declared_welfare, (seed, i)
+
+
+def test_direct_best_price_ties_go_to_the_lowest_price():
+    # Agent 1's weight is exactly 0.8 at every grid price; her best entry
+    # must keep the lowest one.
+    flat = TabulatedQuality((1.0, 2.0, 4.0), (1.0, 2.0, 4.0),
+                            ((0.8,) * 3, (0.4,) * 3, (0.2,) * 3))
+    agents = ((AgentType(1.0, 0.0), OnlyMinQuality(cap=1.0)),
+              (AgentType(1.0, 0.0), flat))
+    inst = AuctionInstance(agents, SlotProfile((1.0, 0.5)), (1.0, 2.0, 4.0))
+    reported = [inst.atype(i) for i in range(inst.n)]
+    result = direct_allocate(inst, reported)
+    assert result.allocation.slot_agents == (0, 1)
+    assert result.allocation.display_prices == (1.0, 1.0)
+    expected = _reference_direct_allocate(inst, reported)
+    assert _fields(result) == _fields(expected)
+
+
+def test_direct_pivots_default_to_assigned_agents():
+    inst = _tie_heavy_instance(3)
+    reported = [inst.atype(i) for i in range(inst.n)]
+    result, without = direct_pivots(inst, reported)
+    assert set(without) == set(result.allocation.assigned)

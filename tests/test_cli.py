@@ -111,6 +111,19 @@ def test_reproduce_bad_param(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("scenario, param, message", [
+    ("T5", "foo=1", "unknown parameter 'foo'"),
+    ("T10", "interior_points=1.5", "must be an integer"),
+    ("T10", "interior_points=-5", "interior_points >= 0"),
+])
+def test_reproduce_bad_param_value_exits_two(capsys, scenario, param, message):
+    code, out, err = run(capsys, "reproduce", scenario, "--param", param)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_reproduce_constraint_violation(capsys):
     code, _, err = run(capsys, "reproduce", "T10", "--param", "delta=0.9")
     assert code == 2

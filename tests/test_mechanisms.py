@@ -12,6 +12,8 @@ from price_display_auctions import (
     PriceThresholdQuality,
     SlotProfile,
     SmoothDecayQuality,
+    brute_force_allocate,
+    direct_allocate,
     infer_type,
     profile,
     run_direct_vcg,
@@ -19,8 +21,16 @@ from price_display_auctions import (
     run_indirect_vcg,
     run_indirect_vcg_star,
     run_mechanism,
+    random_instance,
+    random_profile,
     smooth_instance,
     truthful_star_profile,
+)
+from price_display_auctions import quality as quality_mod
+from price_display_auctions.model import (
+    declared_value,
+    declared_welfare,
+    true_welfare,
 )
 
 
@@ -225,3 +235,62 @@ def test_run_mechanism_dispatch():
     assert ivcg.revenue == pytest.approx(0.0)
     gsp = run_mechanism(inst, MechanismKind.INDIRECT_GSP, prof)
     assert gsp.revenue == pytest.approx(0.25)
+
+
+def _oracle_payments(instance, out, gains, welfare_without):
+    """Pivot payments rebuilt from the exhaustive oracle: each agent the
+    outcome assigns pays the oracle's best welfare without her, minus the
+    oracle's optimum less her declared value in the outcome."""
+    payments = [0.0] * instance.n
+    for i in out.allocation.assigned:
+        v_hat = declared_value(instance, out.allocation, i, gains[i])
+        payments[i] = max(0.0, welfare_without(frozenset({i}))
+                          - (welfare_without(frozenset()) - v_hat))
+    return payments
+
+
+def test_direct_vcg_payments_match_oracle():
+    for seed in range(40):
+        inst = random_instance(seed, max_agents=5, max_slots=3, max_prices=4)
+        reported = [inst.atype(i) for i in range(inst.n)]
+        out = run_direct_vcg(inst)
+        gains = [t.gain(out.allocation.price_of(i) or 0.0)
+                 for i, t in enumerate(reported)]
+        expected = _oracle_payments(
+            inst, out, gains,
+            lambda ex: brute_force_allocate(inst, reported, "direct",
+                                            exclude=ex).declared_welfare)
+        assert out.payments == pytest.approx(expected, abs=1e-9), seed
+
+
+def test_indirect_vcg_payments_match_oracle():
+    for seed in range(300):
+        inst = random_instance(seed, max_agents=6, max_slots=4, max_prices=6)
+        prof = random_profile(inst, seed)
+        out = run_indirect_vcg(inst, prof)
+        expected = _oracle_payments(
+            inst, out, prof.gains,
+            lambda ex: declared_welfare(
+                inst, brute_force_allocate(inst, prof, "indirect", exclude=ex),
+                prof.gains))
+        assert out.payments == pytest.approx(expected, abs=1e-9), seed
+
+
+def test_direct_vcg_pivots_add_no_quality_evaluations():
+    # The pivots reuse the optimum's search table: a whole run costs no
+    # more quality evaluations than one allocation, its true welfare and
+    # one declared value per payer (the v_hat of the payment rule).
+    agents = tuple(
+        (AgentType(1.0, 0.05 * i), SmoothDecayQuality(0.2, 0.1, 1.0))
+        for i in range(8))
+    inst = AuctionInstance(agents, SlotProfile((1.0, 0.8, 0.6)),
+                           (0.5, 0.9, 1.3, 1.7, 2.1))
+    reported = [inst.atype(i) for i in range(inst.n)]
+    quality_mod.reset_evaluation_count()
+    alloc = direct_allocate(inst, reported).allocation
+    true_welfare(inst, alloc)
+    budget = quality_mod.evaluation_count() + len(alloc.assigned)
+    quality_mod.reset_evaluation_count()
+    out = run_direct_vcg(inst)
+    assert len(out.allocation.assigned) == 3
+    assert quality_mod.evaluation_count() <= budget

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from price_display_auctions import (
+    AuctionError,
     HyperbolaQuality,
     OnlyMinQuality,
     PriceThresholdQuality,
@@ -193,3 +194,33 @@ def test_evaluation_counter():
 def test_infinite_cap_survives_math():
     q = OnlyMinQuality(cap=math.inf)
     assert q.q(1e9, 1e9) == 1.0
+
+
+NON_FINITE_MODELS = {
+    "only-min cap nan": lambda: OnlyMinQuality(cap=math.nan),
+    "only-min cap -inf": lambda: OnlyMinQuality(cap=-math.inf),
+    "threshold nan": lambda: PriceThresholdQuality(threshold=math.nan),
+    "threshold inf": lambda: PriceThresholdQuality(threshold=math.inf),
+    "price_slope nan": lambda: SmoothDecayQuality(price_slope=math.nan),
+    "gap_slope inf": lambda: SmoothDecayQuality(0.1, gap_slope=math.inf),
+    "hyperbola high inf": lambda: HyperbolaQuality(1.0, math.inf, 0.1),
+    "table cell nan": lambda: TabulatedQuality((1.0,), (1.0,), ((math.nan,),)),
+    "table price inf": lambda: TabulatedQuality((math.inf,), (1.0,),
+                                                ((0.5,),)),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_MODELS)
+def test_non_finite_parameters_refused(name):
+    with pytest.raises(AuctionError, match="finite"):
+        NON_FINITE_MODELS[name]()
+
+
+def test_constructor_errors_are_auction_errors():
+    assert OnlyMinQuality(cap=math.inf).q(5.0, 5.0) == 1.0
+    with pytest.raises(AuctionError):
+        OnlyMinQuality(level=0.0)
+    with pytest.raises(AuctionError):
+        SmoothDecayQuality(price_slope=-0.1)
+    with pytest.raises(AuctionError):
+        HyperbolaQuality(low=0.5, high=2.5, delta=0.1)

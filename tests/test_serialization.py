@@ -183,3 +183,19 @@ def test_bad_instance_files_exit_two_without_traceback(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "tie_break" in err
         assert "Traceback" not in err
+
+
+def test_non_finite_quality_parameter_exits_two(tmp_path, capsys):
+    from price_display_auctions.cli import main
+    path = tmp_path / "instance.json"
+    quality = {"kind": "smooth-decay", "price_slope": math.nan}
+    path.write_text(json.dumps(_one_agent(agents=[
+        {"alpha": 1.0, "cost": 0.0, "quality": quality}])))
+    assert "NaN" in path.read_text()
+    with pytest.raises(InstanceFormatError, match="finite") as err:
+        load_instance(path)
+    assert err.value.field_path == "$.agents[0].quality"
+    assert main(["allocate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "price_slope" in err
+    assert "Traceback" not in err
