@@ -58,12 +58,12 @@ from .model import (
     declared_value,
     declared_welfare,
     profile,
-    social_welfare,
     true_value,
     true_welfare,
     truthful_gains,
 )
 from .quality import (
+    QUALITY_KINDS,
     AuditReport,
     AuditViolation,
     HyperbolaQuality,
@@ -86,5 +86,3 @@ from .serialization import (
 )
 
 __version__ = "1.0.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -106,7 +106,7 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile,
 def _fill_zero_gain(instance, profile, agents, allocation):
     """Append zero-gain agents (b == 0, positive quality) to free slots."""
     m = instance.m
-    taken = set(allocation.assigned)
+    taken = set(allocation.slot_agents)
     p_min = allocation.p_min
 
     if p_min is None:
@@ -128,7 +128,7 @@ def _fill_zero_gain(instance, profile, agents, allocation):
               and profile[i].price >= p_min
               and instance.quality(i).q(profile[i].price, p_min) > 0.0]
     extras.sort(key=instance.rank)
-    free = m - len(allocation.assigned)
+    free = m - len(allocation.slot_agents)
     if not extras or free <= 0:
         return allocation
     agents_out = allocation.slot_agents + tuple(extras[:free])
@@ -207,7 +207,7 @@ def _direct_result(instance, reported, solved):
     sw, entries, designated = solved
     allocation = _allocation_from(entries) if entries else EMPTY_ALLOCATION
     gains = [0.0] * instance.n
-    for a in allocation.assigned:
+    for a in allocation.slot_agents:
         gains[a] = reported[a].gain(allocation.price_of(a))
     return DirectAllocationResult(allocation, sw, designated, tuple(gains))
 
@@ -242,7 +242,7 @@ def direct_pivots(instance: AuctionInstance, reported, pivots=None
     result = _direct_result(instance, reported,
                             _solve_direct(instance, table, frozenset()))
     if pivots is None:
-        pivots = result.allocation.assigned
+        pivots = result.allocation.slot_agents
     without = {i: _solve_direct(instance, table, frozenset({i}))[0]
                for i in pivots}
     return result, without
@@ -314,7 +314,7 @@ def brute_force_allocate(instance: AuctionInstance, arg, mode: str,
         gains = {a: arg[a].gain(best_prices[a]) for a, _ in best}
         allocation = _canonical(instance, best, best_prices, gains)
         out_gains = [0.0] * instance.n
-        for a in allocation.assigned:
+        for a in allocation.slot_agents:
             out_gains[a] = gains[a]
         return DirectAllocationResult(allocation, best_sw, None, tuple(out_gains))
 

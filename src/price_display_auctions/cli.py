@@ -18,7 +18,6 @@ from .allocation import brute_force_allocate, direct_allocate, indirect_allocate
 from .equilibrium import StrategySpace, efficiency_report, enumerate_pure_nash
 from .errors import AuctionError
 from .mechanisms import MechanismKind, run_mechanism, truthful_star_profile
-from .model import truthful_gains
 from .quality import audit_quality, probe_grid
 from .scenarios import SCENARIO_IDS, build, reproduce
 from .serialization import (
@@ -186,10 +185,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    params = _parse_params(args.param)
-    verdict = reproduce(args.scenario, **params)
+    scenario = build(args.scenario, **_parse_params(args.param))
+    verdict = reproduce(scenario)
     if args.export:
-        scenario = build(args.scenario, **params)
         ref = next(iter(scenario.reference_profiles.values()), None)
         save_instance(args.export, scenario.instance, ref)
     lines = [f"scenario: {verdict.scenario_id}",

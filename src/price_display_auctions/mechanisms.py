@@ -59,7 +59,7 @@ def run_direct_vcg(instance: AuctionInstance, reported=None) -> Outcome:
     result, without = direct_pivots(instance, reported)
     alloc, sw = result.allocation, result.declared_welfare
     payments = [0.0] * instance.n
-    for i in alloc.assigned:
+    for i in alloc.slot_agents:
         v_hat = declared_value(instance, alloc, i, result.gains[i])
         payments[i] = max(0.0, without[i] - (sw - v_hat))
     return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc))
@@ -70,7 +70,7 @@ def run_indirect_vcg(instance: AuctionInstance, profile: StrategyProfile) -> Out
     alloc = indirect_allocate(instance, profile)
     sw = declared_welfare(instance, alloc, profile.gains)
     payments = [0.0] * instance.n
-    for i in alloc.assigned:
+    for i in alloc.slot_agents:
         without = indirect_allocate(instance, profile, exclude=frozenset({i}))
         sw_without = declared_welfare(instance, without, profile.gains)
         v_hat = declared_value(instance, alloc, i, profile[i].gain)
@@ -172,7 +172,7 @@ def run_indirect_vcg_star(instance: AuctionInstance,
                        tuple(diagnostics + ["fallback: no ad allocated"]))
 
     payments = [0.0] * instance.n
-    for i in alloc.assigned:
+    for i in alloc.slot_agents:
         v_hat = declared_value(instance, alloc, i, profile[i].gain)
         pi = sw_without[i] - (sw - v_hat)
         if pi < -STAR_TOL or pi > v_hat + STAR_TOL:

@@ -186,10 +186,6 @@ class Allocation:
             raise AuctionError("at most one ad per slot / agent")
 
     @property
-    def assigned(self) -> tuple[int, ...]:
-        return self.slot_agents
-
-    @property
     def p_min(self) -> float | None:
         if not self.display_prices:
             return None
@@ -237,21 +233,12 @@ def declared_welfare(instance: AuctionInstance, allocation: Allocation,
                      gains) -> float:
     """Sum of declared values; ``gains`` holds one gain per agent."""
     return sum(declared_value(instance, allocation, i, gains[i])
-               for i in allocation.assigned)
+               for i in allocation.slot_agents)
 
 
 def true_welfare(instance: AuctionInstance, allocation: Allocation) -> float:
-    return sum(true_value(instance, allocation, i) for i in allocation.assigned)
-
-
-def social_welfare(instance: AuctionInstance, allocation: Allocation,
-                   profile: StrategyProfile, mode: str = "declared") -> float:
-    """Welfare of an allocation under a profile, declared or true."""
-    if mode == "declared":
-        return declared_welfare(instance, allocation, profile.gains)
-    if mode == "true":
-        return true_welfare(instance, allocation)
-    raise AuctionError(f"unknown welfare mode {mode!r}")
+    return sum(true_value(instance, allocation, i)
+               for i in allocation.slot_agents)
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,6 @@ class QualityModel:
     def _evaluate(self, p: float, p_min: float) -> float:
         raise NotImplementedError
 
-    def diagonal(self, p: float) -> float:
-        """The one-variable map p -> q(p, p)."""
-        return self.q(p, p)
-
     def diagonal_derivative(self, p: float) -> float | None:
         """Analytic derivative of the diagonal map, or None if unavailable."""
         return None
@@ -281,6 +277,13 @@ class TabulatedQuality(QualityModel):
     def _evaluate(self, p, p_min):
         i, j = self._cell(p, p_min)
         return self.values[i][j]
+
+
+# Each concrete model under its ``kind``: the one list of quality kinds
+# that the instance file format reads and writes.
+QUALITY_KINDS = {cls.kind: cls for cls in (
+    OnlyMinQuality, PriceThresholdQuality, HyperbolaQuality,
+    SmoothDecayQuality, TabulatedQuality)}
 
 
 @dataclass(frozen=True)

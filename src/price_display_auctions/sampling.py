@@ -45,15 +45,12 @@ def _tabulated(rng: random.Random, grid) -> TabulatedQuality:
     for j in range(n_m):
         for i in range(1, n_p):
             rows[i][j] = min(rows[i][j], rows[i - 1][j])
-    # ...and non-decreasing in the minimum price (across the columns).
+    # ...and non-decreasing in the minimum price (across the columns).  A
+    # running row maximum keeps the columns non-increasing, as each row is
+    # entrywise at most the row above it.
     for i in range(n_p):
         for j in range(1, n_m):
             rows[i][j] = max(rows[i][j], rows[i][j - 1])
-    # Re-impose price monotonicity (max() above cannot break it when the
-    # previous row is already column-monotone, but be safe).
-    for j in range(n_m):
-        for i in range(1, n_p):
-            rows[i][j] = min(rows[i][j], rows[i - 1][j])
     return TabulatedQuality(tuple(grid), tuple(grid),
                             tuple(tuple(r) for r in rows))
 

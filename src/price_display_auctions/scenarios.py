@@ -43,7 +43,6 @@ class Scenario:
     instance: AuctionInstance = None
     reference_profiles: dict = field(default_factory=dict, compare=False)
     spaces: dict = field(default_factory=dict, compare=False)
-    overbidding: bool = False
     gsp_allow_zero_gain: bool = False
     expected: dict = field(default_factory=dict, compare=False)
 
@@ -155,7 +154,6 @@ def build_t9(delta: float = 0.1, p_high: float = 1.0) -> Scenario:
         "T9-overbid", {"delta": delta, "p_high": p_high}, inst,
         reference_profiles={VCG: ref, GSP: ref},
         spaces={VCG: space_vcg, GSP: space_gsp},
-        overbidding=True,
         expected={
             "optimal_sw": p_high,
             "equilibrium_sw": delta * p_high,
@@ -283,10 +281,9 @@ def _equilibrium_outcomes(scenario, kind):
     return [eq for eq, _ in pairs], [o for _, o in pairs]
 
 
-def reproduce(scenario_id: str, **params) -> VerdictReport:
-    """Build the scenario, rerun the mechanisms and equilibrium engine,
-    and assert its expected conclusions."""
-    scenario = build(scenario_id, **params)
+def reproduce(scenario: Scenario) -> VerdictReport:
+    """Rerun the mechanisms and equilibrium engine on a built scenario and
+    assert its expected conclusions."""
     exp = scenario.expected
     checks: list[Check] = []
     direct = run_direct_vcg(scenario.instance)

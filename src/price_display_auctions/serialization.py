@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import MISSING, fields
 
-from .errors import InstanceFormatError
+from .errors import AuctionError, InstanceFormatError
 from .model import (
     AgentType,
     Allocation,
@@ -20,14 +21,7 @@ from .model import (
     Strategy,
     StrategyProfile,
 )
-from .quality import (
-    HyperbolaQuality,
-    OnlyMinQuality,
-    PriceThresholdQuality,
-    SmoothDecayQuality,
-    TabulatedQuality,
-    _audit_table_cells,
-)
+from .quality import QUALITY_KINDS, TabulatedQuality, _audit_table_cells
 
 SCHEMA_VERSION = 1
 
@@ -42,84 +36,89 @@ def _require(data, key, path, types=None):
     return value
 
 
+def _shown(value):
+    # Arrays and objects are named by type: a nested array's repr can run
+    # to thousands of characters.
+    return (type(value).__name__ if isinstance(value, (list, dict))
+            else repr(value))
+
+
+def _as_number(value, path):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceFormatError(
+            path, f"expected a number, got {_shown(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InstanceFormatError(
+            path, "integer too large for a float") from None
+
+
 def _number(data, key, path, default=None):
     if default is not None and key not in data:
         return default
-    v = _require(data, key, path)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InstanceFormatError(f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
+    return _as_number(_require(data, key, path), f"{path}.{key}")
 
 
 def _number_list(data, key, path):
     v = _require(data, key, path, list)
-    out = []
-    for idx, x in enumerate(v):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise InstanceFormatError(
-                f"{path}.{key}[{idx}]", f"expected a number, got {x!r}")
-        out.append(float(x))
-    return tuple(out)
+    return tuple(_as_number(x, f"{path}.{key}[{idx}]")
+                 for idx, x in enumerate(v))
+
+
+def _quality_value(value, depth, path):
+    """A number ("inf" allowed) at depth 0, else a list of depth-1 values."""
+    if depth == 0:
+        return math.inf if value == "inf" else _as_number(value, path)
+    if not isinstance(value, list):
+        raise InstanceFormatError(
+            path, f"expected a list, got {type(value).__name__}")
+    return tuple(_quality_value(x, depth - 1, f"{path}[{idx}]")
+                 for idx, x in enumerate(value))
 
 
 def quality_from_dict(data: dict, path: str = "quality"):
+    """Read a quality model: its keys are the model's dataclass fields, and
+    an absent key takes the field's default."""
     kind = _require(data, "kind", path, str)
+    cls = QUALITY_KINDS.get(kind)
+    if cls is None:
+        raise InstanceFormatError(f"{path}.kind",
+                                  f"unknown quality kind {kind!r}")
+    # The field's annotation gives its list nesting: float, tuple[float, ...]
+    # or a table of those.
+    params = {f.name: _quality_value(_require(data, f.name, path),
+                                     str(f.type).count("tuple["),
+                                     f"{path}.{f.name}")
+              for f in fields(cls) if f.name in data or f.default is MISSING}
     try:
-        if kind == "only-min":
-            cap = data.get("cap", "inf")
-            cap = math.inf if cap in ("inf", None) else float(cap)
-            return OnlyMinQuality(cap=cap, level=_number(data, "level", path, 1.0))
-        if kind == "price-threshold":
-            return PriceThresholdQuality(
-                threshold=_number(data, "threshold", path),
-                level=_number(data, "level", path, 1.0))
-        if kind == "psi-hyperbola":
-            return HyperbolaQuality(low=_number(data, "low", path),
-                                    high=_number(data, "high", path),
-                                    delta=_number(data, "delta", path))
-        if kind == "smooth-decay":
-            return SmoothDecayQuality(
-                price_slope=_number(data, "price_slope", path),
-                gap_slope=_number(data, "gap_slope", path, 0.0),
-                intercept=_number(data, "intercept", path, 1.0))
-        if kind == "tabulated":
-            model = TabulatedQuality(
-                prices=_number_list(data, "prices", path),
-                min_prices=_number_list(data, "min_prices", path),
-                values=tuple(tuple(float(x) for x in row)
-                             for row in _require(data, "values", path, list)))
-            bad = _audit_table_cells(model)
-            if bad:
-                v = bad[0]
-                raise InstanceFormatError(
-                    f"{path}.values",
-                    f"table violates {v.constraint}: {v.detail}")
-            return model
-    except InstanceFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
+        model = cls(**params)
+    except AuctionError as exc:
         raise InstanceFormatError(path, str(exc)) from exc
-    raise InstanceFormatError(f"{path}.kind", f"unknown quality kind {kind!r}")
+    if isinstance(model, TabulatedQuality):
+        bad = _audit_table_cells(model)
+        if bad:
+            v = bad[0]
+            raise InstanceFormatError(
+                f"{path}.values", f"table violates {v.constraint}: {v.detail}")
+    return model
+
+
+def _quality_json(value):
+    if isinstance(value, tuple):
+        return [_quality_json(x) for x in value]
+    return "inf" if value == math.inf else value
 
 
 def quality_to_dict(model) -> dict:
-    if isinstance(model, OnlyMinQuality):
-        cap = "inf" if math.isinf(model.cap) else model.cap
-        return {"kind": model.kind, "cap": cap, "level": model.level}
-    if isinstance(model, PriceThresholdQuality):
-        return {"kind": model.kind, "threshold": model.threshold,
-                "level": model.level}
-    if isinstance(model, HyperbolaQuality):
-        return {"kind": model.kind, "low": model.low, "high": model.high,
-                "delta": model.delta}
-    if isinstance(model, SmoothDecayQuality):
-        return {"kind": model.kind, "price_slope": model.price_slope,
-                "gap_slope": model.gap_slope, "intercept": model.intercept}
-    if isinstance(model, TabulatedQuality):
-        return {"kind": model.kind, "prices": list(model.prices),
-                "min_prices": list(model.min_prices),
-                "values": [list(r) for r in model.values]}
-    raise InstanceFormatError("quality", f"cannot serialize {type(model).__name__}")
+    """The model's kind, then its fields in declaration order."""
+    cls = QUALITY_KINDS.get(getattr(model, "kind", None))
+    if cls is None or not isinstance(model, cls):
+        raise InstanceFormatError(
+            "quality", f"cannot serialize {type(model).__name__}")
+    return {"kind": model.kind,
+            **{f.name: _quality_json(getattr(model, f.name))
+               for f in fields(cls)}}
 
 
 def instance_from_dict(data: dict) -> AuctionInstance:
@@ -155,7 +154,8 @@ def instance_from_dict(data: dict) -> AuctionInstance:
         for idx, x in enumerate(tie_break):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise InstanceFormatError(
-                    f"$.tie_break[{idx}]", f"expected an integer, got {x!r}")
+                    f"$.tie_break[{idx}]",
+                    f"expected an integer, got {_shown(x)}")
         tie_break = tuple(tie_break)
     try:
         return AuctionInstance(tuple(agents), slots, grid, tie_break)
@@ -214,10 +214,13 @@ def profile_to_dict(profile: StrategyProfile) -> list:
 
 def load_instance(path):
     """Read an instance file; returns (instance, profile or None)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integers past the interpreter's digit limit; RecursionError covers
+        # arrays or objects nested too deep.
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InstanceFormatError("$", f"invalid JSON: {exc}") from exc
     instance = instance_from_dict(data)
     prof = None

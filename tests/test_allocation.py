@@ -235,7 +235,7 @@ def _reference_direct_allocate(instance, reported, *, exclude=frozenset()):
 
     allocation = _allocation_from(best_entries) if best_entries else EMPTY_ALLOCATION
     gains = [0.0] * instance.n
-    for a in allocation.assigned:
+    for a in allocation.slot_agents:
         gains[a] = reported[a].gain(allocation.price_of(a))
     return DirectAllocationResult(allocation, best_sw, best_designated, tuple(gains))
 
@@ -295,4 +295,4 @@ def test_direct_pivots_default_to_assigned_agents():
     inst = _tie_heavy_instance(3)
     reported = [inst.atype(i) for i in range(inst.n)]
     result, without = direct_pivots(inst, reported)
-    assert set(without) == set(result.allocation.assigned)
+    assert set(without) == set(result.allocation.slot_agents)

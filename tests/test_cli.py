@@ -1,8 +1,15 @@
 """End-to-end CLI behavior and exit codes."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import math
+import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from price_display_auctions import random_instance, random_profile, save_instance
 from price_display_auctions.cli import main
@@ -92,6 +99,24 @@ def test_reproduce_pass_and_export(tmp_path, capsys):
     inst, prof = load_instance(export)
     assert inst.m == 2
     assert prof is not None
+
+
+def test_reproduce_export_builds_scenario_once(tmp_path, monkeypatch, capsys):
+    from price_display_auctions import scenarios
+    calls = []
+    builder = scenarios._BUILDERS["T7-poa-m"]
+
+    @functools.wraps(builder)
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return builder(*args, **kwargs)
+
+    monkeypatch.setitem(scenarios._BUILDERS, "T7-poa-m", counting)
+    export = tmp_path / "t7.json"
+    code, _, _ = run(capsys, "reproduce", "T7", "--export", str(export))
+    assert code == 0
+    assert export.exists()
+    assert len(calls) == 1
 
 
 def test_reproduce_param_override(capsys):
@@ -192,3 +217,138 @@ def test_bad_gain_levels_exit_two(instance_file, capsys, command, levels):
     assert "--gain-levels" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+# One agent per quality kind, two slots, two prices and a profile: a valid
+# file that every command below accepts.
+VALID_FILE = {
+    "agents": [
+        {"alpha": 1.0, "cost": 0.0,
+         "quality": {"kind": "only-min", "cap": "inf", "level": 1.0}},
+        {"alpha": 0.8, "cost": 0.1,
+         "quality": {"kind": "price-threshold", "threshold": 1.5,
+                     "level": 0.9}},
+        {"alpha": 0.9, "cost": 0.0,
+         "quality": {"kind": "psi-hyperbola", "low": 1.0, "high": 2.5,
+                     "delta": 0.1}},
+        {"alpha": 0.7, "cost": 0.2,
+         "quality": {"kind": "smooth-decay", "price_slope": 0.2,
+                     "gap_slope": 0.1, "intercept": 0.9}},
+        {"alpha": 0.6, "cost": 0.0,
+         "quality": {"kind": "tabulated", "prices": [1.0, 2.0],
+                     "min_prices": [1.0, 2.0],
+                     "values": [[0.6, 0.8], [0.4, 0.5]]}},
+    ],
+    "prominences": [1.0, 0.5],
+    "price_grid": [1.0, 2.0],
+    "tie_break": [4, 3, 2, 1, 0],
+    "profile": [{"price": p, "gain": 0.5, "standalone_price": 1.0}
+                for p in (1.0, 2.0, 1.0, 2.0, 1.0)],
+}
+COMMANDS = (
+    ["allocate"], ["allocate", "--mode", "direct"],
+    ["pay", "--mechanism", "indirect-vcg"],
+    ["pay", "--mechanism", "indirect-gsp"],
+    ["pay", "--mechanism", "direct-vcg"],
+    ["pay", "--mechanism", "indirect-vcg-star"],
+    ["audit", "--probes", "3"],
+    ["equilibria", "--gain-levels", "1"],
+    ["report", "--gain-levels", "1", "--json"],
+)
+HUGE = 10 ** 400
+OVERFLOW_FILE = json.dumps(VALID_FILE).replace(
+    '"cost": 0.1', f'"cost": {HUGE}').encode()
+NOT_UTF8_FILE = b'{"agents": "\xff"}'
+DEEP_FILE = b'{"agents": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+
+
+def nested_tie_break_file(depth):
+    """VALID_FILE with a tie_break entry that is an array nested ``depth``
+    deep."""
+    nested = "[" * depth + "]" * depth
+    return json.dumps(VALID_FILE).replace(
+        '"tie_break": [4, 3, 2, 1, 0]', f'"tie_break": [{nested}]').encode()
+
+JUNK = st.one_of(
+    st.booleans(), st.none(), st.just(math.nan),
+    st.sampled_from(["inf", "0.5", ""]), st.text(max_size=3),
+    st.sampled_from([HUGE, -HUGE]),
+    st.recursive(st.integers(-1, 3), lambda inner: st.lists(inner, max_size=3),
+                 max_leaves=5))
+
+
+def _mutate(draw, node):
+    """Replace, delete or append one value somewhere inside ``node``."""
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = draw(st.sampled_from(keys)) if keys else None
+        child = None if key is None else node[key]
+        if not (isinstance(child, (dict, list)) and draw(st.booleans())):
+            break
+        node = child
+    action = draw(st.sampled_from(("replace", "delete", "append")))
+    if key is None or action == "append":
+        if isinstance(node, list):
+            node.append(draw(JUNK))
+        else:
+            node[draw(st.text(max_size=3))] = draw(JUNK)
+    elif action == "delete":
+        del node[key]
+    else:
+        node[key] = draw(JUNK)
+
+
+@st.composite
+def mutated_files(draw):
+    data = copy.deepcopy(VALID_FILE)
+    for _ in range(draw(st.integers(1, 3))):
+        _mutate(draw, data)
+    return json.dumps(data).encode()
+
+
+@pytest.mark.parametrize("content, path", [
+    (OVERFLOW_FILE, "$.agents[1].cost"),
+    (NOT_UTF8_FILE, "$: invalid JSON"),
+    (DEEP_FILE, "$: invalid JSON"),
+], ids=["huge-integer", "not-utf8", "deep-nesting"])
+def test_undecodable_instance_file_exits_two(tmp_path, capsys, content, path):
+    file = tmp_path / "instance.json"
+    file.write_bytes(content)
+    code, out, err = run(capsys, "allocate", str(file))
+    assert code == 2
+    assert path in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_deepest_decodable_tie_break_entry_exits_two(tmp_path, capsys):
+    # Walk down from the recursion limit to the deepest tie_break entry the
+    # decoder accepts: it is refused at its own path, named by its type.
+    file = tmp_path / "instance.json"
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        file.write_bytes(nested_tie_break_file(depth))
+        code, out, err = run(capsys, "allocate", str(file))
+        assert code == 2 and out == ""
+        if "invalid JSON" not in err:
+            break
+    assert "$.tie_break[0]: expected an integer, got list" in err
+    assert depth > sys.getrecursionlimit() - 300
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(content=mutated_files(), command=st.sampled_from(COMMANDS))
+@example(content=OVERFLOW_FILE, command=COMMANDS[0])
+@example(content=NOT_UTF8_FILE, command=COMMANDS[0])
+@example(content=DEEP_FILE, command=COMMANDS[0])
+@example(content=nested_tie_break_file(sys.getrecursionlimit() - 200),
+         command=COMMANDS[0])
+def test_mutated_instance_files_never_raise(tmp_path_factory, content,
+                                            command):
+    file = tmp_path_factory.getbasetemp() / "mutated.json"
+    file.write_bytes(content)
+    argv = [command[0], str(file), *command[1:]]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

@@ -242,7 +242,7 @@ def _oracle_payments(instance, out, gains, welfare_without):
     outcome assigns pays the oracle's best welfare without her, minus the
     oracle's optimum less her declared value in the outcome."""
     payments = [0.0] * instance.n
-    for i in out.allocation.assigned:
+    for i in out.allocation.slot_agents:
         v_hat = declared_value(instance, out.allocation, i, gains[i])
         payments[i] = max(0.0, welfare_without(frozenset({i}))
                           - (welfare_without(frozenset()) - v_hat))
@@ -289,8 +289,8 @@ def test_direct_vcg_pivots_add_no_quality_evaluations():
     quality_mod.reset_evaluation_count()
     alloc = direct_allocate(inst, reported).allocation
     true_welfare(inst, alloc)
-    budget = quality_mod.evaluation_count() + len(alloc.assigned)
+    budget = quality_mod.evaluation_count() + len(alloc.slot_agents)
     quality_mod.reset_evaluation_count()
     out = run_direct_vcg(inst)
-    assert len(out.allocation.assigned) == 3
+    assert len(out.allocation.slot_agents) == 3
     assert quality_mod.evaluation_count() <= budget

@@ -16,7 +16,6 @@ from price_display_auctions import (
     declared_value,
     declared_welfare,
     profile,
-    social_welfare,
     true_value,
     true_welfare,
     truthful_gains,
@@ -166,10 +165,8 @@ def test_social_welfare_modes():
     inst = make_instance()
     alloc = Allocation((0,), (1.0,))
     prof = profile((1.0, 0.4), (2.0, 0.0))
-    assert social_welfare(inst, alloc, prof, "declared") == pytest.approx(0.4)
-    assert social_welfare(inst, alloc, prof, "true") == pytest.approx(1.0)
-    with pytest.raises(AuctionError):
-        social_welfare(inst, alloc, prof, "imagined")
+    assert declared_welfare(inst, alloc, prof.gains) == pytest.approx(0.4)
+    assert true_welfare(inst, alloc) == pytest.approx(1.0)
 
 
 def test_outcome_accessors():

@@ -39,21 +39,21 @@ def test_t7_scales_with_slot_count():
     scenario = build("T7", m=3)
     assert scenario.instance.m == 3
     assert scenario.instance.n == 4
-    verdict = reproduce("T7", m=3)
+    verdict = reproduce(build("T7", m=3))
     assert verdict.passed
     ratio = [c for c in verdict.checks if c.name == "welfare ratio"]
     assert ratio and ratio[0].observed == "3"
 
 
 def test_t9_parametric_ratio():
-    verdict = reproduce("T9", delta=0.25)
+    verdict = reproduce(build("T9", delta=0.25))
     assert verdict.passed
     ratio = [c for c in verdict.checks if c.name == "welfare ratio"]
     assert ratio[0].observed == "4"
 
 
 def test_t12_defaults_pass():
-    verdict = reproduce("T12")
+    verdict = reproduce(build("T12"))
     assert verdict.passed
     assert verdict.params == {"p_low": 1.0, "p_high": 2.5}
 
@@ -80,7 +80,7 @@ def test_t10_direct_revenue_with_interior_optimum():
     scenario = build("T10", **params)
     assert scenario.expected["direct_revenue"] == pytest.approx(
         0.508743932225, abs=1e-9)
-    verdict = reproduce("T10", **params)
+    verdict = reproduce(build("T10", **params))
     assert verdict.passed, [c for c in verdict.checks if not c.passed]
     flat = build("T10", **{**params, "interior_points": 0})
     assert flat.expected["direct_revenue"] == pytest.approx(
@@ -89,7 +89,7 @@ def test_t10_direct_revenue_with_interior_optimum():
 
 
 def test_verdict_report_shape():
-    verdict = reproduce("T12")
+    verdict = reproduce(build("T12"))
     assert verdict.scenario_id == "T12-gsp-rev"
     for check in verdict.checks:
         assert check.name and check.observed and check.expected

@@ -6,7 +6,14 @@ import math
 import pytest
 
 from price_display_auctions import (
+    QUALITY_KINDS,
+    HyperbolaQuality,
     InstanceFormatError,
+    OnlyMinQuality,
+    PriceThresholdQuality,
+    QualityModel,
+    SmoothDecayQuality,
+    TabulatedQuality,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -18,6 +25,7 @@ from price_display_auctions.serialization import (
     profile_from_dict,
     profile_to_dict,
     quality_from_dict,
+    quality_to_dict,
 )
 
 
@@ -198,4 +206,61 @@ def test_non_finite_quality_parameter_exits_two(tmp_path, capsys):
     assert main(["allocate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "price_slope" in err
+    assert "Traceback" not in err
+
+
+def _concrete_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _concrete_subclasses(sub)
+
+
+def test_every_quality_model_is_registered_under_its_kind():
+    classes = set(_concrete_subclasses(QualityModel))
+    assert set(QUALITY_KINDS.values()) == classes
+    for kind, cls in QUALITY_KINDS.items():
+        assert cls.kind == kind
+
+
+@pytest.mark.parametrize("model, text", [
+    (OnlyMinQuality(),
+     '{"kind": "only-min", "cap": "inf", "level": 1.0}'),
+    (OnlyMinQuality(cap=2.0, level=0.5),
+     '{"kind": "only-min", "cap": 2.0, "level": 0.5}'),
+    (PriceThresholdQuality(threshold=1.5, level=0.9),
+     '{"kind": "price-threshold", "threshold": 1.5, "level": 0.9}'),
+    (HyperbolaQuality(1.0, 2.5, 0.1),
+     '{"kind": "psi-hyperbola", "low": 1.0, "high": 2.5, "delta": 0.1}'),
+    (SmoothDecayQuality(0.2, 0.1, 0.9),
+     '{"kind": "smooth-decay", "price_slope": 0.2, "gap_slope": 0.1, '
+     '"intercept": 0.9}'),
+    (TabulatedQuality((1.0, 2.0), (1.0, 2.0), ((0.6, 0.8), (0.4, 0.5))),
+     '{"kind": "tabulated", "prices": [1.0, 2.0], "min_prices": [1.0, 2.0], '
+     '"values": [[0.6, 0.8], [0.4, 0.5]]}'),
+], ids=lambda x: x.kind if isinstance(x, QualityModel) else "")
+def test_quality_json_is_pinned(model, text):
+    assert json.dumps(quality_to_dict(model)) == text
+    assert quality_from_dict(json.loads(text)) == model
+
+
+@pytest.mark.parametrize("quality, field", [
+    ({"kind": "only-min", "cap": True}, "cap"),
+    ({"kind": "only-min", "cap": "2.5"}, "cap"),
+    ({"kind": "only-min", "cap": None}, "cap"),
+    ({"kind": "tabulated", "prices": [1.0], "min_prices": [1.0],
+      "values": [["0.5"]]}, "values[0][0]"),
+    ({"kind": "tabulated", "prices": [1.0], "min_prices": [1.0],
+      "values": [[True]]}, "values[0][0]"),
+])
+def test_non_number_quality_values_exit_two(tmp_path, capsys, quality, field):
+    from price_display_auctions.cli import main
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_one_agent(agents=[
+        {"alpha": 1.0, "cost": 0.0, "quality": quality}])))
+    with pytest.raises(InstanceFormatError) as err:
+        load_instance(path)
+    assert err.value.field_path == f"$.agents[0].quality.{field}"
+    assert main(["allocate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"$.agents[0].quality.{field}: expected a number" in err
     assert "Traceback" not in err
