@@ -15,6 +15,7 @@ from .allocation import (
     direct_allocate,
     direct_pivots,
     indirect_allocate,
+    indirect_pivots,
 )
 from .equilibrium import (
     NASH_TOL,

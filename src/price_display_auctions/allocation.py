@@ -11,6 +11,7 @@ agents sort by descending weighted value with the instance tie-break.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -55,6 +56,75 @@ def _allocation_from(entries):
                       tuple(p for _, p, _ in entries))
 
 
+def _indirect_table(instance, profile, agents, keep):
+    """Per candidate minimum: (cand, holders, ranked entries).
+
+    The candidates are the distinct submitted prices of ``agents``, in
+    ascending order, and a candidate's holders are the agents who
+    submitted exactly it.  Its entries are the (agent, price, weight)
+    triples of the agents priced at or above it with a positive weight
+    q(price, cand) * gain, the first ``keep`` in ``_ranked`` order.  A
+    solve without an ``exclude`` set needs keep >= m + |exclude|: the
+    first m entries not excluded are then always in the table.
+    """
+    strategies = profile.strategies
+    bids = sorted([(strategies[i].price, i, strategies[i].gain,
+                    instance.quality(i).q, instance.rank(i)) for i in agents])
+    table = []
+    for start, (cand, holder, _, _, _) in enumerate(bids):
+        if table and table[-1][0] == cand:
+            table[-1][1].append(holder)
+            continue
+        scored = []
+        for p, i, gain, q, rank in bids[start:]:
+            w = q(p, cand) * gain
+            if w > 0.0:
+                scored.append((-w, rank, i, p, w))
+        # (-w, rank) is unique per agent, so sorting gives _ranked's order;
+        # a heap is cheaper only for long lists.
+        if len(scored) > 4 * keep:
+            scored = heapq.nsmallest(keep, scored)
+        else:
+            scored.sort()
+        table.append((cand, [holder],
+                      [(i, p, w) for _, _, i, p, w in scored[:keep]]))
+    return table
+
+
+def _solve_indirect(instance, profile, table, exclude):
+    """The indirect optimum over the table without ``exclude``.
+
+    A candidate whose holders are all excluded is skipped, so the
+    candidates tried are the distinct prices of the agents left, in
+    ascending order, and the first best wins.  Each takes the first m
+    entries not excluded; when none of them holds the candidate, they are
+    re-evaluated at their actual minimum price (qualities can only rise)
+    and re-ranked.
+    """
+    m = instance.m
+    best_entries: list = []
+    best_sw = 0.0
+    for cand, holders, ranked in table:
+        if not exclude:
+            chosen = ranked[:m]
+        elif exclude.issuperset(holders):
+            continue
+        else:
+            chosen = [e for e in ranked if e[0] not in exclude][:m]
+        if not chosen:
+            continue
+        actual = min(p for _, p, _ in chosen)
+        if actual != cand:
+            chosen = _ranked(instance, [
+                (i, p, instance.quality(i).q(p, actual) * profile[i].gain)
+                for i, p, _ in chosen])
+        sw = _weighted_sw(instance, chosen)
+        if sw > best_sw + WELFARE_TOL:
+            best_sw = sw
+            best_entries = chosen
+    return _allocation_from(best_entries) if best_entries else EMPTY_ALLOCATION
+
+
 def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile,
                       *, exclude: frozenset = frozenset(),
                       include_zero_gain: bool = False) -> Allocation:
@@ -64,43 +134,34 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile,
     agents with strictly positive weighted declared value are assigned.
     With ``include_zero_gain``, agents who declared a gain of exactly 0
     are appended to leftover slots when their price and quality allow it
-    (they contribute nothing to welfare either way).
+    (they contribute nothing to welfare either way).  The search makes
+    O(n |C|) quality evaluations for |C| distinct submitted prices, then
+    O(|C| m) steps and at most m |C| re-evaluations.
     """
     agents = [i for i in range(instance.n) if i not in exclude]
-    m = instance.m
-    candidates = sorted({profile[i].price for i in agents})
-
-    best_entries: list = []
-    best_sw = 0.0
-    for cand in candidates:
-        entries = []
-        for i in agents:
-            p = profile[i].price
-            if p < cand:
-                continue
-            w = instance.quality(i).q(p, cand) * profile[i].gain
-            if w > 0.0:
-                entries.append((i, p, w))
-        if not entries:
-            continue
-        chosen = _ranked(instance, entries)[:m]
-        actual = min(p for _, p, _ in chosen)
-        if actual != cand:
-            # No chosen agent priced exactly at the candidate: re-evaluate
-            # at the actual minimum (qualities can only rise).
-            chosen = _ranked(instance, [
-                (i, p, instance.quality(i).q(p, actual) * profile[i].gain)
-                for i, p, _ in chosen])
-        sw = _weighted_sw(instance, chosen)
-        if sw > best_sw + WELFARE_TOL:
-            best_sw = sw
-            best_entries = chosen
-
-    allocation = _allocation_from(best_entries) if best_entries else EMPTY_ALLOCATION
-
+    table = _indirect_table(instance, profile, agents, instance.m)
+    allocation = _solve_indirect(instance, profile, table, frozenset())
     if include_zero_gain:
         allocation = _fill_zero_gain(instance, profile, agents, allocation)
     return allocation
+
+
+def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
+                    ) -> tuple[Allocation, dict[int, Allocation]]:
+    """The indirect optimum and, for each agent it assigns (the VCG
+    pivots), the indirect optimum without her.
+
+    All solves share one table that keeps m + 1 entries per candidate,
+    so each pivot adds O(|C| m) steps and at most m |C| quality
+    re-evaluations.  Equal to calling ``indirect_allocate`` with and
+    without each ``exclude={i}``.
+    """
+    table = _indirect_table(instance, profile, range(instance.n),
+                            instance.m + 1)
+    allocation = _solve_indirect(instance, profile, table, frozenset())
+    without = {i: _solve_indirect(instance, profile, table, frozenset({i}))
+               for i in allocation.slot_agents}
+    return allocation, without
 
 
 def _fill_zero_gain(instance, profile, agents, allocation):

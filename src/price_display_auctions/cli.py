@@ -57,8 +57,16 @@ def _parse_params(pairs):
 
 
 def _emit(args, command, payload, text_lines):
+    # Serialized in both modes so that a non-finite result (a float
+    # overflow) is refused, not printed; intended infinities are strings.
+    try:
+        text = json.dumps(envelope(command, payload), indent=2,
+                          allow_nan=False)
+    except ValueError:
+        raise AuctionError(f"{command}: result is not finite "
+                           f"(float overflow)") from None
     if args.json:
-        print(json.dumps(envelope(command, payload), indent=2))
+        print(text)
     else:
         for line in text_lines:
             print(line)

@@ -12,7 +12,12 @@ import enum
 from dataclasses import dataclass
 
 from . import quality as quality_mod
-from .allocation import direct_allocate, direct_pivots, indirect_allocate
+from .allocation import (
+    direct_allocate,
+    direct_pivots,
+    indirect_allocate,
+    indirect_pivots,
+)
 from .errors import AuctionError, InferenceError
 from .model import (
     EMPTY_ALLOCATION,
@@ -66,13 +71,16 @@ def run_direct_vcg(instance: AuctionInstance, reported=None) -> Outcome:
 
 
 def run_indirect_vcg(instance: AuctionInstance, profile: StrategyProfile) -> Outcome:
-    """Allocate at the submitted prices, charge pivot payments."""
-    alloc = indirect_allocate(instance, profile)
-    sw = declared_welfare(instance, alloc, profile.gains)
+    """Allocate at the submitted prices, charge pivot payments.
+
+    The optimum and every pivot come from one shared indirect search.
+    """
+    alloc, without = indirect_pivots(instance, profile)
+    gains = profile.gains
+    sw = declared_welfare(instance, alloc, gains)
     payments = [0.0] * instance.n
     for i in alloc.slot_agents:
-        without = indirect_allocate(instance, profile, exclude=frozenset({i}))
-        sw_without = declared_welfare(instance, without, profile.gains)
+        sw_without = declared_welfare(instance, without[i], gains)
         v_hat = declared_value(instance, alloc, i, profile[i].gain)
         payments[i] = max(0.0, v_hat - (sw - sw_without))
     return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc))

@@ -96,7 +96,9 @@ class OnlyMinQuality(QualityModel):
     """Positive only when the agent's price is the minimum displayed one.
 
     q = level if p <= cap and p == p_min, else 0.  A cap of +inf drops
-    the price ceiling.
+    the price ceiling.  ``p == p_min`` is exact float equality, with no
+    tolerance: prices must come from the price grid or the strategy menu,
+    as a price a rounding error off the page minimum earns nothing.
     """
 
     cap: float = math.inf
@@ -146,7 +148,8 @@ class HyperbolaQuality(QualityModel):
     q = 1 for p < low (when p == p_min); psi(p) on [low, high] (when
     p == p_min); 0 otherwise, where psi is the hyperbola with
     psi(low) = 1 and psi(high) = delta.  Requires 1 <= low < high / 2 and
-    0 < delta < low / high.
+    0 < delta < low / high.  ``p == p_min`` is exact float equality, so
+    prices must come from the price grid or the strategy menu.
     """
 
     low: float

@@ -1,5 +1,6 @@
 """Allocation algorithms against hand-worked cases and the oracle."""
 
+import math
 import random
 
 import pytest
@@ -12,11 +13,14 @@ from price_display_auctions import (
     PriceThresholdQuality,
     SlotProfile,
     SmoothDecayQuality,
+    Strategy,
+    StrategyProfile,
     TabulatedQuality,
     brute_force_allocate,
     direct_allocate,
     direct_pivots,
     indirect_allocate,
+    indirect_pivots,
     profile,
     random_instance,
     random_profile,
@@ -25,6 +29,7 @@ from price_display_auctions import quality as quality_mod
 from price_display_auctions.allocation import (
     DirectAllocationResult,
     _allocation_from,
+    _fill_zero_gain,
     _ranked,
     _weighted_sw,
 )
@@ -296,3 +301,124 @@ def test_direct_pivots_default_to_assigned_agents():
     reported = [inst.atype(i) for i in range(inst.n)]
     result, without = direct_pivots(inst, reported)
     assert set(without) == set(result.allocation.slot_agents)
+
+
+def _reference_indirect_allocate(instance, profile, *, exclude=frozenset(),
+                                 include_zero_gain=False):
+    """The original indirect search, kept verbatim as an exact oracle: the
+    whole candidate loop runs again for every ``exclude`` set."""
+    agents = [i for i in range(instance.n) if i not in exclude]
+    m = instance.m
+    candidates = sorted({profile[i].price for i in agents})
+
+    best_entries: list = []
+    best_sw = 0.0
+    for cand in candidates:
+        entries = []
+        for i in agents:
+            p = profile[i].price
+            if p < cand:
+                continue
+            w = instance.quality(i).q(p, cand) * profile[i].gain
+            if w > 0.0:
+                entries.append((i, p, w))
+        if not entries:
+            continue
+        chosen = _ranked(instance, entries)[:m]
+        actual = min(p for _, p, _ in chosen)
+        if actual != cand:
+            # No chosen agent priced exactly at the candidate: re-evaluate
+            # at the actual minimum (qualities can only rise).
+            chosen = _ranked(instance, [
+                (i, p, instance.quality(i).q(p, actual) * profile[i].gain)
+                for i, p, _ in chosen])
+        sw = _weighted_sw(instance, chosen)
+        if sw > best_sw + WELFARE_TOL:
+            best_sw = sw
+            best_entries = chosen
+
+    allocation = _allocation_from(best_entries) if best_entries else EMPTY_ALLOCATION
+
+    if include_zero_gain:
+        allocation = _fill_zero_gain(instance, profile, agents, allocation)
+    return allocation
+
+
+def _tie_heavy_profile(instance, seed):
+    """Grid bids (so submitted prices repeat) with zero and negative gains;
+    an agent that duplicates an earlier one usually copies her bid too,
+    which makes exact weight ties for the tie-break to settle."""
+    rng = random.Random(seed ^ 0xB1D)
+    strategies = list(random_profile(instance, seed).strategies)
+    for j in range(instance.n):
+        twins = [i for i in range(j) if instance.agents[i] == instance.agents[j]]
+        if twins and rng.random() < 0.7:
+            strategies[j] = strategies[twins[0]]
+        elif rng.random() < 0.2:
+            strategies[j] = Strategy(strategies[j].price, -rng.uniform(0.0, 1.0))
+    return StrategyProfile(tuple(strategies))
+
+
+def _coarse_case(seed):
+    """An instance and bids on a few round numbers, so that different
+    agents often tie exactly, at one candidate minimum and not at another.
+    Tabulated tables need not be monotone in p_min (the constructor
+    allows it), so re-evaluating at the actual minimum can lower a weight.
+    """
+    rng = random.Random(seed)
+    levels = (0.25, 0.5, 1.0)
+    grid = tuple(sorted(rng.sample((0.5, 1.0, 1.5, 2.0, 3.0),
+                                   rng.randint(1, 4))))
+    n = rng.randint(1, 9)
+    m = 1 if seed % 4 == 0 else rng.randint(2, 4)
+    agents = []
+    for _ in range(n):
+        kind = rng.randrange(3)
+        if kind == 0:
+            quality = PriceThresholdQuality(rng.choice(grid), rng.choice(levels))
+        elif kind == 1:
+            quality = OnlyMinQuality(rng.choice(grid + (math.inf,)),
+                                     rng.choice(levels))
+        else:
+            quality = TabulatedQuality(grid, grid, tuple(
+                tuple(rng.choice((0.0,) + levels) for _ in grid)
+                for _ in grid))
+        agents.append((AgentType(1.0, 0.0), quality))
+    order = list(range(n))
+    rng.shuffle(order)
+    slots = SlotProfile(tuple(sorted((rng.choice((0.5, 1.0))
+                                      for _ in range(m)), reverse=True)))
+    inst = AuctionInstance(tuple(agents), slots, grid, tuple(order))
+    prof = StrategyProfile(tuple(
+        Strategy(rng.choice(grid), rng.choice((-0.5, 0.0, 0.5, 1.0, 2.0)))
+        for _ in range(n)))
+    return inst, prof
+
+
+def _indirect_cases():
+    for seed in range(120):
+        inst = _tie_heavy_instance(seed)
+        yield seed, inst, _tie_heavy_profile(inst, seed)
+    for seed in range(200):
+        yield ("coarse", seed), *_coarse_case(seed)
+
+
+def test_indirect_matches_reference_exactly():
+    for seed, inst, prof in _indirect_cases():
+        alloc, without = indirect_pivots(inst, prof)
+        assert alloc == _reference_indirect_allocate(inst, prof), seed
+        assert set(without) == set(alloc.slot_agents)
+        for zero in (False, True):
+            expected = _reference_indirect_allocate(inst, prof,
+                                                    include_zero_gain=zero)
+            fast = indirect_allocate(inst, prof, include_zero_gain=zero)
+            assert fast == expected, (seed, zero)
+            for i in range(inst.n):
+                exclude = frozenset({i})
+                expected = _reference_indirect_allocate(
+                    inst, prof, exclude=exclude, include_zero_gain=zero)
+                fast = indirect_allocate(inst, prof, exclude=exclude,
+                                         include_zero_gain=zero)
+                assert fast == expected, (seed, zero, i)
+                if i in without and not zero:
+                    assert without[i] == expected, (seed, i)

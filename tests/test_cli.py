@@ -202,6 +202,27 @@ def test_indirect_needs_profile(tmp_path, capsys):
     assert "profile" in err
 
 
+HUGE_THRESHOLD_AGENT = {"alpha": 1.0, "cost": 0.0,
+                        "quality": {"kind": "price-threshold",
+                                    "threshold": 1.7e308, "level": 1.0}}
+
+
+@pytest.mark.parametrize("fmt", [["--json"], []])
+def test_overflowing_welfare_exits_two(tmp_path, capsys, fmt):
+    # Finite inputs whose welfare overflows to inf: nothing may be printed
+    # (JSON has no Infinity), and the error is an input error, not a crash.
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"agents": [HUGE_THRESHOLD_AGENT] * 2,
+                                "prominences": [1.0, 1.0],
+                                "price_grid": [1e308, 1.7e308]}))
+    code, out, err = run(capsys, "pay", str(path), "--mechanism",
+                         "direct-vcg", *fmt)
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err
+    assert "Traceback" not in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

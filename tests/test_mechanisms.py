@@ -1,6 +1,9 @@
 """Payment rules: pivot payments, next-slot payments, type inference."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from price_display_auctions import (
     AgentType,
@@ -12,8 +15,11 @@ from price_display_auctions import (
     PriceThresholdQuality,
     SlotProfile,
     SmoothDecayQuality,
+    Strategy,
+    StrategyProfile,
     brute_force_allocate,
     direct_allocate,
+    indirect_allocate,
     infer_type,
     profile,
     run_direct_vcg,
@@ -32,6 +38,7 @@ from price_display_auctions.model import (
     declared_welfare,
     true_welfare,
 )
+from price_display_auctions.sampling import ALL_QUALITY_KINDS, _random_quality
 
 
 def t10_instance():
@@ -294,3 +301,87 @@ def test_direct_vcg_pivots_add_no_quality_evaluations():
     out = run_direct_vcg(inst)
     assert len(out.allocation.slot_agents) == 3
     assert quality_mod.evaluation_count() <= budget
+
+
+def test_indirect_vcg_pivots_add_few_quality_evaluations():
+    # The pivots reuse the optimum's search table: a whole run costs no
+    # more quality evaluations than one allocation, m re-evaluations per
+    # candidate minimum and pivot, and the payment rule's welfare terms
+    # (declared welfare of the optimum and of each pivot's allocation, one
+    # declared value per payer, true welfare).
+    agents = tuple(
+        (AgentType(1.0, 0.05 * i), SmoothDecayQuality(0.2, 0.1, 1.0))
+        for i in range(24))
+    inst = AuctionInstance(agents, SlotProfile((1.0, 0.8, 0.6)),
+                           (0.5, 0.9, 1.3, 1.7, 2.1))
+    prof = random_profile(inst, 1)
+    m, candidates = inst.m, len(set(prof.prices))
+    quality_mod.reset_evaluation_count()
+    alloc = indirect_allocate(inst, prof)
+    pivots = len(alloc.slot_agents)
+    budget = (quality_mod.evaluation_count() + pivots * m * candidates
+              + (pivots + 1) * m + pivots + m)
+    quality_mod.reset_evaluation_count()
+    out = run_indirect_vcg(inst, prof)
+    assert out.allocation == alloc
+    assert pivots == 3
+    assert quality_mod.evaluation_count() <= budget
+
+
+@st.composite
+def guarded_auctions(draw, max_agents, max_slots, max_prices):
+    """An instance within the given sizes: round grid prices, types and
+    prominences (so that welfare ties occur), qualities from the package
+    sampler on a drawn seed, and an optional shuffled tie-break."""
+    grid = tuple(sorted(draw(st.sets(
+        st.sampled_from((0.5, 0.8, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)),
+        min_size=1, max_size=max_prices))))
+    m = draw(st.integers(1, max_slots))
+    prominences = sorted(draw(st.lists(st.sampled_from((0.3, 0.5, 0.8, 1.0)),
+                                       min_size=m, max_size=m)), reverse=True)
+    n = draw(st.integers(1, max_agents))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    agents = tuple(
+        (AgentType(draw(st.sampled_from((0.5, 1.0))),
+                   draw(st.sampled_from((0.0, 0.25, 0.5)))),
+         _random_quality(rng, grid, ALL_QUALITY_KINDS))
+        for _ in range(n))
+    order = draw(st.none() | st.permutations(range(n)))
+    return AuctionInstance(agents, SlotProfile(tuple(prominences)), grid,
+                           None if order is None else tuple(order))
+
+
+def _bids(inst):
+    return st.lists(
+        st.builds(Strategy, st.sampled_from(inst.price_grid),
+                  st.sampled_from((-0.5, 0.0, 0.3, 0.5, 1.0, 2.0))),
+        min_size=inst.n, max_size=inst.n).map(
+            lambda s: StrategyProfile(tuple(s)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_indirect_vcg_payments_match_oracle_property(data):
+    inst = data.draw(guarded_auctions(6, 4, 6))
+    prof = data.draw(_bids(inst))
+    out = run_indirect_vcg(inst, prof)
+    expected = _oracle_payments(
+        inst, out, prof.gains,
+        lambda ex: declared_welfare(
+            inst, brute_force_allocate(inst, prof, "indirect", exclude=ex),
+            prof.gains))
+    assert out.payments == pytest.approx(expected, abs=1e-9)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(inst=guarded_auctions(4, 3, 4))
+def test_direct_vcg_payments_match_oracle_property(inst):
+    reported = [inst.atype(i) for i in range(inst.n)]
+    out = run_direct_vcg(inst)
+    gains = [t.gain(out.allocation.price_of(i) or 0.0)
+             for i, t in enumerate(reported)]
+    expected = _oracle_payments(
+        inst, out, gains,
+        lambda ex: brute_force_allocate(inst, reported, "direct",
+                                        exclude=ex).declared_welfare)
+    assert out.payments == pytest.approx(expected, abs=1e-9)

@@ -6,16 +6,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from price_display_auctions import (
+    AgentType,
     AuctionError,
+    AuctionInstance,
     HyperbolaQuality,
     OnlyMinQuality,
     PriceThresholdQuality,
     QualityDomainError,
+    SlotProfile,
     SmoothDecayQuality,
     TabulatedQuality,
     audit_quality,
     diagonal_derivative,
+    indirect_allocate,
     probe_grid,
+    profile,
 )
 
 
@@ -31,6 +36,23 @@ def test_only_min_shape():
     assert q.q(1.5, 1.0) == 0.0  # not the minimum displayed price
     assert q.q(2.5, 2.5) == 0.0  # above the cap
     assert OnlyMinQuality().q(100.0, 100.0) == 1.0  # no cap
+
+
+def test_min_price_match_is_exact_float_equality():
+    # "p == p_min" is float equality, not a tolerance: a price a hair off
+    # the page minimum earns nothing, so prices must come from the grid or
+    # the strategy menu.  If this ever changes, change both docstrings.
+    off = 1.0000000001
+    for model in (OnlyMinQuality(), HyperbolaQuality(1.0, 2.5, 0.1)):
+        assert model.q(1.0, 1.0) == 1.0
+        assert model.q(off, 1.0) == 0.0
+        assert model.q(off, off) > 0.99
+    agents = ((AgentType(1.0, 0.0), OnlyMinQuality()),) * 2
+    inst = AuctionInstance(agents, SlotProfile((1.0, 1.0)), (1.0, 2.0))
+    same = indirect_allocate(inst, profile((1.0, 1.0), (1.0, 1.0)))
+    assert same.slot_agents == (0, 1)
+    near = indirect_allocate(inst, profile((1.0, 1.0), (off, 1.0)))
+    assert near.slot_agents == (0,)
 
 
 def test_price_threshold_ignores_min_price():
