@@ -21,7 +21,6 @@ from .equilibrium import (
     NASH_TOL,
     EquilibriumReport,
     StrategySpace,
-    best_response,
     efficiency_report,
     enumerate_pure_nash,
     is_nash,

@@ -70,29 +70,6 @@ class StrategySpace:
         return StrategySpace(tuple(menus))
 
 
-def best_response(instance: AuctionInstance, kind: MechanismKind,
-                  space: StrategySpace, profile: StrategyProfile, agent: int,
-                  *, gsp_allow_zero_gain: bool = False):
-    """Utility-maximal strategy for one agent with the others fixed.
-
-    Ties resolve toward the agent's current strategy, then to the
-    lexicographically smallest (price, gain) pair.
-    """
-    current = profile[agent]
-    best_s, best_u = None, -math.inf
-    candidates = sorted(space.options[agent], key=lambda s: (s.price, s.gain))
-    if current in candidates:
-        candidates.remove(current)
-        candidates.insert(0, current)
-    for s in candidates:
-        u = run_mechanism(instance, kind, profile.replace(agent, s),
-                          gsp_allow_zero_gain=gsp_allow_zero_gain
-                          ).utility(instance, agent)
-        if u > best_u + NASH_TOL:
-            best_s, best_u = s, u
-    return best_s, best_u
-
-
 def is_nash(instance: AuctionInstance, kind: MechanismKind,
             space: StrategySpace, profile: StrategyProfile,
             *, gsp_allow_zero_gain: bool = False):

@@ -26,8 +26,13 @@ class ConstraintViolationError(AuctionError):
 
 
 class InstanceFormatError(AuctionError):
-    """An instance file failed validation; carries the offending field path."""
+    """An instance file failed validation; carries the offending field path.
+
+    A model constructor raises it with the path of its own field (say
+    ``values``), which the loader prefixes with the object's path.
+    """
 
     def __init__(self, field_path: str, message: str):
         super().__init__(f"{field_path}: {message}")
         self.field_path = field_path
+        self.message = message

@@ -149,10 +149,6 @@ class StrategyProfile:
         return self.strategies[agent]
 
     @property
-    def prices(self) -> tuple[float, ...]:
-        return tuple(s.price for s in self.strategies)
-
-    @property
     def gains(self) -> tuple[float, ...]:
         return tuple(s.gain for s in self.strategies)
 
@@ -243,13 +239,24 @@ def true_welfare(instance: AuctionInstance, allocation: Allocation) -> float:
 
 @dataclass(frozen=True)
 class Outcome:
-    """Allocation plus payments and the headline aggregates."""
+    """Allocation plus payments and the headline aggregates, all finite."""
 
     allocation: Allocation
     payments: tuple[float, ...]
     declared_welfare: float
     true_welfare: float
     diagnostics: tuple[str, ...] = field(default=())
+
+    def __post_init__(self):
+        # A finite sum proves every term finite; only a sum that overflows
+        # (or a non-finite term) needs the term-by-term check.
+        sw, true_sw, payments = (self.declared_welfare, self.true_welfare,
+                                 self.payments)
+        if not math.isfinite(sw + true_sw + sum(payments)) and not all(
+                map(math.isfinite, (sw, true_sw, *payments))):
+            raise AuctionError(f"outcome is not finite (float overflow): "
+                               f"declared welfare {sw}, true welfare "
+                               f"{true_sw}, payments {payments}")
 
     @property
     def revenue(self) -> float:

@@ -12,7 +12,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .errors import AuctionError, InferenceError, QualityDomainError
+from .errors import (
+    AuctionError,
+    InferenceError,
+    InstanceFormatError,
+    QualityDomainError,
+)
 
 # Incremented on every quality evaluation.  Profiling aid only; reset it
 # with reset_evaluation_count() before measuring.
@@ -262,6 +267,9 @@ class TabulatedQuality(QualityModel):
                    for x in (*self.prices, *self.min_prices, *cells)):
             raise AuctionError("tabulated: prices, min_prices and values "
                                "must be finite")
+        if not self.prices or not self.min_prices:
+            raise AuctionError("tabulated: prices and min_prices must be "
+                               "non-empty")
         if list(self.prices) != sorted(set(self.prices)):
             raise AuctionError("prices must be strictly ascending")
         if list(self.min_prices) != sorted(set(self.min_prices)):
@@ -271,6 +279,24 @@ class TabulatedQuality(QualityModel):
         for row in self.values:
             if len(row) != len(self.min_prices):
                 raise AuctionError("values rows must match min_prices length")
+        # The model's assumptions, cell by cell: values in [0, 1],
+        # non-increasing down a column (price) and non-decreasing along a
+        # row (minimum price).  The error names its field, "values", so the
+        # instance loader can report it at that JSON path.
+        for i, row in enumerate(self.values):
+            for j, v in enumerate(row):
+                if not 0.0 <= v <= 1.0:
+                    bad = (f"range: cell [{i}][{j}] (p={self.prices[i]}, "
+                           f"p_min={self.min_prices[j]}) = {v}")
+                elif i and v > self.values[i - 1][j] + 1e-12:
+                    bad = (f"price-monotone: cell [{i}][{j}] > cell "
+                           f"[{i - 1}][{j}] ({v} > {self.values[i - 1][j]})")
+                elif j and v < row[j - 1] - 1e-12:
+                    bad = (f"min-price-monotone: cell [{i}][{j}] < cell "
+                           f"[{i}][{j - 1}] ({v} < {row[j - 1]})")
+                else:
+                    continue
+                raise InstanceFormatError("values", f"table violates {bad}")
 
     def _cell(self, p, p_min):
         i = max(bisect_right(self.prices, p) - 1, 0)
@@ -308,8 +334,9 @@ def audit_quality(model: QualityModel, probes) -> AuditReport:
     """Check range and both monotonicity assumptions on a probe grid.
 
     ``probes`` is an iterable of (p, p_min) pairs with p >= p_min.
-    Violations are collected, not raised.  For tabulated models the
-    offending table cells are named directly.
+    Violations are collected, not raised.  A ``TabulatedQuality`` checks
+    every cell when it is built, so this audit can only fault models
+    whose ``q`` is computed.
     """
     probes = sorted(set((float(p), float(pm)) for p, pm in probes))
     out: list[AuditViolation] = []
@@ -339,33 +366,7 @@ def audit_quality(model: QualityModel, probes) -> AuditReport:
                     "min-price-monotone",
                     f"q({p}, {b}) = {values[(p, b)]} < q({p}, {a}) = {values[(p, a)]}",
                 ))
-
-    if isinstance(model, TabulatedQuality):
-        out.extend(_audit_table_cells(model))
     return AuditReport(tuple(out))
-
-
-def _audit_table_cells(model: TabulatedQuality):
-    out = []
-    for i, p in enumerate(model.prices):
-        for j, pm in enumerate(model.min_prices):
-            v = model.values[i][j]
-            if not 0.0 <= v <= 1.0:
-                out.append(AuditViolation(
-                    "range", f"cell [{i}][{j}] (p={p}, p_min={pm}) = {v}"))
-            if i + 1 < len(model.prices) and model.values[i + 1][j] > v + 1e-12:
-                out.append(AuditViolation(
-                    "price-monotone",
-                    f"cell [{i + 1}][{j}] > cell [{i}][{j}] "
-                    f"({model.values[i + 1][j]} > {v})",
-                ))
-            if j + 1 < len(model.min_prices) and model.values[i][j + 1] < v - 1e-12:
-                out.append(AuditViolation(
-                    "min-price-monotone",
-                    f"cell [{i}][{j + 1}] < cell [{i}][{j}] "
-                    f"({model.values[i][j + 1]} < {v})",
-                ))
-    return out
 
 
 def probe_grid(points) -> list[tuple[float, float]]:

@@ -39,8 +39,14 @@ def _random_type(rng: random.Random) -> AgentType:
 
 def _tabulated(rng: random.Random, grid) -> TabulatedQuality:
     """Random table, made monotone the right way in both axes."""
-    n_p, n_m = len(grid), len(grid)
-    rows = [[rng.uniform(0.0, 1.0) for _ in range(n_m)] for _ in range(n_p)]
+    rows = [[rng.uniform(0.0, 1.0) for _ in grid] for _ in grid]
+    return TabulatedQuality(tuple(grid), tuple(grid), _monotone(rows))
+
+
+def _monotone(rows):
+    """The table ``rows`` (a list of lists, changed in place) made monotone
+    as the quality model requires, as a tuple of tuples."""
+    n_p, n_m = len(rows), len(rows[0])
     # Non-increasing in price (down the rows)...
     for j in range(n_m):
         for i in range(1, n_p):
@@ -51,8 +57,7 @@ def _tabulated(rng: random.Random, grid) -> TabulatedQuality:
     for i in range(n_p):
         for j in range(1, n_m):
             rows[i][j] = max(rows[i][j], rows[i][j - 1])
-    return TabulatedQuality(tuple(grid), tuple(grid),
-                            tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 ALL_QUALITY_KINDS = ("only-min", "price-threshold", "smooth-decay", "tabulated")

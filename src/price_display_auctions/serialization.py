@@ -1,8 +1,9 @@
 """JSON (de)serialization for instances, profiles, and result payloads.
 
 Validation errors always carry the JSON path of the offending field.
-Tabulated quality tables are audited for monotonicity on load; a table
-that violates the model assumptions is refused.
+Each model object checks its own assumptions when it is built (a
+tabulated quality table its range and monotonicity too); the loader
+reports a refused object at its JSON path.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import math
 from dataclasses import MISSING, fields
 
-from .errors import AuctionError, InstanceFormatError
+from .errors import InstanceFormatError
 from .model import (
     AgentType,
     Allocation,
@@ -21,7 +22,7 @@ from .model import (
     Strategy,
     StrategyProfile,
 )
-from .quality import QUALITY_KINDS, TabulatedQuality, _audit_table_cells
+from .quality import QUALITY_KINDS
 
 SCHEMA_VERSION = 1
 
@@ -34,6 +35,19 @@ def _require(data, key, path, types=None):
         raise InstanceFormatError(
             f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
     return value
+
+
+def _build(path, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, its ValueError reported at ``path``; an
+    InstanceFormatError, which names one of the object's fields, is
+    reported at that field below ``path``."""
+    try:
+        return cls(*args, **kwargs)
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(f"{path}.{exc.field_path}",
+                                  exc.message) from exc
+    except ValueError as exc:
+        raise InstanceFormatError(path, str(exc)) from exc
 
 
 def _shown(value):
@@ -91,17 +105,7 @@ def quality_from_dict(data: dict, path: str = "quality"):
                                      str(f.type).count("tuple["),
                                      f"{path}.{f.name}")
               for f in fields(cls) if f.name in data or f.default is MISSING}
-    try:
-        model = cls(**params)
-    except AuctionError as exc:
-        raise InstanceFormatError(path, str(exc)) from exc
-    if isinstance(model, TabulatedQuality):
-        bad = _audit_table_cells(model)
-        if bad:
-            v = bad[0]
-            raise InstanceFormatError(
-                f"{path}.values", f"table violates {v.constraint}: {v.detail}")
-    return model
+    return _build(path, cls, **params)
 
 
 def _quality_json(value):
@@ -132,21 +136,13 @@ def instance_from_dict(data: dict) -> AuctionInstance:
         path = f"$.agents[{idx}]"
         if not isinstance(a, dict):
             raise InstanceFormatError(path, "agent must be an object")
-        try:
-            t = AgentType(_number(a, "alpha", path), _number(a, "cost", path))
-        except InstanceFormatError:
-            raise
-        except ValueError as exc:
-            raise InstanceFormatError(path, str(exc)) from exc
+        t = _build(path, AgentType, _number(a, "alpha", path),
+                   _number(a, "cost", path))
         q = quality_from_dict(_require(a, "quality", path, dict),
                               f"{path}.quality")
         agents.append((t, q))
-    try:
-        slots = SlotProfile(_number_list(data, "prominences", "$"))
-    except InstanceFormatError:
-        raise
-    except ValueError as exc:
-        raise InstanceFormatError("$.prominences", str(exc)) from exc
+    slots = _build("$.prominences", SlotProfile,
+                   _number_list(data, "prominences", "$"))
     grid = _number_list(data, "price_grid", "$")
     tie_break = None
     if data.get("tie_break") is not None:
@@ -157,10 +153,7 @@ def instance_from_dict(data: dict) -> AuctionInstance:
                     f"$.tie_break[{idx}]",
                     f"expected an integer, got {_shown(x)}")
         tie_break = tuple(tie_break)
-    try:
-        return AuctionInstance(tuple(agents), slots, grid, tie_break)
-    except ValueError as exc:
-        raise InstanceFormatError("$", str(exc)) from exc
+    return _build("$", AuctionInstance, tuple(agents), slots, grid, tie_break)
 
 
 def instance_to_dict(instance: AuctionInstance) -> dict:
@@ -192,13 +185,8 @@ def profile_from_dict(data: list, n: int) -> StrategyProfile:
         standalone = None
         if s.get("standalone_price") is not None:
             standalone = _number(s, "standalone_price", path)
-        try:
-            strategies.append(Strategy(_number(s, "price", path),
-                                       _number(s, "gain", path), standalone))
-        except InstanceFormatError:
-            raise
-        except ValueError as exc:
-            raise InstanceFormatError(path, str(exc)) from exc
+        strategies.append(_build(path, Strategy, _number(s, "price", path),
+                                 _number(s, "gain", path), standalone))
     return StrategyProfile(tuple(strategies))
 
 

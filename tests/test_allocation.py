@@ -38,6 +38,7 @@ from price_display_auctions.model import (
     WELFARE_TOL,
     declared_welfare,
 )
+from price_display_auctions.sampling import _monotone
 
 
 def two_agent_instance():
@@ -362,8 +363,8 @@ def _tie_heavy_profile(instance, seed):
 def _coarse_case(seed):
     """An instance and bids on a few round numbers, so that different
     agents often tie exactly, at one candidate minimum and not at another.
-    Tabulated tables need not be monotone in p_min (the constructor
-    allows it), so re-evaluating at the actual minimum can lower a weight.
+    Tabulated tables draw round levels and are made monotone by the
+    sampler's running minimum and maximum, which keeps the exact ties.
     """
     rng = random.Random(seed)
     levels = (0.25, 0.5, 1.0)
@@ -380,9 +381,8 @@ def _coarse_case(seed):
             quality = OnlyMinQuality(rng.choice(grid + (math.inf,)),
                                      rng.choice(levels))
         else:
-            quality = TabulatedQuality(grid, grid, tuple(
-                tuple(rng.choice((0.0,) + levels) for _ in grid)
-                for _ in grid))
+            quality = TabulatedQuality(grid, grid, _monotone([
+                [rng.choice((0.0,) + levels) for _ in grid] for _ in grid]))
         agents.append((AgentType(1.0, 0.0), quality))
     order = list(range(n))
     rng.shuffle(order)
@@ -395,12 +395,29 @@ def _coarse_case(seed):
     return inst, prof
 
 
+def _excluded_holder_case():
+    """Without agent 2, the only candidate minimum is 2.0, where agent 0
+    wins the tie.  A solve that kept agent 2's candidate 1.0 would re-score
+    agent 1 there at her actual minimum 2.0 and pick her first."""
+    agents = ((AgentType(1.0, 0.0), TabulatedQuality(
+                  (1.0, 2.0), (1.0, 2.0), ((1.0, 1.0), (0.5, 1.0)))),
+              (AgentType(1.0, 0.0), PriceThresholdQuality(2.0)),
+              (AgentType(1.0, 0.0), OnlyMinQuality()))
+    inst = AuctionInstance(agents, SlotProfile((1.0,)), (1.0, 2.0))
+    return inst, profile((2.0, 1.0), (2.0, 1.0), (1.0, 5.0))
+
+
 def _indirect_cases():
     for seed in range(120):
         inst = _tie_heavy_instance(seed)
         yield seed, inst, _tie_heavy_profile(inst, seed)
-    for seed in range(200):
+    # Seed 114 is the first to catch a solve that re-scores without
+    # re-ranking; seed 1656 the first to catch one that never re-scores.
+    for seed in (*range(200), 1656):
         yield ("coarse", seed), *_coarse_case(seed)
+    # Only this case catches a pivot solve that tries the candidate of an
+    # excluded agent.
+    yield "excluded holder", *_excluded_holder_case()
 
 
 def test_indirect_matches_reference_exactly():

@@ -290,6 +290,15 @@ def nested_tie_break_file(depth):
     return json.dumps(VALID_FILE).replace(
         '"tie_break": [4, 3, 2, 1, 0]', f'"tie_break": [{nested}]').encode()
 
+
+def tabulated_file(prices, min_prices, values):
+    """VALID_FILE with the tabulated agent's table replaced."""
+    data = copy.deepcopy(VALID_FILE)
+    data["agents"][4]["quality"].update(prices=prices, min_prices=min_prices,
+                                        values=values)
+    return json.dumps(data).encode()
+
+
 JUNK = st.one_of(
     st.booleans(), st.none(), st.just(math.nan),
     st.sampled_from(["inf", "0.5", ""]), st.text(max_size=3),
@@ -364,6 +373,8 @@ def test_deepest_decodable_tie_break_entry_exits_two(tmp_path, capsys):
 @example(content=DEEP_FILE, command=COMMANDS[0])
 @example(content=nested_tie_break_file(sys.getrecursionlimit() - 200),
          command=COMMANDS[0])
+@example(content=tabulated_file([], [], []), command=COMMANDS[0])
+@example(content=tabulated_file([1.0], [], [[]]), command=COMMANDS[6])
 def test_mutated_instance_files_never_raise(tmp_path_factory, content,
                                             command):
     file = tmp_path_factory.getbasetemp() / "mutated.json"

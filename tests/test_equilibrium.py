@@ -1,4 +1,4 @@
-"""Equilibrium engine: spaces, best responses, enumeration, ratios."""
+"""Equilibrium engine: spaces, Nash checks, enumeration, ratios."""
 
 import math
 
@@ -15,7 +15,6 @@ from price_display_auctions import (
     Strategy,
     StrategyProfile,
     StrategySpace,
-    best_response,
     efficiency_report,
     enumerate_pure_nash,
     is_nash,
@@ -49,27 +48,6 @@ def test_space_build_levels_and_pruning():
     bigger = StrategySpace.build(inst, overbidding=True, extra_gains=(9.0,))
     assert any(s.gain == 9.0 for s in bigger.options[1])
     assert space.size == len(space.options[0]) * len(space.options[1])
-
-
-def test_best_response_prefers_current_on_ties():
-    inst = second_price_instance()
-    space = StrategySpace.build(inst, gain_levels=(0.0, 1.0))
-    # Agent 1 bids 0 and loses either way: everything ties at utility 0,
-    # so the current strategy must be kept.
-    prof = profile((2.0, 2.0), (2.0, 0.0))
-    s, u = best_response(inst, VCG, space, prof, 1)
-    assert s == prof[1]
-    assert u == pytest.approx(0.0)
-
-
-def test_best_response_finds_strict_improvement():
-    inst = second_price_instance()
-    space = StrategySpace.build(inst, gain_levels=(0.0, 1.0))
-    prof = profile((2.0, 0.0), (2.0, 1.5))
-    s, u = best_response(inst, VCG, space, prof, 0)
-    # Winning at the truthful bid costs the rival's 1.5 but earns 2.
-    assert (s.price, s.gain) == (2.0, 2.0)
-    assert u == pytest.approx(0.5)
 
 
 def test_is_nash_witness():

@@ -1,12 +1,15 @@
 """Payment rules: pivot payments, next-slot payments, type inference."""
 
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from price_display_auctions import (
     AgentType,
+    AuctionError,
     AuctionInstance,
     HyperbolaQuality,
     InferenceError,
@@ -315,7 +318,7 @@ def test_indirect_vcg_pivots_add_few_quality_evaluations():
     inst = AuctionInstance(agents, SlotProfile((1.0, 0.8, 0.6)),
                            (0.5, 0.9, 1.3, 1.7, 2.1))
     prof = random_profile(inst, 1)
-    m, candidates = inst.m, len(set(prof.prices))
+    m, candidates = inst.m, len({s.price for s in prof.strategies})
     quality_mod.reset_evaluation_count()
     alloc = indirect_allocate(inst, prof)
     pivots = len(alloc.slot_agents)
@@ -385,3 +388,45 @@ def test_direct_vcg_payments_match_oracle_property(inst):
         lambda ex: brute_force_allocate(inst, reported, "direct",
                                         exclude=ex).declared_welfare)
     assert out.payments == pytest.approx(expected, abs=1e-9)
+
+
+def test_direct_vcg_refuses_overflowing_welfare():
+    # Each agent's value is a finite 1.7e308, their sum is not.
+    agents = ((AgentType(1.0, 0.0), PriceThresholdQuality(1.7e308)),) * 2
+    inst = AuctionInstance(agents, SlotProfile((1.0, 1.0)), (1e308, 1.7e308))
+    with pytest.raises(AuctionError, match="not finite"):
+        run_direct_vcg(inst)
+
+
+# Round numbers and finite floats near the float maximum, where welfare
+# sums can overflow.
+SMALL_OR_HUGE = st.sampled_from((0.5, 1.0, 2.0)) | st.floats(
+    1e307, sys.float_info.max)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_mechanisms_near_float_max_return_finite_outcomes(data):
+    grid = tuple(sorted(data.draw(st.sets(SMALL_OR_HUGE, min_size=1,
+                                          max_size=3))))
+    qualities = (st.builds(PriceThresholdQuality, SMALL_OR_HUGE)
+                 | st.just(OnlyMinQuality())
+                 | st.just(SmoothDecayQuality(0.2, 0.1, 1.0)))
+    n = data.draw(st.integers(1, 3))
+    agents = tuple((AgentType(data.draw(st.sampled_from((0.5, 1.0))),
+                              data.draw(st.sampled_from((0.0, 0.25)))),
+                    data.draw(qualities)) for _ in range(n))
+    m = data.draw(st.integers(1, 2))
+    inst = AuctionInstance(agents, SlotProfile((1.0,) * m), grid)
+    prof = StrategyProfile(tuple(
+        Strategy(data.draw(st.sampled_from(grid)), data.draw(SMALL_OR_HUGE),
+                 data.draw(SMALL_OR_HUGE)) for _ in range(n)))
+    types = [inst.atype(i) for i in range(n)]
+    for kind in MechanismKind:
+        bids = types if kind is MechanismKind.DIRECT_VCG else prof
+        try:
+            out = run_mechanism(inst, kind, bids)
+        except AuctionError:
+            continue
+        terms = (out.declared_welfare, out.true_welfare, *out.payments)
+        assert all(map(math.isfinite, terms)), (kind, terms)

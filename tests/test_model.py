@@ -1,5 +1,7 @@
 """Domain type validation and welfare arithmetic."""
 
+import math
+
 import pytest
 
 from price_display_auctions import (
@@ -123,7 +125,6 @@ def test_strategy_validation():
 
 def test_profile_helpers():
     prof = profile((1.0, 0.5), (2.0, 0.0, 1.5))
-    assert prof.prices == (1.0, 2.0)
     assert prof.gains == (0.5, 0.0)
     assert prof[1].standalone_price == 1.5
     swapped = prof.replace(0, Strategy(2.0, 0.1))
@@ -177,6 +178,22 @@ def test_outcome_accessors():
     assert out.utility(inst, 0) == pytest.approx(1.0 - 0.3)
     assert out.utility(inst, 1) == 0.0
     assert out.utilities(inst) == (pytest.approx(0.7), 0.0)
+
+
+@pytest.mark.parametrize("payments, sw, true_sw", [
+    ((0.0,), math.inf, math.inf),
+    ((0.0,), 1.0, math.nan),
+    ((-math.inf,), 1.0, 1.0),
+])
+def test_outcome_refuses_non_finite_values(payments, sw, true_sw):
+    with pytest.raises(AuctionError, match="not finite"):
+        Outcome(EMPTY_ALLOCATION, payments, sw, true_sw)
+
+
+def test_outcome_keeps_finite_values_whose_sum_overflows():
+    big = 1.7e308
+    out = Outcome(EMPTY_ALLOCATION, (big, big), big, big)
+    assert (out.declared_welfare, out.true_welfare) == (big, big)
 
 
 def test_truthful_gains():

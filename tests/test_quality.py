@@ -155,14 +155,37 @@ def test_tabulated_validation():
 
 
 def test_audit_flags_bad_table_cells():
-    bad = TabulatedQuality(prices=(1.0, 2.0), min_prices=(1.0, 2.0),
-                           values=((0.2, 0.9), (0.5, 0.1)))
-    report = audit_quality(bad, probe_grid([1.0, 1.5, 2.0]))
-    assert not report.ok
-    kinds = {v.constraint for v in report.violations}
-    assert "price-monotone" in kinds  # 0.5 > 0.2 down a column
-    assert "min-price-monotone" in kinds  # 0.1 < 0.5 across a row
-    assert any("cell [1][0]" in v.detail for v in report.violations)
+    # The constructor refuses the table at its first bad cell.
+    with pytest.raises(AuctionError) as err:
+        TabulatedQuality(prices=(1.0, 2.0), min_prices=(1.0, 2.0),
+                         values=((0.2, 0.9), (0.5, 0.1)))
+    assert "price-monotone" in str(err.value)  # 0.5 > 0.2 down a column
+    assert "cell [1][0]" in str(err.value)
+
+
+@pytest.mark.parametrize("table, message", [
+    (((1.0, 2.0), (1.0, 2.0), ((0.9, 0.1), (0.5, 0.2))),
+     "min-price-monotone: cell [0][1] < cell [0][0]"),
+    (((1.0, 2.0), (1.0, 2.0), ((1.0, 1.0), (0.5, 0.2))),
+     "min-price-monotone: cell [1][1] < cell [1][0]"),
+    (((1.0,), (1.0,), ((1.5,),)), "range: cell [0][0]"),
+    (((1.0, 2.0), (1.0,), ((0.5,), (-0.1,))), "range: cell [1][0]"),
+    (((1.0, 2.0), (1.0,), ((0.5,), (0.5 + 1e-9,))),
+     "price-monotone: cell [1][0] > cell [0][0]"),
+    (((), (), ()), "non-empty"),
+    (((1.0,), (), ((),)), "non-empty"),
+], ids=["falls-with-p_min", "falls-with-p_min-row-1", "above-one",
+        "below-zero", "rises-with-p", "empty", "no-min-prices"])
+def test_bad_tables_refused_at_construction(table, message):
+    with pytest.raises(AuctionError) as err:
+        TabulatedQuality(*table)
+    assert message in str(err.value)
+
+
+def test_table_monotonicity_slack():
+    # Steps within 1e-12 of flat are accepted, as rounding noise.
+    TabulatedQuality((1.0, 2.0), (1.0, 2.0),
+                     ((0.5, 0.5 - 1e-13), (0.5 + 1e-13, 0.5)))
 
 
 def test_audit_passes_for_valid_models():
