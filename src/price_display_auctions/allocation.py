@@ -32,12 +32,12 @@ BRUTE_FORCE_MAX_PRICES = 6
 
 @dataclass(frozen=True)
 class DirectAllocationResult:
-    """Allocation, chosen prices, and the agent designated to show p_min."""
+    """Allocation, its declared welfare as the search scored it, and each
+    agent's declared gain at her chosen price (0 when not displayed)."""
 
     allocation: Allocation
     declared_welfare: float
-    designated: int | None
-    gains: tuple[float, ...]  # per-agent declared gain at the chosen prices
+    gains: tuple[float, ...]
 
 
 def _ranked(instance, entries):
@@ -47,6 +47,8 @@ def _ranked(instance, entries):
 
 
 def _weighted_sw(instance, entries):
+    """Declared welfare of slot-ordered entries: the sum of
+    lam * (q * gain), ``declared_welfare``'s arithmetic."""
     lams = instance.slots.prominences
     return sum(lam * w for lam, (_, _, w) in zip(lams, entries))
 
@@ -56,20 +58,21 @@ def _allocation_from(entries):
                       tuple(p for _, p, _ in entries))
 
 
-def _indirect_table(instance, profile, agents, keep):
+def _indirect_table(instance, profile, keep):
     """Per candidate minimum: (cand, holders, ranked entries).
 
-    The candidates are the distinct submitted prices of ``agents``, in
-    ascending order, and a candidate's holders are the agents who
-    submitted exactly it.  Its entries are the (agent, price, weight)
-    triples of the agents priced at or above it with a positive weight
-    q(price, cand) * gain, the first ``keep`` in ``_ranked`` order.  A
-    solve without an ``exclude`` set needs keep >= m + |exclude|: the
-    first m entries not excluded are then always in the table.
+    The candidates are the distinct submitted prices, in ascending order,
+    and a candidate's holders are the agents who submitted exactly it.
+    Its entries are the (agent, price, weight) triples of the agents
+    priced at or above it with a positive weight q(price, cand) * gain,
+    the first ``keep`` in ``_ranked`` order.  A solve without an
+    ``exclude`` set needs keep >= m + |exclude|: the first m entries not
+    excluded are then always in the table.
     """
     strategies = profile.strategies
     bids = sorted([(strategies[i].price, i, strategies[i].gain,
-                    instance.quality(i).q, instance.rank(i)) for i in agents])
+                    instance.quality(i).q, instance.rank(i))
+                   for i in range(instance.n)])
     table = []
     for start, (cand, holder, _, _, _) in enumerate(bids):
         if table and table[-1][0] == cand:
@@ -92,7 +95,7 @@ def _indirect_table(instance, profile, agents, keep):
 
 
 def _solve_indirect(instance, profile, table, exclude):
-    """The indirect optimum over the table without ``exclude``.
+    """Best (welfare, entries) over the table without ``exclude``.
 
     A candidate whose holders are all excluded is skipped, so the
     candidates tried are the distinct prices of the agents left, in
@@ -122,12 +125,11 @@ def _solve_indirect(instance, profile, table, exclude):
         if sw > best_sw + WELFARE_TOL:
             best_sw = sw
             best_entries = chosen
-    return _allocation_from(best_entries) if best_entries else EMPTY_ALLOCATION
+    return best_sw, best_entries
 
 
 def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile,
-                      *, exclude: frozenset = frozenset(),
-                      include_zero_gain: bool = False) -> Allocation:
+                      *, include_zero_gain: bool = False) -> Allocation:
     """Assignment maximizing declared welfare at the submitted prices.
 
     Every submitted price is tried as the minimum displayed price; only
@@ -138,37 +140,38 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile,
     O(n |C|) quality evaluations for |C| distinct submitted prices, then
     O(|C| m) steps and at most m |C| re-evaluations.
     """
-    agents = [i for i in range(instance.n) if i not in exclude]
-    table = _indirect_table(instance, profile, agents, instance.m)
-    allocation = _solve_indirect(instance, profile, table, frozenset())
+    table = _indirect_table(instance, profile, instance.m)
+    _, entries = _solve_indirect(instance, profile, table, frozenset())
+    allocation = _allocation_from(entries)
     if include_zero_gain:
-        allocation = _fill_zero_gain(instance, profile, agents, allocation)
+        allocation = _fill_zero_gain(instance, profile, allocation)
     return allocation
 
 
 def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
-                    ) -> tuple[Allocation, dict[int, Allocation]]:
+                    ) -> tuple[Allocation, dict[int, float]]:
     """The indirect optimum and, for each agent it assigns (the VCG
-    pivots), the indirect optimum without her.
+    pivots), the declared welfare of the indirect optimum without her.
 
     All solves share one table that keeps m + 1 entries per candidate,
     so each pivot adds O(|C| m) steps and at most m |C| quality
-    re-evaluations.  Equal to calling ``indirect_allocate`` with and
-    without each ``exclude={i}``.
+    re-evaluations.  The welfare is the search's own score, equal bit for
+    bit to ``declared_welfare`` of the allocation it picks.
     """
-    table = _indirect_table(instance, profile, range(instance.n),
-                            instance.m + 1)
-    allocation = _solve_indirect(instance, profile, table, frozenset())
-    without = {i: _solve_indirect(instance, profile, table, frozenset({i}))
+    table = _indirect_table(instance, profile, instance.m + 1)
+    _, entries = _solve_indirect(instance, profile, table, frozenset())
+    allocation = _allocation_from(entries)
+    without = {i: _solve_indirect(instance, profile, table, frozenset({i}))[0]
                for i in allocation.slot_agents}
     return allocation, without
 
 
-def _fill_zero_gain(instance, profile, agents, allocation):
+def _fill_zero_gain(instance, profile, allocation):
     """Append zero-gain agents (b == 0, positive quality) to free slots."""
     m = instance.m
     taken = set(allocation.slot_agents)
     p_min = allocation.p_min
+    agents = range(instance.n)
 
     if p_min is None:
         # Nothing displayed: pick the candidate minimum price that fits
@@ -230,7 +233,7 @@ def _direct_table(instance, reported):
 
 
 def _solve_direct(instance, table, exclude):
-    """Best (welfare, entries, designated) over the table without ``exclude``.
+    """Best (welfare, entries) over the table without ``exclude``.
 
     Candidates run in ascending (p_hat, designated agent) order.  The
     designated agent i shows p_hat; the other slots go to the first m - 1
@@ -242,7 +245,6 @@ def _solve_direct(instance, table, exclude):
     rank = instance.rank
     best_sw = 0.0
     best_entries: list = []
-    best_designated = None
     for p_hat, diagonal, ranked in table:
         top = [e for e in ranked if e[0] not in exclude][:m]
         top_agents = [a for a, _, _ in top]
@@ -260,21 +262,11 @@ def _solve_direct(instance, table, exclude):
             if sw > best_sw + WELFARE_TOL:
                 best_sw = sw
                 best_entries = chosen
-                best_designated = i
-    return best_sw, best_entries, best_designated
+    return best_sw, best_entries
 
 
-def _direct_result(instance, reported, solved):
-    sw, entries, designated = solved
-    allocation = _allocation_from(entries) if entries else EMPTY_ALLOCATION
-    gains = [0.0] * instance.n
-    for a in allocation.slot_agents:
-        gains[a] = reported[a].gain(allocation.price_of(a))
-    return DirectAllocationResult(allocation, sw, designated, tuple(gains))
-
-
-def direct_allocate(instance: AuctionInstance, reported,
-                    *, exclude: frozenset = frozenset()) -> DirectAllocationResult:
+def direct_allocate(instance: AuctionInstance, reported
+                    ) -> DirectAllocationResult:
     """Joint assignment-and-price optimum over the instance price grid.
 
     Tries every (candidate minimum price, designated agent) pair: the
@@ -284,9 +276,7 @@ def direct_allocate(instance: AuctionInstance, reported,
     computed once and ranked once, so the search makes O(n |P|^2)
     quality evaluations and then O(|P| n m) steps.
     """
-    table = _direct_table(instance, reported)
-    return _direct_result(instance, reported,
-                          _solve_direct(instance, table, exclude))
+    return direct_pivots(instance, reported, ())[0]
 
 
 def direct_pivots(instance: AuctionInstance, reported, pivots=None
@@ -296,12 +286,17 @@ def direct_pivots(instance: AuctionInstance, reported, pivots=None
 
     ``pivots`` defaults to the agents the optimum assigns (the VCG
     pivots).  All solves share one table, so each pivot adds O(|P| n m)
-    steps and no quality evaluations.  Equal to calling
-    ``direct_allocate`` with and without each ``exclude={i}``.
+    steps and no quality evaluations.  The welfare is the search's own
+    score, equal bit for bit to ``declared_welfare`` of the allocation it
+    picks at its chosen gains.
     """
     table = _direct_table(instance, reported)
-    result = _direct_result(instance, reported,
-                            _solve_direct(instance, table, frozenset()))
+    sw, entries = _solve_direct(instance, table, frozenset())
+    gains = [0.0] * instance.n
+    for a, p, _ in entries:
+        gains[a] = reported[a].gain(p)
+    result = DirectAllocationResult(_allocation_from(entries), sw,
+                                    tuple(gains))
     if pivots is None:
         pivots = result.allocation.slot_agents
     without = {i: _solve_direct(instance, table, frozenset({i}))[0]
@@ -377,7 +372,7 @@ def brute_force_allocate(instance: AuctionInstance, arg, mode: str,
         out_gains = [0.0] * instance.n
         for a in allocation.slot_agents:
             out_gains[a] = gains[a]
-        return DirectAllocationResult(allocation, best_sw, None, tuple(out_gains))
+        return DirectAllocationResult(allocation, best_sw, tuple(out_gains))
 
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -51,6 +51,17 @@ class InferredType:
     alpha_clamped: bool = False
 
 
+def _pivot_outcome(instance, alloc, sw, without, gains):
+    """Pivot payments: each assigned agent i pays the welfare the others
+    lose by her presence, max(0, without[i] - (sw - v_hat)), where ``sw``
+    and ``without`` are the search's own welfare scores."""
+    payments = [0.0] * instance.n
+    for i in alloc.slot_agents:
+        v_hat = declared_value(instance, alloc, i, gains[i])
+        payments[i] = max(0.0, without[i] - (sw - v_hat))
+    return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc))
+
+
 def run_direct_vcg(instance: AuctionInstance, reported=None) -> Outcome:
     """Jointly optimize allocation and prices, charge pivot payments.
 
@@ -62,12 +73,8 @@ def run_direct_vcg(instance: AuctionInstance, reported=None) -> Outcome:
     if reported is None:
         reported = [instance.atype(i) for i in range(instance.n)]
     result, without = direct_pivots(instance, reported)
-    alloc, sw = result.allocation, result.declared_welfare
-    payments = [0.0] * instance.n
-    for i in alloc.slot_agents:
-        v_hat = declared_value(instance, alloc, i, result.gains[i])
-        payments[i] = max(0.0, without[i] - (sw - v_hat))
-    return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc))
+    return _pivot_outcome(instance, result.allocation, result.declared_welfare,
+                          without, result.gains)
 
 
 def run_indirect_vcg(instance: AuctionInstance, profile: StrategyProfile) -> Outcome:
@@ -77,26 +84,21 @@ def run_indirect_vcg(instance: AuctionInstance, profile: StrategyProfile) -> Out
     """
     alloc, without = indirect_pivots(instance, profile)
     gains = profile.gains
-    sw = declared_welfare(instance, alloc, gains)
-    payments = [0.0] * instance.n
-    for i in alloc.slot_agents:
-        sw_without = declared_welfare(instance, without[i], gains)
-        v_hat = declared_value(instance, alloc, i, profile[i].gain)
-        payments[i] = max(0.0, v_hat - (sw - sw_without))
-    return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc))
+    return _pivot_outcome(instance, alloc,
+                          declared_welfare(instance, alloc, gains), without,
+                          gains)
 
 
 def run_indirect_gsp(instance: AuctionInstance, profile: StrategyProfile,
-                     *, allow_zero_gain: bool = False,
-                     enforce_min_price_filter: bool = True) -> Outcome:
+                     *, allow_zero_gain: bool = False) -> Outcome:
     """Allocate at the submitted prices, charge next-slot payments.
 
-    The occupant of the last assigned slot pays the best weighted value
-    among unassigned agents whose price is at least the minimum displayed
-    price.  ``enforce_min_price_filter=False`` disables that price filter
-    (it exists only so tests can demonstrate the filter is what keeps the
-    mechanism individually rational).  ``allow_zero_gain`` lets ads with
-    a declared gain of exactly zero occupy leftover slots.
+    Each displayed agent pays her slot's prominence times the weighted
+    value q(p, p_min) * b of the next slot's occupant.  The occupant of
+    the last assigned slot pays it for the best unassigned agent whose
+    price is at least the minimum displayed price; that filter is what
+    keeps the mechanism individually rational.  ``allow_zero_gain`` lets
+    ads with a declared gain of exactly zero occupy leftover slots.
     """
     alloc = indirect_allocate(instance, profile,
                               include_zero_gain=allow_zero_gain)
@@ -105,26 +107,14 @@ def run_indirect_gsp(instance: AuctionInstance, profile: StrategyProfile,
     assigned = alloc.slot_agents
     p_min = alloc.p_min
     for pos, i in enumerate(assigned):
-        lam = instance.slots.prominences[pos]
         if pos + 1 < len(assigned):
-            k = assigned[pos + 1]
-            p_k = profile[k].price
-            payments[i] = max(
-                0.0, lam * instance.quality(k).q(p_k, p_min) * profile[k].gain)
+            rivals = [assigned[pos + 1]]
         else:
-            best = 0.0
-            for j in range(instance.n):
-                if j in assigned:
-                    continue
-                p_j = profile[j].price
-                if p_j >= p_min:
-                    w = instance.quality(j).q(p_j, p_min) * profile[j].gain
-                elif enforce_min_price_filter:
-                    continue
-                else:
-                    w = instance.quality(j).q(p_j, p_j) * profile[j].gain
-                best = max(best, w)
-            payments[i] = lam * best
+            rivals = [j for j in range(instance.n)
+                      if j not in assigned and profile[j].price >= p_min]
+        best = max((instance.quality(j).q(profile[j].price, p_min)
+                    * profile[j].gain for j in rivals), default=0.0)
+        payments[i] = instance.slots.prominences[pos] * max(0.0, best)
     return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import AuctionError
+from .errors import AuctionError, InstanceFormatError
 from .quality import QualityModel
 
 # Absolute tolerance used whenever two welfare values are compared while
@@ -81,21 +81,26 @@ class AuctionInstance:
     def __post_init__(self):
         if not self.agents:
             raise AuctionError("need at least one agent")
+        # Errors name their field, so that a loader can report its path.
         grid = self.price_grid
         if not grid:
-            raise AuctionError("price grid must be non-empty")
+            raise InstanceFormatError("price_grid", "price grid must be non-empty")
         if not all(math.isfinite(p) for p in grid):
-            raise AuctionError("price grid values must be finite")
+            raise InstanceFormatError("price_grid",
+                                      "price grid values must be finite")
         if any(p < 0 for p in grid):
-            raise AuctionError("price grid values must be >= 0")
+            raise InstanceFormatError("price_grid",
+                                      "price grid values must be >= 0")
         if list(grid) != sorted(set(grid)):
-            raise AuctionError("price grid must be strictly ascending")
+            raise InstanceFormatError("price_grid",
+                                      "price grid must be strictly ascending")
         order = self.tie_break
         if order is not None and (
                 any(isinstance(a, bool) or not isinstance(a, int)
                     for a in order)
                 or sorted(order) != list(range(len(self.agents)))):
-            raise AuctionError("tie_break must be a permutation of agent indices")
+            raise InstanceFormatError(
+                "tie_break", "tie_break must be a permutation of agent indices")
 
     @property
     def n(self) -> int:
@@ -206,13 +211,16 @@ EMPTY_ALLOCATION = Allocation((), ())
 
 def declared_value(instance: AuctionInstance, allocation: Allocation,
                    agent: int, gain: float) -> float:
-    """lambda_{f(i)} * q_i(p_i, p_min) * b_i; 0 when not displayed."""
+    """lambda_{f(i)} * (q_i(p_i, p_min) * b_i); 0 when not displayed.
+
+    The allocators score entries in this order, so ``declared_welfare``
+    of an allocation equals their welfare bit for bit."""
     slot = allocation.slot_of(agent)
     if slot is None:
         return 0.0
     p = allocation.display_prices[slot - 1]
     lam = instance.slots.prominence(slot)
-    return lam * instance.quality(agent).q(p, allocation.p_min) * gain
+    return lam * (instance.quality(agent).q(p, allocation.p_min) * gain)
 
 
 def true_value(instance: AuctionInstance, allocation: Allocation,

@@ -231,7 +231,10 @@ def test_criterion_09_payments_bounded_by_declared_value():
         for kind in MechanismKind:
             violations.extend(_ir_trial(kind, seed))
     # Mutation check: without the min-price filter the last displayed
-    # agent can be charged more than her slot is worth.
+    # agent can be charged more than her slot is worth.  The unassigned
+    # agent 2 shows 1.0, below the page minimum 2.0; unfiltered, she
+    # would set the last slot's price at her standalone weighted value
+    # 1.0 * q(1.0, 1.0) * 1.5 = 1.5, above agent 1's value of 1.0.
     agents = (
         (AgentType(1.0, 0.0), OnlyMinQuality()),
         (AgentType(1.0, 0.0), OnlyMinQuality()),
@@ -239,9 +242,13 @@ def test_criterion_09_payments_bounded_by_declared_value():
     )
     inst = AuctionInstance(agents, SlotProfile((1.0, 1.0)), (1.0, 2.0))
     prof = profile((2.0, 1.0), (2.0, 1.0), (1.0, 1.5))
-    mutated = run_indirect_gsp(inst, prof, enforce_min_price_filter=False)
-    v = declared_value(inst, mutated.allocation, 1, prof[1].gain)
-    mutation_detected = mutated.payments[1] > v + 1e-9
+    filtered = run_indirect_gsp(inst, prof)
+    unfiltered = (inst.slots.prominences[1] * inst.quality(2).q(1.0, 1.0)
+                  * prof[2].gain)
+    v = declared_value(inst, filtered.allocation, 1, prof[1].gain)
+    mutation_detected = (filtered.allocation.slot_agents == (0, 1)
+                         and filtered.payments[1] == 0.0
+                         and unfiltered == 1.5 and v == 1.0)
     ok = not violations and mutation_detected
     report(9, ok,
            f"1000 trials across 4 mechanisms, 0 <= payment <= declared "

@@ -29,8 +29,12 @@ from price_display_auctions import quality as quality_mod
 from price_display_auctions.allocation import (
     DirectAllocationResult,
     _allocation_from,
+    _direct_table,
     _fill_zero_gain,
+    _indirect_table,
     _ranked,
+    _solve_direct,
+    _solve_indirect,
     _weighted_sw,
 )
 from price_display_auctions.model import (
@@ -96,8 +100,13 @@ def test_indirect_empty_when_nothing_positive():
 def test_exclusion():
     inst = two_agent_instance()
     prof = profile((1.0, 0.5), (2.0, 0.9))
-    alloc = indirect_allocate(inst, prof, exclude=frozenset({1}))
-    assert alloc.slot_agents == (0,)
+    table = _indirect_table(inst, prof, inst.m + 1)
+    sw, entries = _solve_indirect(inst, prof, table, frozenset({1}))
+    expected = _reference_indirect_allocate(inst, prof, exclude=frozenset({1}))
+    assert _allocation_from(entries) == expected
+    assert expected.slot_agents == (0,)
+    _, without = indirect_pivots(inst, prof)
+    assert without[1] == sw == declared_welfare(inst, expected, prof.gains)
 
 
 def test_direct_joint_price_choice():
@@ -117,7 +126,7 @@ def test_direct_designated_agent_holds_min_price():
     assert result.allocation.p_min == 2.0
     assert set(result.allocation.slot_agents) == {0, 1}
     assert result.declared_welfare == pytest.approx(2.0 + 0.5 * 2.0)
-    assert result.designated in result.allocation.slot_agents
+    assert result.allocation.display_prices == (2.0, 2.0)
 
 
 def test_direct_empty_for_worthless_agents():
@@ -206,7 +215,6 @@ def _reference_direct_allocate(instance, reported, *, exclude=frozenset()):
 
     best_sw = 0.0
     best_entries: list = []
-    best_designated = None
     for p_hat in grid:
         # Per-agent best price >= p_hat when the minimum displayed price
         # is p_hat (ties to the lowest qualifying price).
@@ -237,13 +245,12 @@ def _reference_direct_allocate(instance, reported, *, exclude=frozenset()):
             if sw > best_sw + WELFARE_TOL:
                 best_sw = sw
                 best_entries = chosen
-                best_designated = i
 
     allocation = _allocation_from(best_entries) if best_entries else EMPTY_ALLOCATION
     gains = [0.0] * instance.n
     for a in allocation.slot_agents:
         gains[a] = reported[a].gain(allocation.price_of(a))
-    return DirectAllocationResult(allocation, best_sw, best_designated, tuple(gains))
+    return DirectAllocationResult(allocation, best_sw, tuple(gains))
 
 
 def _tie_heavy_instance(seed):
@@ -261,7 +268,7 @@ def _tie_heavy_instance(seed):
 
 def _fields(result):
     return (result.allocation.slot_agents, result.allocation.display_prices,
-            result.declared_welfare, result.designated, result.gains)
+            result.declared_welfare, result.gains)
 
 
 def test_direct_matches_reference_exactly():
@@ -272,13 +279,15 @@ def test_direct_matches_reference_exactly():
         expected = _reference_direct_allocate(inst, reported)
         assert _fields(result) == _fields(expected), seed
         assert _fields(direct_allocate(inst, reported)) == _fields(expected)
+        table = _direct_table(inst, reported)
         for i in range(inst.n):
-            exclude = frozenset({i})
             expected = _reference_direct_allocate(inst, reported,
-                                                  exclude=exclude)
-            fast = direct_allocate(inst, reported, exclude=exclude)
-            assert _fields(fast) == _fields(expected), (seed, i)
-            assert without[i] == expected.declared_welfare, (seed, i)
+                                                  exclude=frozenset({i}))
+            sw, entries = _solve_direct(inst, table, frozenset({i}))
+            assert _allocation_from(entries) == expected.allocation, (seed, i)
+            assert sw == expected.declared_welfare, (seed, i)
+            assert without[i] == declared_welfare(
+                inst, expected.allocation, expected.gains), (seed, i)
 
 
 def test_direct_best_price_ties_go_to_the_lowest_price():
@@ -304,8 +313,7 @@ def test_direct_pivots_default_to_assigned_agents():
     assert set(without) == set(result.allocation.slot_agents)
 
 
-def _reference_indirect_allocate(instance, profile, *, exclude=frozenset(),
-                                 include_zero_gain=False):
+def _reference_indirect_allocate(instance, profile, *, exclude=frozenset()):
     """The original indirect search, kept verbatim as an exact oracle: the
     whole candidate loop runs again for every ``exclude`` set."""
     agents = [i for i in range(instance.n) if i not in exclude]
@@ -338,11 +346,7 @@ def _reference_indirect_allocate(instance, profile, *, exclude=frozenset(),
             best_sw = sw
             best_entries = chosen
 
-    allocation = _allocation_from(best_entries) if best_entries else EMPTY_ALLOCATION
-
-    if include_zero_gain:
-        allocation = _fill_zero_gain(instance, profile, agents, allocation)
-    return allocation
+    return _allocation_from(best_entries) if best_entries else EMPTY_ALLOCATION
 
 
 def _tie_heavy_profile(instance, seed):
@@ -423,19 +427,18 @@ def _indirect_cases():
 def test_indirect_matches_reference_exactly():
     for seed, inst, prof in _indirect_cases():
         alloc, without = indirect_pivots(inst, prof)
-        assert alloc == _reference_indirect_allocate(inst, prof), seed
+        expected = _reference_indirect_allocate(inst, prof)
+        assert alloc == expected, seed
+        assert indirect_allocate(inst, prof) == expected, seed
+        assert indirect_allocate(inst, prof, include_zero_gain=True) == \
+            _fill_zero_gain(inst, prof, expected), seed
         assert set(without) == set(alloc.slot_agents)
-        for zero in (False, True):
+        table = _indirect_table(inst, prof, inst.m + 1)
+        for i in range(inst.n):
             expected = _reference_indirect_allocate(inst, prof,
-                                                    include_zero_gain=zero)
-            fast = indirect_allocate(inst, prof, include_zero_gain=zero)
-            assert fast == expected, (seed, zero)
-            for i in range(inst.n):
-                exclude = frozenset({i})
-                expected = _reference_indirect_allocate(
-                    inst, prof, exclude=exclude, include_zero_gain=zero)
-                fast = indirect_allocate(inst, prof, exclude=exclude,
-                                         include_zero_gain=zero)
-                assert fast == expected, (seed, zero, i)
-                if i in without and not zero:
-                    assert without[i] == expected, (seed, i)
+                                                    exclude=frozenset({i}))
+            _, entries = _solve_indirect(inst, prof, table, frozenset({i}))
+            assert _allocation_from(entries) == expected, (seed, i)
+            if i in without:
+                assert without[i] == declared_welfare(
+                    inst, expected, prof.gains), (seed, i)

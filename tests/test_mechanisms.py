@@ -21,8 +21,8 @@ from price_display_auctions import (
     Strategy,
     StrategyProfile,
     brute_force_allocate,
-    direct_allocate,
-    indirect_allocate,
+    direct_pivots,
+    indirect_pivots,
     infer_type,
     profile,
     run_direct_vcg,
@@ -33,13 +33,13 @@ from price_display_auctions import (
     random_instance,
     random_profile,
     smooth_instance,
+    truthful_gains,
     truthful_star_profile,
 )
 from price_display_auctions import quality as quality_mod
 from price_display_auctions.model import (
     declared_value,
     declared_welfare,
-    true_welfare,
 )
 from price_display_auctions.sampling import ALL_QUALITY_KINDS, _random_quality
 
@@ -125,7 +125,7 @@ def test_gsp_next_slot_payments():
 
 def test_gsp_min_price_filter_keeps_ir():
     # Unassigned low-price ad: with the filter it cannot set the last
-    # slot's payment; without it, the payment exceeds the slot value.
+    # slot's payment; without it, the payment would exceed the slot value.
     agents = (
         (AgentType(1.0, 0.0), OnlyMinQuality()),
         (AgentType(1.0, 0.0), OnlyMinQuality()),
@@ -135,11 +135,13 @@ def test_gsp_min_price_filter_keeps_ir():
     prof = profile((2.0, 1.0), (2.0, 1.0), (1.0, 1.5))
     filtered = run_indirect_gsp(inst, prof)
     assert filtered.allocation.slot_agents == (0, 1)
-    assert filtered.payments[1] == pytest.approx(0.0)
-    mutated = run_indirect_gsp(inst, prof, enforce_min_price_filter=False)
-    from price_display_auctions.model import declared_value
-    v = declared_value(inst, mutated.allocation, 1, prof[1].gain)
-    assert mutated.payments[1] > v + 1e-9  # individual rationality broken
+    assert filtered.payments[1] == 0.0
+    # Agent 2 shows 1.0, below the page minimum 2.0.  Unfiltered, she
+    # would set the last slot's price at her standalone weighted value.
+    unfiltered = (inst.slots.prominences[1] * inst.quality(2).q(1.0, 1.0)
+                  * prof[2].gain)
+    v = declared_value(inst, filtered.allocation, 1, prof[1].gain)
+    assert (unfiltered, v) == (1.5, 1.0)  # individual rationality broken
 
 
 def test_gsp_zero_gain_display():
@@ -286,10 +288,26 @@ def test_indirect_vcg_payments_match_oracle():
         assert out.payments == pytest.approx(expected, abs=1e-9), seed
 
 
+def test_outcome_welfare_is_declared_welfare_exactly():
+    # The welfare a search maximizes is the welfare that prices its
+    # outcome: every mechanism's declared welfare equals the model's,
+    # recomputed from the allocation, bit for bit.
+    for seed in range(3000):
+        inst = random_instance(seed, max_agents=6, max_slots=4, max_prices=6)
+        prof = random_profile(inst, seed)
+        direct = run_direct_vcg(inst)
+        for out, gains in ((direct, truthful_gains(inst, direct.allocation)),
+                           (run_indirect_vcg(inst, prof), prof.gains),
+                           (run_indirect_gsp(inst, prof), prof.gains)):
+            assert out.declared_welfare == declared_welfare(
+                inst, out.allocation, gains), seed
+
+
 def test_direct_vcg_pivots_add_no_quality_evaluations():
-    # The pivots reuse the optimum's search table: a whole run costs no
-    # more quality evaluations than one allocation, its true welfare and
-    # one declared value per payer (the v_hat of the payment rule).
+    # The pivots reuse the optimum's search table and its welfare: a whole
+    # run costs direct_pivots' evaluations plus, per payer, one for her
+    # declared value (the v_hat of the payment rule) and one for her true
+    # value.
     agents = tuple(
         (AgentType(1.0, 0.05 * i), SmoothDecayQuality(0.2, 0.1, 1.0))
         for i in range(8))
@@ -297,38 +315,35 @@ def test_direct_vcg_pivots_add_no_quality_evaluations():
                            (0.5, 0.9, 1.3, 1.7, 2.1))
     reported = [inst.atype(i) for i in range(inst.n)]
     quality_mod.reset_evaluation_count()
-    alloc = direct_allocate(inst, reported).allocation
-    true_welfare(inst, alloc)
-    budget = quality_mod.evaluation_count() + len(alloc.slot_agents)
+    direct_pivots(inst, reported)
+    search = quality_mod.evaluation_count()
     quality_mod.reset_evaluation_count()
     out = run_direct_vcg(inst)
-    assert len(out.allocation.slot_agents) == 3
-    assert quality_mod.evaluation_count() <= budget
+    k = len(out.allocation.slot_agents)
+    assert k == 3
+    assert quality_mod.evaluation_count() == search + 2 * k
 
 
 def test_indirect_vcg_pivots_add_few_quality_evaluations():
-    # The pivots reuse the optimum's search table: a whole run costs no
-    # more quality evaluations than one allocation, m re-evaluations per
-    # candidate minimum and pivot, and the payment rule's welfare terms
-    # (declared welfare of the optimum and of each pivot's allocation, one
-    # declared value per payer, true welfare).
+    # The pivots reuse the optimum's search table and price from the
+    # search's welfare: a whole run costs indirect_pivots' evaluations
+    # plus, per payer, one each for the optimum's declared welfare, her
+    # declared value and her true value.  No pivot allocation is re-scored.
     agents = tuple(
         (AgentType(1.0, 0.05 * i), SmoothDecayQuality(0.2, 0.1, 1.0))
         for i in range(24))
     inst = AuctionInstance(agents, SlotProfile((1.0, 0.8, 0.6)),
                            (0.5, 0.9, 1.3, 1.7, 2.1))
     prof = random_profile(inst, 1)
-    m, candidates = inst.m, len({s.price for s in prof.strategies})
     quality_mod.reset_evaluation_count()
-    alloc = indirect_allocate(inst, prof)
-    pivots = len(alloc.slot_agents)
-    budget = (quality_mod.evaluation_count() + pivots * m * candidates
-              + (pivots + 1) * m + pivots + m)
+    alloc, _ = indirect_pivots(inst, prof)
+    search = quality_mod.evaluation_count()
     quality_mod.reset_evaluation_count()
     out = run_indirect_vcg(inst, prof)
+    k = len(alloc.slot_agents)
     assert out.allocation == alloc
-    assert pivots == 3
-    assert quality_mod.evaluation_count() <= budget
+    assert k == 3
+    assert (search, quality_mod.evaluation_count()) == (88, 88 + 3 * k)
 
 
 @st.composite

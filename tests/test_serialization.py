@@ -170,6 +170,18 @@ def test_tie_break_permutation_round_trips():
         instance_from_dict(_one_agent(tie_break=[1]))
 
 
+@pytest.mark.parametrize("extra, field_path", [
+    ({"tie_break": [1]}, "$.tie_break"),
+    ({"price_grid": [2.0, 1.0]}, "$.price_grid"),
+    ({"price_grid": []}, "$.price_grid"),
+    ({"price_grid": [-1.0]}, "$.price_grid"),
+])
+def test_instance_errors_name_their_field(extra, field_path):
+    with pytest.raises(InstanceFormatError) as err:
+        instance_from_dict(_one_agent(**extra))
+    assert err.value.field_path == field_path
+
+
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_numbers_refused(tmp_path, text):
     good = json.dumps(_one_agent())
