@@ -140,37 +140,45 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile,
     O(n |C|) quality evaluations for |C| distinct submitted prices, then
     O(|C| m) steps and at most m |C| re-evaluations.
     """
+    return _allocation_from(
+        _indirect_search(instance, profile, include_zero_gain)[1])
+
+
+def _indirect_search(instance, profile, include_zero_gain):
+    """``indirect_allocate``'s (welfare, slot-ordered entries).  Each
+    entry's weight is q(price, p_min) * gain; zero-gain agents appended
+    to leftover slots weigh 0."""
     table = _indirect_table(instance, profile, instance.m)
-    _, entries = _solve_indirect(instance, profile, table, frozenset())
-    allocation = _allocation_from(entries)
+    sw, entries = _solve_indirect(instance, profile, table, frozenset())
     if include_zero_gain:
-        allocation = _fill_zero_gain(instance, profile, allocation)
-    return allocation
+        entries = _fill_zero_gain(instance, profile, entries)
+    return sw, entries
 
 
 def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
-                    ) -> tuple[Allocation, dict[int, float]]:
+                    ) -> tuple[float, list, dict[int, float]]:
     """The indirect optimum and, for each agent it assigns (the VCG
     pivots), the declared welfare of the indirect optimum without her.
 
-    All solves share one table that keeps m + 1 entries per candidate,
-    so each pivot adds O(|C| m) steps and at most m |C| quality
-    re-evaluations.  The welfare is the search's own score, equal bit for
-    bit to ``declared_welfare`` of the allocation it picks.
+    The optimum comes as its welfare and its slot-ordered (agent, price,
+    weight) entries, whose weight is q(price, p_min) * gain.  All solves
+    share one table that keeps m + 1 entries per candidate, so each pivot
+    adds O(|C| m) steps and at most m |C| quality re-evaluations.  The
+    welfare is the search's own score, equal bit for bit to
+    ``declared_welfare`` of the allocation it picks.
     """
     table = _indirect_table(instance, profile, instance.m + 1)
-    _, entries = _solve_indirect(instance, profile, table, frozenset())
-    allocation = _allocation_from(entries)
+    sw, entries = _solve_indirect(instance, profile, table, frozenset())
     without = {i: _solve_indirect(instance, profile, table, frozenset({i}))[0]
-               for i in allocation.slot_agents}
-    return allocation, without
+               for i, _, _ in entries}
+    return sw, entries, without
 
 
-def _fill_zero_gain(instance, profile, allocation):
+def _fill_zero_gain(instance, profile, entries):
     """Append zero-gain agents (b == 0, positive quality) to free slots."""
     m = instance.m
-    taken = set(allocation.slot_agents)
-    p_min = allocation.p_min
+    taken = {i for i, _, _ in entries}
+    p_min = min((p for _, p, _ in entries), default=None)
     agents = range(instance.n)
 
     if p_min is None:
@@ -184,7 +192,7 @@ def _fill_zero_gain(instance, profile, allocation):
             if fit and (best is None or len(fit) > len(best[1])):
                 best = (cand, fit)
         if best is None:
-            return allocation
+            return entries
         p_min, _ = best
 
     extras = [i for i in agents
@@ -192,13 +200,10 @@ def _fill_zero_gain(instance, profile, allocation):
               and profile[i].price >= p_min
               and instance.quality(i).q(profile[i].price, p_min) > 0.0]
     extras.sort(key=instance.rank)
-    free = m - len(allocation.slot_agents)
+    free = m - len(entries)
     if not extras or free <= 0:
-        return allocation
-    agents_out = allocation.slot_agents + tuple(extras[:free])
-    prices_out = allocation.display_prices + tuple(
-        profile[i].price for i in extras[:free])
-    return Allocation(agents_out, prices_out)
+        return entries
+    return entries + [(i, profile[i].price, 0.0) for i in extras[:free]]
 
 
 def _direct_table(instance, reported):

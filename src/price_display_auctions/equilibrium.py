@@ -11,13 +11,21 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import GuardExceededError
-from .mechanisms import MechanismKind, run_direct_vcg, run_mechanism
+from .errors import AuctionError, GuardExceededError
+from .mechanisms import (
+    MechanismKind,
+    _indirect_gsp,
+    _indirect_vcg,
+    run_direct_vcg,
+    run_indirect_vcg_star,
+    run_mechanism,
+)
 from .model import (
     AuctionInstance,
     Outcome,
     Strategy,
     StrategyProfile,
+    utilities,
 )
 
 # An agent must gain strictly more than this to count as an improving
@@ -70,6 +78,32 @@ class StrategySpace:
         return StrategySpace(tuple(menus))
 
 
+def _payoffs(instance, kind, gsp_allow_zero_gain):
+    """A function from a profile to every agent's utility under ``kind``.
+
+    The two indirect mechanisms are asked only for their allocation and
+    payments, so no ``Outcome`` is built; the starred mechanism runs in
+    full.  Direct VCG is refused: its bids are types, not strategies.
+    """
+    if kind is MechanismKind.INDIRECT_VCG_STAR:
+        return lambda prof: run_indirect_vcg_star(instance, prof
+                                                  ).utilities(instance)
+    if kind is MechanismKind.INDIRECT_VCG:
+        core, options = _indirect_vcg, ()
+    elif kind is MechanismKind.INDIRECT_GSP:
+        core, options = _indirect_gsp, (gsp_allow_zero_gain,)
+    else:
+        raise AuctionError(
+            f"the equilibrium engine cannot analyse {kind.value}: its bids "
+            f"are agent types, not (price, gain) strategies")
+
+    def payoff(prof):
+        slot_agents, display_prices, payments, _ = core(instance, prof,
+                                                        *options)
+        return utilities(instance, slot_agents, display_prices, payments)
+    return payoff
+
+
 def is_nash(instance: AuctionInstance, kind: MechanismKind,
             space: StrategySpace, profile: StrategyProfile,
             *, gsp_allow_zero_gain: bool = False):
@@ -78,16 +112,13 @@ def is_nash(instance: AuctionInstance, kind: MechanismKind,
     Returns (verdict, witness); the witness is (agent, strategy, gain in
     utility) for the first improving deviation found, else None.
     """
-    base = run_mechanism(instance, kind, profile,
-                         gsp_allow_zero_gain=gsp_allow_zero_gain
-                         ).utilities(instance)
+    payoff = _payoffs(instance, kind, gsp_allow_zero_gain)
+    base = payoff(profile)
     for i in range(instance.n):
         for s in space.options[i]:
             if s == profile[i]:
                 continue
-            u = run_mechanism(instance, kind, profile.replace(i, s),
-                              gsp_allow_zero_gain=gsp_allow_zero_gain
-                              ).utility(instance, i)
+            u = payoff(profile.replace(i, s))[i]
             if u > base[i] + NASH_TOL:
                 return False, (i, s, u - base[i])
     return True, None
@@ -97,46 +128,40 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
                         space: StrategySpace,
                         *, gsp_allow_zero_gain: bool = False,
                         guard: int = ENUMERATION_GUARD,
-                        with_outcomes: bool = False,
-                        ) -> list[StrategyProfile] | list[tuple[StrategyProfile, Outcome]]:
+                        ) -> list[StrategyProfile]:
     """All pure Nash profiles of the finite game, in lexicographic order.
 
     Each joint profile runs through the mechanism once, filling a table
-    of every agent's utility (memory is O(profiles)).  A profile is Nash
-    iff each agent's utility is within NASH_TOL of the maximum along that
-    agent's axis of the table, which is the test ``is_nash`` applies.
-    With ``with_outcomes`` the result holds (profile, outcome) pairs,
-    which spares callers a second mechanism run per equilibrium.
+    of every agent's utility (memory is O(profiles)); the indirect
+    mechanisms report only their allocation and payments, so no
+    ``Outcome`` is built.  A profile is Nash iff each agent's utility is
+    within NASH_TOL of the maximum along that agent's axis of the table,
+    which is the test ``is_nash`` applies.  Direct VCG raises
+    ``AuctionError``.
     """
+    payoff = _payoffs(instance, kind, gsp_allow_zero_gain)
     if space.size > guard:
         raise GuardExceededError(
             f"joint strategy space has {space.size} profiles (guard {guard})")
-    outcomes = []
-    table = [[] for _ in range(instance.n)]  # table[i][k]: u_i at profile k
-    for combo in itertools.product(*space.options):
-        outcome = run_mechanism(instance, kind, StrategyProfile(combo),
-                                gsp_allow_zero_gain=gsp_allow_zero_gain)
-        outcomes.append(outcome)
-        for column, u in zip(table, outcome.utilities(instance)):
-            column.append(u)
-    if not outcomes:  # some menu is empty
+    rows = [payoff(StrategyProfile(combo))
+            for combo in itertools.product(*space.options)]
+    if not rows:  # some menu is empty
         return []
-    nash = bytearray(b"\x01") * len(outcomes)
+    nash = bytearray(b"\x01") * len(rows)
     # Axis i has stride prod(|S_j| for j > i); each line along it starts
     # at a profile whose axis-i strategy is the menu's first.
-    stride = len(outcomes)
-    for column, menu in zip(table, space.options):
+    stride = len(rows)
+    for column, menu in zip(zip(*rows), space.options):
         block, stride = stride, stride // len(menu)
-        for start in range(0, len(outcomes), block):
+        for start in range(0, len(rows), block):
             for first in range(start, start + stride):
                 line = column[first:first + block:stride]
                 best = max(line)
                 for k, u in enumerate(line):
                     if best > u + NASH_TOL:
                         nash[first + k * stride] = 0
-    found = [(StrategyProfile(combo), outcome) for combo, outcome, ok
-             in zip(itertools.product(*space.options), outcomes, nash) if ok]
-    return found if with_outcomes else [eq for eq, _ in found]
+    return [StrategyProfile(combo) for combo, ok
+            in zip(itertools.product(*space.options), nash) if ok]
 
 
 @dataclass(frozen=True)
@@ -170,16 +195,17 @@ def efficiency_report(instance: AuctionInstance, kind: MechanismKind,
 
     PoA divides the benchmark by the worst equilibrium objective, PoS by
     the best; no equilibria (or a zero equilibrium objective against a
-    positive benchmark) reports +inf.
+    positive benchmark) reports +inf.  The mechanism runs once more per
+    equilibrium, for its ``Outcome``.
     """
+    equilibria = enumerate_pure_nash(instance, kind, space,
+                                     gsp_allow_zero_gain=gsp_allow_zero_gain)
+    outcomes = [run_mechanism(instance, kind, eq,
+                              gsp_allow_zero_gain=gsp_allow_zero_gain)
+                for eq in equilibria]
     direct = run_direct_vcg(instance)
     benchmark_sw = direct.true_welfare
     benchmark_rev = direct.revenue
-    pairs = enumerate_pure_nash(instance, kind, space,
-                                gsp_allow_zero_gain=gsp_allow_zero_gain,
-                                with_outcomes=True)
-    equilibria = [eq for eq, _ in pairs]
-    outcomes = [o for _, o in pairs]
     if not equilibria:
         poa_sw = pos_sw = poa_rev = pos_rev = math.inf
     else:

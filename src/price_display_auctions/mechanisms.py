@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from . import quality as quality_mod
 from .allocation import (
+    _indirect_search,
     direct_allocate,
     direct_pivots,
     indirect_allocate,
@@ -22,6 +23,7 @@ from .errors import AuctionError, InferenceError
 from .model import (
     EMPTY_ALLOCATION,
     AgentType,
+    Allocation,
     AuctionInstance,
     Outcome,
     Strategy,
@@ -51,14 +53,19 @@ class InferredType:
     alpha_clamped: bool = False
 
 
-def _pivot_outcome(instance, alloc, sw, without, gains):
-    """Pivot payments: each assigned agent i pays the welfare the others
-    lose by her presence, max(0, without[i] - (sw - v_hat)), where ``sw``
-    and ``without`` are the search's own welfare scores."""
-    payments = [0.0] * instance.n
-    for i in alloc.slot_agents:
-        v_hat = declared_value(instance, alloc, i, gains[i])
+def _pivot_payments(n, sw, without, values):
+    """Pivot payments: each assigned agent i, with declared value v_hat in
+    ``values``' (i, v_hat) pairs, pays the welfare the others lose by her
+    presence, max(0, without[i] - (sw - v_hat)), where ``sw`` and
+    ``without`` are the search's own welfare scores."""
+    payments = [0.0] * n
+    for i, v_hat in values:
         payments[i] = max(0.0, without[i] - (sw - v_hat))
+    return payments
+
+
+def _outcome(instance, slot_agents, display_prices, payments, sw):
+    alloc = Allocation(slot_agents, display_prices)
     return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc))
 
 
@@ -73,20 +80,54 @@ def run_direct_vcg(instance: AuctionInstance, reported=None) -> Outcome:
     if reported is None:
         reported = [instance.atype(i) for i in range(instance.n)]
     result, without = direct_pivots(instance, reported)
-    return _pivot_outcome(instance, result.allocation, result.declared_welfare,
-                          without, result.gains)
+    alloc, sw = result.allocation, result.declared_welfare
+    payments = _pivot_payments(instance.n, sw, without, (
+        (i, declared_value(instance, alloc, i, result.gains[i]))
+        for i in alloc.slot_agents))
+    return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc))
+
+
+def _indirect_vcg(instance, profile):
+    """Indirect VCG's (slot agents, display prices, payments, declared
+    welfare), all from one pivot search: a payer's declared value is
+    lam * her entry's weight, ``declared_value``'s arithmetic."""
+    sw, entries, without = indirect_pivots(instance, profile)
+    lams = instance.slots.prominences
+    payments = _pivot_payments(instance.n, sw, without, (
+        (i, lam * w) for lam, (i, _, w) in zip(lams, entries)))
+    return (tuple(i for i, _, _ in entries), tuple(p for _, p, _ in entries),
+            payments, sw)
 
 
 def run_indirect_vcg(instance: AuctionInstance, profile: StrategyProfile) -> Outcome:
     """Allocate at the submitted prices, charge pivot payments.
 
-    The optimum and every pivot come from one shared indirect search.
+    The optimum, its declared welfare and every pivot's welfare come from
+    one shared indirect search; nothing is re-scored but the true welfare.
     """
-    alloc, without = indirect_pivots(instance, profile)
-    gains = profile.gains
-    return _pivot_outcome(instance, alloc,
-                          declared_welfare(instance, alloc, gains), without,
-                          gains)
+    return _outcome(instance, *_indirect_vcg(instance, profile))
+
+
+def _indirect_gsp(instance, profile, allow_zero_gain):
+    """Indirect GSP's (slot agents, display prices, payments, declared
+    welfare).  The next slot's occupant's weighted value is her search
+    entry's weight."""
+    sw, entries = _indirect_search(instance, profile, allow_zero_gain)
+    slot_agents = tuple(i for i, _, _ in entries)
+    display_prices = tuple(p for _, p, _ in entries)
+    payments = [0.0] * instance.n
+    if entries:
+        p_min = min(display_prices)
+        best_left_out = max(
+            (instance.quality(j).q(profile[j].price, p_min) * profile[j].gain
+             for j in range(instance.n)
+             if j not in slot_agents and profile[j].price >= p_min),
+            default=0.0)
+        next_values = [w for _, _, w in entries[1:]] + [best_left_out]
+        for lam, i, value in zip(instance.slots.prominences, slot_agents,
+                                 next_values):
+            payments[i] = lam * max(0.0, value)
+    return slot_agents, display_prices, payments, sw
 
 
 def run_indirect_gsp(instance: AuctionInstance, profile: StrategyProfile,
@@ -98,24 +139,12 @@ def run_indirect_gsp(instance: AuctionInstance, profile: StrategyProfile,
     the last assigned slot pays it for the best unassigned agent whose
     price is at least the minimum displayed price; that filter is what
     keeps the mechanism individually rational.  ``allow_zero_gain`` lets
-    ads with a declared gain of exactly zero occupy leftover slots.
+    ads with a declared gain of exactly zero occupy leftover slots.  The
+    declared welfare and the occupants' weighted values are the search's
+    own scores.
     """
-    alloc = indirect_allocate(instance, profile,
-                              include_zero_gain=allow_zero_gain)
-    sw = declared_welfare(instance, alloc, profile.gains)
-    payments = [0.0] * instance.n
-    assigned = alloc.slot_agents
-    p_min = alloc.p_min
-    for pos, i in enumerate(assigned):
-        if pos + 1 < len(assigned):
-            rivals = [assigned[pos + 1]]
-        else:
-            rivals = [j for j in range(instance.n)
-                      if j not in assigned and profile[j].price >= p_min]
-        best = max((instance.quality(j).q(profile[j].price, p_min)
-                    * profile[j].gain for j in rivals), default=0.0)
-        payments[i] = instance.slots.prominences[pos] * max(0.0, best)
-    return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc))
+    return _outcome(instance, *_indirect_gsp(instance, profile,
+                                             allow_zero_gain))
 
 
 def infer_type(quality, bid) -> InferredType:

@@ -271,10 +271,30 @@ class Outcome:
         return sum(self.payments)
 
     def utility(self, instance: AuctionInstance, agent: int) -> float:
-        return true_value(instance, self.allocation, agent) - self.payments[agent]
+        return self.utilities(instance)[agent]
 
     def utilities(self, instance: AuctionInstance) -> tuple[float, ...]:
-        return tuple(self.utility(instance, i) for i in range(instance.n))
+        alloc = self.allocation
+        return utilities(instance, alloc.slot_agents, alloc.display_prices,
+                         self.payments)
+
+
+def utilities(instance: AuctionInstance, slot_agents, display_prices,
+              payments) -> tuple[float, ...]:
+    """Each agent's true value less her payment.
+
+    ``slot_agents[j]`` shows ``display_prices[j]`` in slot j+1.  A
+    displayed agent's true value is lam * (q(p, p_min) * true gain(p)),
+    ``true_value``'s arithmetic; an agent not displayed has value 0.
+    """
+    values = [0.0] * instance.n
+    if display_prices:
+        p_min = min(display_prices)
+        for lam, i, p in zip(instance.slots.prominences, slot_agents,
+                             display_prices):
+            atype, quality = instance.agents[i]
+            values[i] = lam * (quality.q(p, p_min) * atype.gain(p))
+    return tuple(v - pay for v, pay in zip(values, payments))
 
 
 def truthful_gains(instance: AuctionInstance, allocation: Allocation) -> list[float]:

@@ -275,10 +275,12 @@ def _reference_outcome(scenario, kind):
 
 
 def _equilibrium_outcomes(scenario, kind):
-    pairs = enumerate_pure_nash(
+    eqs = enumerate_pure_nash(
         scenario.instance, kind, scenario.spaces[kind],
-        gsp_allow_zero_gain=scenario.gsp_allow_zero_gain, with_outcomes=True)
-    return [eq for eq, _ in pairs], [o for _, o in pairs]
+        gsp_allow_zero_gain=scenario.gsp_allow_zero_gain)
+    return eqs, [run_mechanism(scenario.instance, kind, eq,
+                               gsp_allow_zero_gain=scenario.gsp_allow_zero_gain)
+                 for eq in eqs]
 
 
 def reproduce(scenario: Scenario) -> VerdictReport:

@@ -105,7 +105,7 @@ def test_exclusion():
     expected = _reference_indirect_allocate(inst, prof, exclude=frozenset({1}))
     assert _allocation_from(entries) == expected
     assert expected.slot_agents == (0,)
-    _, without = indirect_pivots(inst, prof)
+    _, _, without = indirect_pivots(inst, prof)
     assert without[1] == sw == declared_welfare(inst, expected, prof.gains)
 
 
@@ -426,12 +426,14 @@ def _indirect_cases():
 
 def test_indirect_matches_reference_exactly():
     for seed, inst, prof in _indirect_cases():
-        alloc, without = indirect_pivots(inst, prof)
+        sw, entries, without = indirect_pivots(inst, prof)
+        alloc = _allocation_from(entries)
         expected = _reference_indirect_allocate(inst, prof)
         assert alloc == expected, seed
+        assert sw == declared_welfare(inst, expected, prof.gains), seed
         assert indirect_allocate(inst, prof) == expected, seed
         assert indirect_allocate(inst, prof, include_zero_gain=True) == \
-            _fill_zero_gain(inst, prof, expected), seed
+            _allocation_from(_fill_zero_gain(inst, prof, entries)), seed
         assert set(without) == set(alloc.slot_agents)
         table = _indirect_table(inst, prof, inst.m + 1)
         for i in range(inst.n):

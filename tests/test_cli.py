@@ -240,6 +240,23 @@ def test_bad_gain_levels_exit_two(instance_file, capsys, command, levels):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["equilibria", "report"])
+@pytest.mark.parametrize("mechanism, message", [
+    ("direct-vcg", "direct-vcg"),
+    ("indirect-vcg-star", "standalone price"),
+])
+def test_engine_refuses_mechanisms_without_strategy_menus(
+        instance_file, capsys, command, mechanism, message):
+    # Direct VCG takes types, not (price, gain) strategies; the starred
+    # mechanism needs standalone prices, which built menus do not carry.
+    code, out, err = run(capsys, command, instance_file,
+                         "--mechanism", mechanism, "--gain-levels", "0,1")
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 # One agent per quality kind, two slots, two prices and a profile: a valid
 # file that every command below accepts.
 VALID_FILE = {

@@ -1,11 +1,13 @@
 """Equilibrium engine: spaces, Nash checks, enumeration, ratios."""
 
+import itertools
 import math
 
 import pytest
 
 from price_display_auctions import (
     AgentType,
+    AuctionError,
     AuctionInstance,
     GuardExceededError,
     MechanismKind,
@@ -21,8 +23,13 @@ from price_display_auctions import (
     profile,
     random_instance,
     run_mechanism,
+    smooth_instance,
     truthful_direct_profile,
+    truthful_star_profile,
 )
+from price_display_auctions import quality as quality_mod
+from price_display_auctions.equilibrium import _payoffs
+from price_display_auctions.model import true_value
 
 VCG = MechanismKind.INDIRECT_VCG
 
@@ -174,7 +181,10 @@ def _differential_spaces(inst):
     single = StrategySpace((plain.options[0][:1],) + plain.options[1:])
     over = StrategySpace.build(inst, gain_levels=(0.0, 1.0), overbidding=True,
                                extra_gains=(2.5,))
-    return {"plain": plain, "single": single, "overbidding": over}
+    # Agent 0 has no strategy at all: the game has no profile.
+    empty = StrategySpace(((),) + plain.options[1:])
+    return {"plain": plain, "single": single, "overbidding": over,
+            "empty": empty}
 
 
 def _differential_instances():
@@ -218,3 +228,70 @@ def test_enumeration_of_an_empty_menu_finds_nothing():
     inst = second_price_instance()
     space = StrategySpace(((), (Strategy(2.0, 1.5),)))
     assert enumerate_pure_nash(inst, VCG, space) == []
+
+
+@pytest.mark.parametrize("kind,allow_zero_gain", [
+    (VCG, False),
+    (MechanismKind.INDIRECT_GSP, False),
+    (MechanismKind.INDIRECT_GSP, True),
+])
+def test_engine_utilities_equal_the_outcomes_exactly(kind, allow_zero_gain):
+    # The engine never builds an Outcome per profile; the utility row it
+    # uses must still be the outcome's, and true value less payment, bit
+    # for bit.
+    for inst in _differential_instances():
+        payoff = _payoffs(inst, kind, allow_zero_gain)
+        for name, space in _differential_spaces(inst).items():
+            for combo in itertools.product(*space.options):
+                prof = StrategyProfile(combo)
+                row = payoff(prof)
+                out = run_mechanism(inst, kind, prof,
+                                    gsp_allow_zero_gain=allow_zero_gain)
+                assert row == out.utilities(inst), name
+                assert row == tuple(
+                    true_value(inst, out.allocation, i) - out.payments[i]
+                    for i in range(inst.n)), name
+
+
+@pytest.mark.parametrize("kind", [
+    MechanismKind.DIRECT_VCG, MechanismKind.INDIRECT_VCG_STAR])
+def test_engine_refuses_mechanisms_without_strategy_menus(kind):
+    inst = second_price_instance()
+    space = StrategySpace.build(inst, gain_levels=(0.0, 1.0))
+    prof = profile((2.0, 2.0), (2.0, 0.0))
+    message = ("direct-vcg" if kind is MechanismKind.DIRECT_VCG
+               else "standalone price")
+    for analyse in (lambda: enumerate_pure_nash(inst, kind, space),
+                    lambda: is_nash(inst, kind, space, prof),
+                    lambda: efficiency_report(inst, kind, space)):
+        with pytest.raises(AuctionError, match=message):
+            analyse()
+
+
+def test_starred_mechanism_enumerates_menus_with_standalone_prices():
+    inst = smooth_instance(2)
+    truthful = truthful_star_profile(inst)
+    space = StrategySpace(tuple(
+        (s, Strategy(s.price, 0.5 * s.gain, s.standalone_price))
+        for s in truthful.strategies))
+    star = MechanismKind.INDIRECT_VCG_STAR
+    want = _plain_nash(inst, star, space, False)
+    assert want
+    assert enumerate_pure_nash(inst, star, space) == want
+    assert all(is_nash(inst, star, space, eq)[0] for eq in want)
+
+
+def test_enumeration_quality_evaluations_are_pinned():
+    # Per profile, the engine makes the mechanism's own evaluations (its
+    # search, and GSP's last-slot rivals) plus one true value per displayed
+    # agent.  Re-scoring the optimum or building an Outcome per profile
+    # would raise these counts.
+    inst = random_instance(22, max_agents=3, max_slots=2, max_prices=4)
+    space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
+    counts = []
+    for kind in (VCG, MechanismKind.INDIRECT_GSP):
+        quality_mod.reset_evaluation_count()
+        enumerate_pure_nash(inst, kind, space)
+        counts.append(quality_mod.evaluation_count())
+    assert (inst.n, inst.m, space.size) == (3, 2, 216)
+    assert counts == [1278, 1492]

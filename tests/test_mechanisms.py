@@ -22,6 +22,7 @@ from price_display_auctions import (
     StrategyProfile,
     brute_force_allocate,
     direct_pivots,
+    indirect_allocate,
     indirect_pivots,
     infer_type,
     profile,
@@ -37,6 +38,7 @@ from price_display_auctions import (
     truthful_star_profile,
 )
 from price_display_auctions import quality as quality_mod
+from price_display_auctions.allocation import _allocation_from
 from price_display_auctions.model import (
     declared_value,
     declared_welfare,
@@ -324,26 +326,50 @@ def test_direct_vcg_pivots_add_no_quality_evaluations():
     assert quality_mod.evaluation_count() == search + 2 * k
 
 
-def test_indirect_vcg_pivots_add_few_quality_evaluations():
-    # The pivots reuse the optimum's search table and price from the
-    # search's welfare: a whole run costs indirect_pivots' evaluations
-    # plus, per payer, one each for the optimum's declared welfare, her
-    # declared value and her true value.  No pivot allocation is re-scored.
+def _counting_instance():
     agents = tuple(
         (AgentType(1.0, 0.05 * i), SmoothDecayQuality(0.2, 0.1, 1.0))
         for i in range(24))
-    inst = AuctionInstance(agents, SlotProfile((1.0, 0.8, 0.6)),
+    return AuctionInstance(agents, SlotProfile((1.0, 0.8, 0.6)),
                            (0.5, 0.9, 1.3, 1.7, 2.1))
+
+
+def test_indirect_vcg_pivots_add_few_quality_evaluations():
+    # The pivots reuse the optimum's search table, and the payments price
+    # from the search's own welfare and entry weights: a whole run costs
+    # indirect_pivots' evaluations plus one per payer, for her true value.
+    # Neither the optimum nor any pivot allocation is re-scored.
+    inst = _counting_instance()
     prof = random_profile(inst, 1)
     quality_mod.reset_evaluation_count()
-    alloc, _ = indirect_pivots(inst, prof)
+    _, entries, _ = indirect_pivots(inst, prof)
     search = quality_mod.evaluation_count()
     quality_mod.reset_evaluation_count()
     out = run_indirect_vcg(inst, prof)
-    k = len(alloc.slot_agents)
-    assert out.allocation == alloc
+    k = len(entries)
+    assert out.allocation == _allocation_from(entries)
     assert k == 3
-    assert (search, quality_mod.evaluation_count()) == (88, 88 + 3 * k)
+    assert (search, quality_mod.evaluation_count()) == (88, 88 + k)
+
+
+def test_indirect_gsp_adds_few_quality_evaluations():
+    # GSP prices each slot from the next occupant's search weight, so a
+    # run costs the search's evaluations plus one per agent left out that
+    # could pay the last slot's price (the agents priced at or above the
+    # page minimum) and one per displayed agent, for her true value.
+    inst = _counting_instance()
+    prof = random_profile(inst, 1)
+    quality_mod.reset_evaluation_count()
+    alloc = indirect_allocate(inst, prof)
+    search = quality_mod.evaluation_count()
+    quality_mod.reset_evaluation_count()
+    out = run_indirect_gsp(inst, prof)
+    k = len(alloc.slot_agents)
+    rivals = sum(1 for j in range(inst.n) if j not in alloc.slot_agents
+                 and prof[j].price >= alloc.p_min)
+    assert out.allocation == alloc
+    assert (k, rivals) == (3, 7)
+    assert (search, quality_mod.evaluation_count()) == (79, 79 + rivals + k)
 
 
 @st.composite
