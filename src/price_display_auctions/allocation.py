@@ -58,39 +58,68 @@ def _allocation_from(entries):
                       tuple(p for _, p, _ in entries))
 
 
-def _indirect_table(instance, profile, keep):
+def _indirect_table(instance, profile):
     """Per candidate minimum: (cand, holders, ranked entries).
 
     The candidates are the distinct submitted prices, in ascending order,
     and a candidate's holders are the agents who submitted exactly it.
     Its entries are the (agent, price, weight) triples of the agents
     priced at or above it with a positive weight q(price, cand) * gain,
-    the first ``keep`` in ``_ranked`` order.  A solve without an
-    ``exclude`` set needs keep >= m + |exclude|: the first m entries not
-    excluded are then always in the table.
+    the first keep = m + 1 in ``_ranked`` order.  A solve that excludes
+    one agent still finds its first m entries there; and as at most m
+    entries are displayed, so does the best agent left out at the page
+    minimum.
+
+    Qualities are non-decreasing in the minimum price, so an agent's
+    weight at any candidate is at most her bound, peak * gain (see
+    ``QualityModel.peak``).  Each candidate scans the agents in descending
+    bound order and stops once it holds ``keep`` entries and the next
+    bound is strictly below the keep-th weight (Fagin, Lotem and Naor's
+    threshold algorithm); an equal bound may still tie and win on rank.
+    An agent with a bound <= 0 is never scored.
     """
-    strategies = profile.strategies
-    bids = sorted([(strategies[i].price, i, strategies[i].gain,
-                    instance.quality(i).q, instance.rank(i))
-                   for i in range(instance.n)])
+    keep = instance.m + 1
+    holders: dict = {}
+    scored = []
+    for i, s in enumerate(profile.strategies):
+        p, gain = s.price, s.gain
+        holders.setdefault(p, []).append(i)
+        if gain > 0.0:
+            quality = instance.quality(i)
+            diagonal = quality.q(p, p)
+            bound = quality.peak(p, diagonal) * gain
+            if bound > 0.0:
+                scored.append((-bound, instance.rank(i), i, p, gain,
+                               quality.q, diagonal * gain))
+    # (-bound, rank) and (w, -rank) are unique per agent; the kept
+    # (w, -rank, agent, price) in descending order are in _ranked's order.
+    scored.sort()
     table = []
-    for start, (cand, holder, _, _, _) in enumerate(bids):
-        if table and table[-1][0] == cand:
-            table[-1][1].append(holder)
-            continue
-        scored = []
-        for p, i, gain, q, rank in bids[start:]:
-            w = q(p, cand) * gain
-            if w > 0.0:
-                scored.append((-w, rank, i, p, w))
-        # (-w, rank) is unique per agent, so sorting gives _ranked's order;
-        # a heap is cheaper only for long lists.
-        if len(scored) > 4 * keep:
-            scored = heapq.nsmallest(keep, scored)
+    for cand in sorted(holders):
+        top: list = []
+        if len(scored) <= keep:
+            # Nothing can be pruned: score every agent.
+            for _, rank, i, p, gain, q, d in scored:
+                if p >= cand:
+                    w = d if p == cand else q(p, cand) * gain
+                    if w > 0.0:
+                        top.append((w, -rank, i, p))
         else:
-            scored.sort()
-        table.append((cand, [holder],
-                      [(i, p, w) for _, _, i, p, w in scored[:keep]]))
+            # A min-heap whose root is the worst entry kept.
+            for neg_bound, rank, i, p, gain, q, d in scored:
+                if len(top) == keep and -neg_bound < top[0][0]:
+                    break
+                if p < cand:
+                    continue
+                w = d if p == cand else q(p, cand) * gain
+                if w > 0.0:
+                    entry = (w, -rank, i, p)
+                    if len(top) < keep:
+                        heapq.heappush(top, entry)
+                    elif entry > top[0]:
+                        heapq.heapreplace(top, entry)
+        top.sort(reverse=True)
+        table.append((cand, holders[cand], [(i, p, w) for w, _, i, p in top]))
     return table
 
 
@@ -136,23 +165,29 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile,
     agents with strictly positive weighted declared value are assigned.
     With ``include_zero_gain``, agents who declared a gain of exactly 0
     are appended to leftover slots when their price and quality allow it
-    (they contribute nothing to welfare either way).  The search makes
-    O(n |C|) quality evaluations for |C| distinct submitted prices, then
-    O(|C| m) steps and at most m |C| re-evaluations.
+    (they contribute nothing to welfare either way).
+
+    The search relies on every quality being non-decreasing in the
+    minimum price: it evaluates each positive bid once on its diagonal,
+    sorts the bids by that bound, and per candidate (|C| distinct
+    submitted prices) scores bids in bound order only until none left can
+    enter the best m + 1.  That is n + O(|C| m) quality evaluations when
+    weights stay near their bounds and O(n |C|) at worst, then O(|C| m)
+    steps and at most m |C| re-evaluations.
     """
     return _allocation_from(
         _indirect_search(instance, profile, include_zero_gain)[1])
 
 
 def _indirect_search(instance, profile, include_zero_gain):
-    """``indirect_allocate``'s (welfare, slot-ordered entries).  Each
-    entry's weight is q(price, p_min) * gain; zero-gain agents appended
-    to leftover slots weigh 0."""
-    table = _indirect_table(instance, profile, instance.m)
+    """``indirect_allocate``'s (welfare, slot-ordered entries, table).
+    Each entry's weight is q(price, p_min) * gain; zero-gain agents
+    appended to leftover slots weigh 0."""
+    table = _indirect_table(instance, profile)
     sw, entries = _solve_indirect(instance, profile, table, frozenset())
     if include_zero_gain:
         entries = _fill_zero_gain(instance, profile, entries)
-    return sw, entries
+    return sw, entries, table
 
 
 def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
@@ -162,13 +197,12 @@ def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
 
     The optimum comes as its welfare and its slot-ordered (agent, price,
     weight) entries, whose weight is q(price, p_min) * gain.  All solves
-    share one table that keeps m + 1 entries per candidate, so each pivot
-    adds O(|C| m) steps and at most m |C| quality re-evaluations.  The
-    welfare is the search's own score, equal bit for bit to
-    ``declared_welfare`` of the allocation it picks.
+    share the search's table, so each pivot adds O(|C| m) steps and at
+    most m |C| quality re-evaluations.  The welfare is the search's own
+    score, equal bit for bit to ``declared_welfare`` of the allocation it
+    picks.
     """
-    table = _indirect_table(instance, profile, instance.m + 1)
-    sw, entries = _solve_indirect(instance, profile, table, frozenset())
+    sw, entries, table = _indirect_search(instance, profile, False)
     without = {i: _solve_indirect(instance, profile, table, frozenset({i}))[0]
                for i, _, _ in entries}
     return sw, entries, without
@@ -281,14 +315,21 @@ def direct_allocate(instance: AuctionInstance, reported
     computed once and ranked once, so the search makes O(n |P|^2)
     quality evaluations and then O(|P| n m) steps.
     """
-    return direct_pivots(instance, reported, ())[0]
+    sw, entries, _ = direct_pivots(instance, reported, ())
+    gains = [0.0] * instance.n
+    for a, p, _ in entries:
+        gains[a] = reported[a].gain(p)
+    return DirectAllocationResult(_allocation_from(entries), sw, tuple(gains))
 
 
 def direct_pivots(instance: AuctionInstance, reported, pivots=None
-                  ) -> tuple[DirectAllocationResult, dict[int, float]]:
+                  ) -> tuple[float, list, dict[int, float]]:
     """The direct optimum and, for each pivot agent, the declared welfare
     of the direct optimum without her.
 
+    The optimum comes as its welfare and its slot-ordered (agent, price,
+    weight) entries, whose weight is q(price, p_hat) * gain(price) at the
+    designated minimum price p_hat, the allocation's own minimum.
     ``pivots`` defaults to the agents the optimum assigns (the VCG
     pivots).  All solves share one table, so each pivot adds O(|P| n m)
     steps and no quality evaluations.  The welfare is the search's own
@@ -297,16 +338,11 @@ def direct_pivots(instance: AuctionInstance, reported, pivots=None
     """
     table = _direct_table(instance, reported)
     sw, entries = _solve_direct(instance, table, frozenset())
-    gains = [0.0] * instance.n
-    for a, p, _ in entries:
-        gains[a] = reported[a].gain(p)
-    result = DirectAllocationResult(_allocation_from(entries), sw,
-                                    tuple(gains))
     if pivots is None:
-        pivots = result.allocation.slot_agents
+        pivots = [a for a, _, _ in entries]
     without = {i: _solve_direct(instance, table, frozenset({i}))[0]
                for i in pivots}
-    return result, without
+    return sw, entries, without
 
 
 def _check_guard(n, m, n_prices=1):

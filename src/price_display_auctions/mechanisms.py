@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 from . import quality as quality_mod
 from .allocation import (
+    _allocation_from,
     _indirect_search,
     direct_allocate,
     direct_pivots,
-    indirect_allocate,
     indirect_pivots,
 )
 from .errors import AuctionError, InferenceError
@@ -28,8 +28,6 @@ from .model import (
     Outcome,
     Strategy,
     StrategyProfile,
-    declared_value,
-    declared_welfare,
     true_welfare,
 )
 
@@ -53,15 +51,18 @@ class InferredType:
     alpha_clamped: bool = False
 
 
-def _pivot_payments(n, sw, without, values):
-    """Pivot payments: each assigned agent i, with declared value v_hat in
-    ``values``' (i, v_hat) pairs, pays the welfare the others lose by her
-    presence, max(0, without[i] - (sw - v_hat)), where ``sw`` and
-    ``without`` are the search's own welfare scores."""
-    payments = [0.0] * n
-    for i, v_hat in values:
-        payments[i] = max(0.0, without[i] - (sw - v_hat))
-    return payments
+def _vcg(instance, sw, entries, without):
+    """A VCG run's (slot agents, display prices, payments, declared
+    welfare) from a pivot search: its welfare ``sw``, its slot-ordered
+    (agent, price, weight) ``entries`` and each payer's welfare
+    ``without`` her.  Payer i pays the welfare the others lose by her
+    presence, max(0, without[i] - (sw - v_hat)), where her declared value
+    v_hat is lam * her entry's weight, ``declared_value``'s arithmetic."""
+    payments = [0.0] * instance.n
+    for lam, (i, _, w) in zip(instance.slots.prominences, entries):
+        payments[i] = max(0.0, without[i] - (sw - lam * w))
+    return (tuple(i for i, _, _ in entries), tuple(p for _, p, _ in entries),
+            payments, sw)
 
 
 def _outcome(instance, slot_agents, display_prices, payments, sw):
@@ -75,28 +76,20 @@ def run_direct_vcg(instance: AuctionInstance, reported=None) -> Outcome:
     ``reported`` is a sequence of AgentType (defaults to the true types).
     Each assigned agent pays her declared value minus the welfare
     improvement her presence brings over the best allocation without her.
-    The optimum and every pivot come from one shared direct search.
+    The optimum and every pivot come from one shared direct search; each
+    payer's entry weight is her declared value at the designated minimum
+    price, so nothing is re-scored but the true welfare.
     """
     if reported is None:
         reported = [instance.atype(i) for i in range(instance.n)]
-    result, without = direct_pivots(instance, reported)
-    alloc, sw = result.allocation, result.declared_welfare
-    payments = _pivot_payments(instance.n, sw, without, (
-        (i, declared_value(instance, alloc, i, result.gains[i]))
-        for i in alloc.slot_agents))
-    return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc))
+    return _outcome(instance, *_vcg(instance,
+                                    *direct_pivots(instance, reported)))
 
 
 def _indirect_vcg(instance, profile):
     """Indirect VCG's (slot agents, display prices, payments, declared
-    welfare), all from one pivot search: a payer's declared value is
-    lam * her entry's weight, ``declared_value``'s arithmetic."""
-    sw, entries, without = indirect_pivots(instance, profile)
-    lams = instance.slots.prominences
-    payments = _pivot_payments(instance.n, sw, without, (
-        (i, lam * w) for lam, (i, _, w) in zip(lams, entries)))
-    return (tuple(i for i, _, _ in entries), tuple(p for _, p, _ in entries),
-            payments, sw)
+    welfare), all from one pivot search."""
+    return _vcg(instance, *indirect_pivots(instance, profile))
 
 
 def run_indirect_vcg(instance: AuctionInstance, profile: StrategyProfile) -> Outcome:
@@ -111,18 +104,19 @@ def run_indirect_vcg(instance: AuctionInstance, profile: StrategyProfile) -> Out
 def _indirect_gsp(instance, profile, allow_zero_gain):
     """Indirect GSP's (slot agents, display prices, payments, declared
     welfare).  The next slot's occupant's weighted value is her search
-    entry's weight."""
-    sw, entries = _indirect_search(instance, profile, allow_zero_gain)
+    entry's weight.  The best agent left out is the first entry at the
+    page minimum (always a candidate) that is not displayed: at most m
+    positive weights are displayed and the table keeps m + 1, so she is
+    there unless no positive weight is left out (then 0.0)."""
+    sw, entries, table = _indirect_search(instance, profile, allow_zero_gain)
     slot_agents = tuple(i for i, _, _ in entries)
     display_prices = tuple(p for _, p, _ in entries)
     payments = [0.0] * instance.n
     if entries:
         p_min = min(display_prices)
-        best_left_out = max(
-            (instance.quality(j).q(profile[j].price, p_min) * profile[j].gain
-             for j in range(instance.n)
-             if j not in slot_agents and profile[j].price >= p_min),
-            default=0.0)
+        ranked = next(r for cand, _, r in table if cand == p_min)
+        best_left_out = next((w for i, _, w in ranked
+                              if i not in slot_agents), 0.0)
         next_values = [w for _, _, w in entries[1:]] + [best_left_out]
         for lam, i, value in zip(instance.slots.prominences, slot_agents,
                                  next_values):
@@ -189,9 +183,9 @@ def run_indirect_vcg_star(instance: AuctionInstance,
             diagnostics.append(f"agent {i}: inferred alpha clamped into [0, 1]")
         inferred.append(AgentType(it.alpha_hat, max(0.0, it.c_hat)))
 
-    alloc = indirect_allocate(instance, profile)
-    sw = declared_welfare(instance, alloc, profile.gains)
-    _, sw_without = direct_pivots(instance, inferred, range(instance.n))
+    sw, entries, _ = _indirect_search(instance, profile, False)
+    alloc = _allocation_from(entries)
+    *_, sw_without = direct_pivots(instance, inferred, range(instance.n))
 
     if sw < max(sw_without.values(), default=0.0) - STAR_TOL:
         payments = (0.0,) * instance.n
@@ -199,8 +193,8 @@ def run_indirect_vcg_star(instance: AuctionInstance,
                        tuple(diagnostics + ["fallback: no ad allocated"]))
 
     payments = [0.0] * instance.n
-    for i in alloc.slot_agents:
-        v_hat = declared_value(instance, alloc, i, profile[i].gain)
+    for lam, (i, _, w) in zip(instance.slots.prominences, entries):
+        v_hat = lam * w
         pi = sw_without[i] - (sw - v_hat)
         if pi < -STAR_TOL or pi > v_hat + STAR_TOL:
             diagnostics.append(

@@ -235,14 +235,15 @@ def true_value(instance: AuctionInstance, allocation: Allocation,
 
 def declared_welfare(instance: AuctionInstance, allocation: Allocation,
                      gains) -> float:
-    """Sum of declared values; ``gains`` holds one gain per agent."""
-    return sum(declared_value(instance, allocation, i, gains[i])
-               for i in allocation.slot_agents)
+    """Sum of declared values; ``gains`` holds one gain per agent.  The
+    sum starts from 0.0, so an empty allocation's welfare is a float."""
+    return sum((declared_value(instance, allocation, i, gains[i])
+                for i in allocation.slot_agents), 0.0)
 
 
 def true_welfare(instance: AuctionInstance, allocation: Allocation) -> float:
-    return sum(true_value(instance, allocation, i)
-               for i in allocation.slot_agents)
+    return sum((true_value(instance, allocation, i)
+                for i in allocation.slot_agents), 0.0)
 
 
 @dataclass(frozen=True)

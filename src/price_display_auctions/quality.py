@@ -65,6 +65,18 @@ class QualityModel:
     def _evaluate(self, p: float, p_min: float) -> float:
         raise NotImplementedError
 
+    def peak(self, p: float, diagonal: float) -> float:
+        """The largest q(p, p_min) over p_min <= p, given ``diagonal`` =
+        q(p, p); makes no ``q`` call.
+
+        A model non-decreasing in ``p_min`` peaks on its diagonal, so the
+        base class returns ``diagonal``; the computed kinds meet this
+        exactly in floating point.  The indirect search bounds an agent's
+        weight at every candidate minimum by it, so a model whose ``q``
+        can exceed its peak breaks that search.
+        """
+        return diagonal
+
     def diagonal_derivative(self, p: float) -> float | None:
         """Analytic derivative of the diagonal map, or None if unavailable."""
         return None
@@ -306,6 +318,12 @@ class TabulatedQuality(QualityModel):
     def _evaluate(self, p, p_min):
         i, j = self._cell(p, p_min)
         return self.values[i][j]
+
+    def peak(self, p, diagonal):
+        # A row may dip by up to the constructor's 1e-12 slack, so the
+        # largest cell up to p's own column can exceed the diagonal.
+        i, j = self._cell(p, p)
+        return max(self.values[i][:j + 1])
 
 
 # Each concrete model under its ``kind``: the one list of quality kinds

@@ -1,5 +1,6 @@
 """Allocation algorithms against hand-worked cases and the oracle."""
 
+import heapq
 import math
 import random
 
@@ -24,6 +25,7 @@ from price_display_auctions import (
     profile,
     random_instance,
     random_profile,
+    run_indirect_gsp,
 )
 from price_display_auctions import quality as quality_mod
 from price_display_auctions.allocation import (
@@ -100,7 +102,7 @@ def test_indirect_empty_when_nothing_positive():
 def test_exclusion():
     inst = two_agent_instance()
     prof = profile((1.0, 0.5), (2.0, 0.9))
-    table = _indirect_table(inst, prof, inst.m + 1)
+    table = _indirect_table(inst, prof)
     sw, entries = _solve_indirect(inst, prof, table, frozenset({1}))
     expected = _reference_indirect_allocate(inst, prof, exclude=frozenset({1}))
     assert _allocation_from(entries) == expected
@@ -275,9 +277,10 @@ def test_direct_matches_reference_exactly():
     for seed in range(120):
         inst = _tie_heavy_instance(seed)
         reported = [inst.atype(i) for i in range(inst.n)]
-        result, without = direct_pivots(inst, reported, range(inst.n))
+        sw, entries, without = direct_pivots(inst, reported, range(inst.n))
         expected = _reference_direct_allocate(inst, reported)
-        assert _fields(result) == _fields(expected), seed
+        assert (_allocation_from(entries), sw) == \
+            (expected.allocation, expected.declared_welfare), seed
         assert _fields(direct_allocate(inst, reported)) == _fields(expected)
         table = _direct_table(inst, reported)
         for i in range(inst.n):
@@ -309,8 +312,8 @@ def test_direct_best_price_ties_go_to_the_lowest_price():
 def test_direct_pivots_default_to_assigned_agents():
     inst = _tie_heavy_instance(3)
     reported = [inst.atype(i) for i in range(inst.n)]
-    result, without = direct_pivots(inst, reported)
-    assert set(without) == set(result.allocation.slot_agents)
+    _, entries, without = direct_pivots(inst, reported)
+    assert set(without) == {a for a, _, _ in entries}
 
 
 def _reference_indirect_allocate(instance, profile, *, exclude=frozenset()):
@@ -364,17 +367,18 @@ def _tie_heavy_profile(instance, seed):
     return StrategyProfile(tuple(strategies))
 
 
-def _coarse_case(seed):
+def _coarse_case(seed, n_range=(1, 9)):
     """An instance and bids on a few round numbers, so that different
     agents often tie exactly, at one candidate minimum and not at another.
     Tabulated tables draw round levels and are made monotone by the
     sampler's running minimum and maximum, which keeps the exact ties.
+    The number of agents is drawn from ``n_range``.
     """
     rng = random.Random(seed)
     levels = (0.25, 0.5, 1.0)
     grid = tuple(sorted(rng.sample((0.5, 1.0, 1.5, 2.0, 3.0),
                                    rng.randint(1, 4))))
-    n = rng.randint(1, 9)
+    n = rng.randint(*n_range)
     m = 1 if seed % 4 == 0 else rng.randint(2, 4)
     agents = []
     for _ in range(n):
@@ -411,6 +415,20 @@ def _excluded_holder_case():
     return inst, profile((2.0, 1.0), (2.0, 1.0), (1.0, 5.0))
 
 
+def _within_slack_case():
+    """Agent 0's table row dips by 5e-13 (inside the constructor's 1e-12
+    slack), so her weight at candidate 1.0 is 0.5, above her diagonal.
+    Agents 1 and 2 weigh 0.5 - 2.5e-13 everywhere.  A scan bounded by the
+    diagonal would stop at candidate 1.0 before reaching agent 0."""
+    dip = TabulatedQuality((1.0, 2.0), (1.0, 2.0),
+                           ((1.0, 1.0), (0.5, 0.5 - 5e-13)))
+    flat = PriceThresholdQuality(2.0, 0.5 - 2.5e-13)
+    agents = ((AgentType(1.0, 0.0), dip), (AgentType(1.0, 0.0), flat),
+              (AgentType(1.0, 0.0), flat), (AgentType(1.0, 0.0), OnlyMinQuality()))
+    inst = AuctionInstance(agents, SlotProfile((1.0,)), (1.0, 2.0))
+    return inst, profile((2.0, 1.0), (2.0, 1.0), (2.0, 1.0), (1.0, 0.1))
+
+
 def _indirect_cases():
     for seed in range(120):
         inst = _tie_heavy_instance(seed)
@@ -422,6 +440,10 @@ def _indirect_cases():
     # Only this case catches a pivot solve that tries the candidate of an
     # excluded agent.
     yield "excluded holder", *_excluded_holder_case()
+    yield "within slack", *_within_slack_case()
+    # Pages of 40 to 200 bids, where the table's scan stops early.
+    for seed in range(12):
+        yield ("large", seed), *_coarse_case(seed, n_range=(40, 200))
 
 
 def test_indirect_matches_reference_exactly():
@@ -435,7 +457,7 @@ def test_indirect_matches_reference_exactly():
         assert indirect_allocate(inst, prof, include_zero_gain=True) == \
             _allocation_from(_fill_zero_gain(inst, prof, entries)), seed
         assert set(without) == set(alloc.slot_agents)
-        table = _indirect_table(inst, prof, inst.m + 1)
+        table = _indirect_table(inst, prof)
         for i in range(inst.n):
             expected = _reference_indirect_allocate(inst, prof,
                                                     exclude=frozenset({i}))
@@ -444,3 +466,82 @@ def test_indirect_matches_reference_exactly():
             if i in without:
                 assert without[i] == declared_welfare(
                     inst, expected, prof.gains), (seed, i)
+
+
+def _reference_indirect_table(instance, profile, keep):
+    """The indirect table with every agent scored at every candidate, as
+    before the bound-ordered scan, kept verbatim as an exact oracle."""
+    strategies = profile.strategies
+    bids = sorted([(strategies[i].price, i, strategies[i].gain,
+                    instance.quality(i).q, instance.rank(i))
+                   for i in range(instance.n)])
+    table = []
+    for start, (cand, holder, _, _, _) in enumerate(bids):
+        if table and table[-1][0] == cand:
+            table[-1][1].append(holder)
+            continue
+        scored = []
+        for p, i, gain, q, rank in bids[start:]:
+            w = q(p, cand) * gain
+            if w > 0.0:
+                scored.append((-w, rank, i, p, w))
+        # (-w, rank) is unique per agent, so sorting gives _ranked's order;
+        # a heap is cheaper only for long lists.
+        if len(scored) > 4 * keep:
+            scored = heapq.nsmallest(keep, scored)
+        else:
+            scored.sort()
+        table.append((cand, [holder],
+                      [(i, p, w) for _, _, i, p, w in scored[:keep]]))
+    return table
+
+
+def test_indirect_table_matches_full_scoring():
+    for seed, inst, prof in _indirect_cases():
+        assert _indirect_table(inst, prof) == \
+            _reference_indirect_table(inst, prof, inst.m + 1), seed
+
+
+def test_indirect_table_stops_early_on_a_large_page():
+    # A seeded page of 261 bids at m = 5 and 8 distinct prices: the table
+    # scores each of the 212 positive bids on its diagonal, then 44 more
+    # over all candidates.  Scoring every bid at every candidate takes
+    # 1,242 evaluations.
+    inst = random_instance(2, max_agents=300, max_slots=5, max_prices=8)
+    prof = random_profile(inst, 2)
+    prices = {s.price for s in prof.strategies}
+    assert (inst.n, inst.m, len(prices)) == (261, 5, 8)
+    assert sum(s.gain > 0.0 for s in prof.strategies) == 212
+    quality_mod.reset_evaluation_count()
+    _indirect_table(inst, prof)
+    assert quality_mod.evaluation_count() == 212 + 44
+
+
+def _reference_gsp_payments(instance, profile, allocation):
+    """GSP's next-slot payments with the last slot priced by a scan over
+    every rival, as before the search table served it, kept verbatim as an
+    exact reference."""
+    slot_agents = allocation.slot_agents
+    payments = [0.0] * instance.n
+    if slot_agents:
+        p_min = min(allocation.display_prices)
+        best_left_out = max(
+            (instance.quality(j).q(profile[j].price, p_min) * profile[j].gain
+             for j in range(instance.n)
+             if j not in slot_agents and profile[j].price >= p_min),
+            default=0.0)
+        weights = [instance.quality(i).q(p, p_min) * profile[i].gain
+                   for i, p in zip(slot_agents, allocation.display_prices)]
+        next_values = weights[1:] + [best_left_out]
+        for lam, i, value in zip(instance.slots.prominences, slot_agents,
+                                 next_values):
+            payments[i] = lam * max(0.0, value)
+    return tuple(payments)
+
+
+def test_gsp_last_slot_price_matches_the_rivals_scan():
+    for seed, inst, prof in _indirect_cases():
+        for allow_zero_gain in (False, True):
+            out = run_indirect_gsp(inst, prof, allow_zero_gain=allow_zero_gain)
+            assert out.payments == _reference_gsp_payments(
+                inst, prof, out.allocation), (seed, allow_zero_gain)

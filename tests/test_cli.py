@@ -11,7 +11,17 @@ import sys
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from price_display_auctions import random_instance, random_profile, save_instance
+from price_display_auctions import (
+    AgentType,
+    AuctionInstance,
+    OnlyMinQuality,
+    PriceThresholdQuality,
+    SlotProfile,
+    profile,
+    random_instance,
+    random_profile,
+    save_instance,
+)
 from price_display_auctions.cli import main
 from price_display_auctions.scenarios import VerdictReport, Check
 
@@ -192,6 +202,27 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "allocate", "/nonexistent/file.json")
     assert code == 2
     assert "error" in err
+
+
+def test_empty_outcome_welfare_prints_as_float(tmp_path, capsys):
+    # Two zero-gain bids: nothing is displayed, and both welfare sums over
+    # no agent print 0.0, as the direct search's does, not the int 0.
+    inst = AuctionInstance(
+        ((AgentType(1.0, 0.0), OnlyMinQuality()),
+         (AgentType(1.0, 0.0), PriceThresholdQuality(threshold=3.0))),
+        SlotProfile((1.0, 0.5)), (1.0, 2.0))
+    path = tmp_path / "zero.json"
+    save_instance(path, inst, profile((1.0, 0.0), (2.0, 0.0)))
+    code, out, _ = run(capsys, "pay", str(path), "--mechanism",
+                       "indirect-vcg", "--json")
+    outcome = json.loads(out)["outcome"]
+    assert code == 0 and outcome["allocation"]["slot_agents"] == []
+    assert '"declared_welfare": 0.0,' in out and '"true_welfare": 0.0,' in out
+    assert type(outcome["declared_welfare"]) is type(outcome["true_welfare"]) \
+        is float
+    code, out, _ = run(capsys, "allocate", str(path), "--json")
+    assert code == 0
+    assert type(json.loads(out)["declared_welfare"]) is float
 
 
 def test_indirect_needs_profile(tmp_path, capsys):

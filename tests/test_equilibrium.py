@@ -283,9 +283,9 @@ def test_starred_mechanism_enumerates_menus_with_standalone_prices():
 
 def test_enumeration_quality_evaluations_are_pinned():
     # Per profile, the engine makes the mechanism's own evaluations (its
-    # search, and GSP's last-slot rivals) plus one true value per displayed
-    # agent.  Re-scoring the optimum or building an Outcome per profile
-    # would raise these counts.
+    # search) plus one true value per displayed agent.  Re-scoring the
+    # optimum, building an Outcome per profile or scoring GSP's last-slot
+    # rivals would raise these counts.
     inst = random_instance(22, max_agents=3, max_slots=2, max_prices=4)
     space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
     counts = []
@@ -294,4 +294,4 @@ def test_enumeration_quality_evaluations_are_pinned():
         enumerate_pure_nash(inst, kind, space)
         counts.append(quality_mod.evaluation_count())
     assert (inst.n, inst.m, space.size) == (3, 2, 216)
-    assert counts == [1278, 1492]
+    assert counts == [927, 904]

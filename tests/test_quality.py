@@ -22,6 +22,7 @@ from price_display_auctions import (
     probe_grid,
     profile,
 )
+from price_display_auctions import quality as quality_mod
 
 
 def test_domain_guard():
@@ -186,6 +187,26 @@ def test_table_monotonicity_slack():
     # Steps within 1e-12 of flat are accepted, as rounding noise.
     TabulatedQuality((1.0, 2.0), (1.0, 2.0),
                      ((0.5, 0.5 - 1e-13), (0.5 + 1e-13, 0.5)))
+
+
+def test_peak_bounds_every_minimum_price():
+    # The indirect search bounds an agent's weight at every candidate
+    # minimum by peak(p, q(p, p)); it must hold exactly, with no q() call.
+    dip = TabulatedQuality((1.0, 2.0), (1.0, 2.0),
+                           ((0.5, 0.5 - 1e-13), (0.5 + 1e-13, 0.5)))
+    models = [OnlyMinQuality(cap=2.0), PriceThresholdQuality(1.0),
+              HyperbolaQuality(1.0, 2.5, 0.1),
+              SmoothDecayQuality(0.3, 0.2, 0.9), dip]
+    points = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    for m in models:
+        for p in points:
+            diagonal = m.q(p, p)
+            before = quality_mod.evaluation_count()
+            peak = m.peak(p, diagonal)
+            assert quality_mod.evaluation_count() == before
+            assert peak == max(m.q(p, pm) for pm in points if pm <= p), (m, p)
+    # Inside the slack, the row's peak is above its diagonal.
+    assert dip.peak(2.0, dip.q(2.0, 2.0)) == 0.5 + 1e-13 > dip.q(2.0, 2.0)
 
 
 def test_audit_passes_for_valid_models():
