@@ -64,7 +64,6 @@ from .model import (
 )
 from .quality import (
     QUALITY_KINDS,
-    AuditReport,
     AuditViolation,
     HyperbolaQuality,
     OnlyMinQuality,
@@ -73,7 +72,6 @@ from .quality import (
     SmoothDecayQuality,
     TabulatedQuality,
     audit_quality,
-    diagonal_derivative,
     probe_grid,
 )
 from .sampling import random_instance, random_profile, smooth_instance

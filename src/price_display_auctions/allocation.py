@@ -1,5 +1,5 @@
-"""Welfare-maximizing allocation: the two fast algorithms and the
-brute-force oracle used to cross-check them.
+"""Welfare-maximizing allocation: the two fast searches, each with a
+pivot variant for VCG, and the brute-force oracle that checks them.
 
 The indirect search fixes submitted prices and only chooses the
 assignment; the direct search additionally chooses a display price per
@@ -32,12 +32,10 @@ BRUTE_FORCE_MAX_PRICES = 6
 
 @dataclass(frozen=True)
 class DirectAllocationResult:
-    """Allocation, its declared welfare as the search scored it, and each
-    agent's declared gain at her chosen price (0 when not displayed)."""
+    """Allocation and its declared welfare as the search scored it."""
 
     allocation: Allocation
     declared_welfare: float
-    gains: tuple[float, ...]
 
 
 def _ranked(instance, entries):
@@ -157,15 +155,12 @@ def _solve_indirect(instance, profile, table, exclude):
     return best_sw, best_entries
 
 
-def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile,
-                      *, include_zero_gain: bool = False) -> Allocation:
+def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile
+                      ) -> Allocation:
     """Assignment maximizing declared welfare at the submitted prices.
 
     Every submitted price is tried as the minimum displayed price; only
     agents with strictly positive weighted declared value are assigned.
-    With ``include_zero_gain``, agents who declared a gain of exactly 0
-    are appended to leftover slots when their price and quality allow it
-    (they contribute nothing to welfare either way).
 
     The search relies on every quality being non-decreasing in the
     minimum price: it evaluates each positive bid once on its diagonal,
@@ -175,14 +170,13 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile,
     weights stay near their bounds and O(n |C|) at worst, then O(|C| m)
     steps and at most m |C| re-evaluations.
     """
-    return _allocation_from(
-        _indirect_search(instance, profile, include_zero_gain)[1])
+    return _allocation_from(_indirect_search(instance, profile, False)[1])
 
 
 def _indirect_search(instance, profile, include_zero_gain):
     """``indirect_allocate``'s (welfare, slot-ordered entries, table).
-    Each entry's weight is q(price, p_min) * gain; zero-gain agents
-    appended to leftover slots weigh 0."""
+    Each entry's weight is q(price, p_min) * gain; ``include_zero_gain``
+    (GSP's ``allow_zero_gain``) fills free slots with zero-gain agents."""
     table = _indirect_table(instance, profile)
     sw, entries = _solve_indirect(instance, profile, table, frozenset())
     if include_zero_gain:
@@ -316,10 +310,7 @@ def direct_allocate(instance: AuctionInstance, reported
     quality evaluations and then O(|P| n m) steps.
     """
     sw, entries, _ = direct_pivots(instance, reported, ())
-    gains = [0.0] * instance.n
-    for a, p, _ in entries:
-        gains[a] = reported[a].gain(p)
-    return DirectAllocationResult(_allocation_from(entries), sw, tuple(gains))
+    return DirectAllocationResult(_allocation_from(entries), sw)
 
 
 def direct_pivots(instance: AuctionInstance, reported, pivots=None
@@ -368,7 +359,7 @@ def _evaluate(instance, assignment, prices, gains):
     p_min = min(prices[a] for a, _ in assignment)
     sw = 0.0
     for a, slot in assignment:
-        lam = instance.slots.prominence(slot)
+        lam = instance.slots.prominences[slot - 1]
         sw += lam * instance.quality(a).q(prices[a], p_min) * gains[a]
     return sw
 
@@ -409,11 +400,8 @@ def brute_force_allocate(instance: AuctionInstance, arg, mode: str,
                 if sw > best_sw + WELFARE_TOL:
                     best_sw, best, best_prices = sw, assignment, prices
         gains = {a: arg[a].gain(best_prices[a]) for a, _ in best}
-        allocation = _canonical(instance, best, best_prices, gains)
-        out_gains = [0.0] * instance.n
-        for a in allocation.slot_agents:
-            out_gains[a] = gains[a]
-        return DirectAllocationResult(allocation, best_sw, tuple(out_gains))
+        return DirectAllocationResult(
+            _canonical(instance, best, best_prices, gains), best_sw)
 
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -226,15 +226,15 @@ def cmd_audit(args) -> int:
     agents = []
     total = 0
     for i in range(instance.n):
-        report = audit_quality(instance.quality(i), probes)
-        total += len(report.violations)
-        agents.append({"agent": i, "ok": report.ok,
+        violations = audit_quality(instance.quality(i), probes)
+        total += len(violations)
+        agents.append({"agent": i, "ok": not violations,
                        "violations": [{"constraint": v.constraint,
                                        "detail": v.detail}
-                                      for v in report.violations]})
+                                      for v in violations]})
         lines.append(f"agent {i}: " +
-                     ("ok" if report.ok else f"{len(report.violations)} violation(s)"))
-        for v in report.violations:
+                     (f"{len(violations)} violation(s)" if violations else "ok"))
+        for v in violations:
             lines.append(f"  {v.constraint}: {v.detail}")
     lines.append(f"probes per model: {len(probes)}")
     lines.append("audit: " + ("PASS" if total == 0 else "FAIL"))

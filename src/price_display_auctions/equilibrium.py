@@ -127,7 +127,6 @@ def is_nash(instance: AuctionInstance, kind: MechanismKind,
 def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
                         space: StrategySpace,
                         *, gsp_allow_zero_gain: bool = False,
-                        guard: int = ENUMERATION_GUARD,
                         ) -> list[StrategyProfile]:
     """All pure Nash profiles of the finite game, in lexicographic order.
 
@@ -137,12 +136,13 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
     ``Outcome`` is built.  A profile is Nash iff each agent's utility is
     within NASH_TOL of the maximum along that agent's axis of the table,
     which is the test ``is_nash`` applies.  Direct VCG raises
-    ``AuctionError``.
+    ``AuctionError``; over ``ENUMERATION_GUARD`` profiles, no run is made
+    and ``GuardExceededError`` is raised.
     """
     payoff = _payoffs(instance, kind, gsp_allow_zero_gain)
-    if space.size > guard:
-        raise GuardExceededError(
-            f"joint strategy space has {space.size} profiles (guard {guard})")
+    if space.size > ENUMERATION_GUARD:
+        raise GuardExceededError(f"joint strategy space has {space.size} "
+                                 f"profiles (guard {ENUMERATION_GUARD})")
     rows = [payoff(StrategyProfile(combo))
             for combo in itertools.product(*space.options)]
     if not rows:  # some menu is empty
@@ -162,6 +162,14 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
                         nash[first + k * stride] = 0
     return [StrategyProfile(combo) for combo, ok
             in zip(itertools.product(*space.options), nash) if ok]
+
+
+def _equilibria_and_outcomes(instance, kind, space, gsp_allow_zero_gain):
+    eqs = enumerate_pure_nash(instance, kind, space,
+                              gsp_allow_zero_gain=gsp_allow_zero_gain)
+    return eqs, [run_mechanism(instance, kind, eq,
+                               gsp_allow_zero_gain=gsp_allow_zero_gain)
+                 for eq in eqs]
 
 
 @dataclass(frozen=True)
@@ -198,11 +206,8 @@ def efficiency_report(instance: AuctionInstance, kind: MechanismKind,
     positive benchmark) reports +inf.  The mechanism runs once more per
     equilibrium, for its ``Outcome``.
     """
-    equilibria = enumerate_pure_nash(instance, kind, space,
-                                     gsp_allow_zero_gain=gsp_allow_zero_gain)
-    outcomes = [run_mechanism(instance, kind, eq,
-                              gsp_allow_zero_gain=gsp_allow_zero_gain)
-                for eq in equilibria]
+    equilibria, outcomes = _equilibria_and_outcomes(
+        instance, kind, space, gsp_allow_zero_gain)
     direct = run_direct_vcg(instance)
     benchmark_sw = direct.true_welfare
     benchmark_rev = direct.revenue

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from . import quality as quality_mod
 from .allocation import (
     _allocation_from,
     _indirect_search,
@@ -149,7 +148,7 @@ def infer_type(quality, bid) -> InferredType:
     the conversion probability from the declared gain at (p, cost).
     """
     b, p, p_star = bid
-    d = quality_mod.diagonal_derivative(quality, p_star)
+    d = quality.diagonal_derivative(p_star)
     if abs(d) < DERIVATIVE_FLOOR:
         raise InferenceError(
             f"diagonal derivative is zero at standalone price {p_star}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import AuctionError, InstanceFormatError
 from .quality import QualityModel
@@ -59,12 +60,6 @@ class SlotProfile:
 
     def __len__(self):
         return len(self.prominences)
-
-    def prominence(self, slot: int | None) -> float:
-        """Prominence of a 1-based slot index; 0 for None (unassigned)."""
-        if slot is None:
-            return 0.0
-        return self.prominences[slot - 1]
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,12 @@ class AuctionInstance:
         """Tie-break priority; lower rank wins."""
         if self.tie_break is None:
             return agent
-        return self.tie_break.index(agent)
+        return self._ranks[agent]
+
+    @cached_property
+    def _ranks(self) -> dict[int, int]:
+        """The inverse of ``tie_break``: each agent's position in it."""
+        return {agent: pos for pos, agent in enumerate(self.tie_break)}
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def declared_value(instance: AuctionInstance, allocation: Allocation,
     if slot is None:
         return 0.0
     p = allocation.display_prices[slot - 1]
-    lam = instance.slots.prominence(slot)
+    lam = instance.slots.prominences[slot - 1]
     return lam * (instance.quality(agent).q(p, allocation.p_min) * gain)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     AuctionError,
@@ -77,9 +77,13 @@ class QualityModel:
         """
         return diagonal
 
-    def diagonal_derivative(self, p: float) -> float | None:
-        """Analytic derivative of the diagonal map, or None if unavailable."""
-        return None
+    def diagonal_derivative(self, p: float) -> float:
+        """Derivative of p -> q(p, p) by central difference (step 1e-6);
+        subclasses give it in closed form away from their kinks."""
+        h = 1e-6
+        if p - h < 0:
+            raise InferenceError(f"cannot differentiate diagonal at p={p}")
+        return (self.q(p + h, p + h) - self.q(p - h, p - h)) / (2.0 * h)
 
     def standalone_price(self, alpha: float, cost: float) -> float:
         """Price maximizing alpha * q(p, p) * (p - cost) over p >= 0.
@@ -133,7 +137,7 @@ class OnlyMinQuality(QualityModel):
     def diagonal_derivative(self, p):
         # Piecewise constant away from the cap.
         if p == self.cap:
-            return None
+            return super().diagonal_derivative(p)
         return 0.0
 
 
@@ -154,7 +158,7 @@ class PriceThresholdQuality(QualityModel):
 
     def diagonal_derivative(self, p):
         if p == self.threshold:
-            return None
+            return super().diagonal_derivative(p)
         return 0.0
 
 
@@ -213,7 +217,7 @@ class HyperbolaQuality(QualityModel):
             return self.psi_derivative(p)
         if p < self.low:
             return 0.0
-        return None
+        return super().diagonal_derivative(p)
 
 
 @dataclass(frozen=True)
@@ -247,7 +251,7 @@ class SmoothDecayQuality(QualityModel):
             return -self.price_slope
         if raw == self.intercept < 1.0:
             return -self.price_slope
-        return None
+        return super().diagonal_derivative(p)
 
     def standalone_price(self, alpha, cost):
         if self.price_slope == 0.0:
@@ -339,22 +343,13 @@ class AuditViolation:
     detail: str
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    violations: tuple[AuditViolation, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def audit_quality(model: QualityModel, probes) -> AuditReport:
+def audit_quality(model: QualityModel, probes) -> tuple[AuditViolation, ...]:
     """Check range and both monotonicity assumptions on a probe grid.
 
     ``probes`` is an iterable of (p, p_min) pairs with p >= p_min.
-    Violations are collected, not raised.  A ``TabulatedQuality`` checks
-    every cell when it is built, so this audit can only fault models
-    whose ``q`` is computed.
+    Returns the violations, collected, not raised: none means a pass.  A
+    ``TabulatedQuality`` checks every cell when it is built, so this
+    audit can only fault models whose ``q`` is computed.
     """
     probes = sorted(set((float(p), float(pm)) for p, pm in probes))
     out: list[AuditViolation] = []
@@ -384,7 +379,7 @@ def audit_quality(model: QualityModel, probes) -> AuditReport:
                     "min-price-monotone",
                     f"q({p}, {b}) = {values[(p, b)]} < q({p}, {a}) = {values[(p, a)]}",
                 ))
-    return AuditReport(tuple(out))
+    return tuple(out)
 
 
 def probe_grid(points) -> list[tuple[float, float]]:
@@ -392,13 +387,3 @@ def probe_grid(points) -> list[tuple[float, float]]:
     pts = sorted(set(float(x) for x in points))
     return [(p, pm) for pm in pts for p in pts if p >= pm]
 
-
-def diagonal_derivative(model: QualityModel, p: float, h: float = 1e-6) -> float:
-    """Derivative of p -> q(p, p); analytic when available, else central
-    finite difference with step ``h``."""
-    exact = model.diagonal_derivative(p)
-    if exact is not None:
-        return exact
-    if p - h < 0:
-        raise InferenceError(f"cannot differentiate diagonal at p={p}")
-    return (model.q(p + h, p + h) - model.q(p - h, p - h)) / (2.0 * h)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .equilibrium import (
     StrategySpace,
-    enumerate_pure_nash,
+    _equilibria_and_outcomes,
     is_nash,
 )
 from .errors import AuctionError, ConstraintViolationError
@@ -274,15 +274,6 @@ def _reference_outcome(scenario, kind):
                          gsp_allow_zero_gain=scenario.gsp_allow_zero_gain)
 
 
-def _equilibrium_outcomes(scenario, kind):
-    eqs = enumerate_pure_nash(
-        scenario.instance, kind, scenario.spaces[kind],
-        gsp_allow_zero_gain=scenario.gsp_allow_zero_gain)
-    return eqs, [run_mechanism(scenario.instance, kind, eq,
-                               gsp_allow_zero_gain=scenario.gsp_allow_zero_gain)
-                 for eq in eqs]
-
-
 def reproduce(scenario: Scenario) -> VerdictReport:
     """Rerun the mechanisms and equilibrium engine on a built scenario and
     assert its expected conclusions."""
@@ -335,7 +326,9 @@ def reproduce(scenario: Scenario) -> VerdictReport:
                                    VALUE_TOL))
         for kind in (VCG, GSP):
             checks.append(_check_nash(scenario, kind))
-            eqs, outs = _equilibrium_outcomes(scenario, kind)
+            eqs, outs = _equilibria_and_outcomes(
+                scenario.instance, kind, scenario.spaces[kind],
+                scenario.gsp_allow_zero_gain)
             checks.append(Check(
                 f"equilibria exist under {kind.value}", bool(eqs),
                 f"{len(eqs)} found", ">= 1"))
@@ -358,7 +351,9 @@ def reproduce(scenario: Scenario) -> VerdictReport:
                                    direct.revenue, exp["direct_revenue"],
                                    VALUE_TOL))
         checks.append(_check_nash(scenario, GSP))
-        eqs, outs = _equilibrium_outcomes(scenario, GSP)
+        eqs, outs = _equilibria_and_outcomes(
+            scenario.instance, GSP, scenario.spaces[GSP],
+            scenario.gsp_allow_zero_gain)
         checks.append(Check("equilibria exist", bool(eqs),
                             f"{len(eqs)} found", ">= 1"))
         worst = max((abs(o.revenue) for o in outs), default=0.0)

@@ -33,6 +33,7 @@ from price_display_auctions.allocation import (
     _allocation_from,
     _direct_table,
     _fill_zero_gain,
+    _indirect_search,
     _indirect_table,
     _ranked,
     _solve_direct,
@@ -43,6 +44,7 @@ from price_display_auctions.model import (
     EMPTY_ALLOCATION,
     WELFARE_TOL,
     declared_welfare,
+    truthful_gains,
 )
 from price_display_auctions.sampling import _monotone
 
@@ -249,10 +251,7 @@ def _reference_direct_allocate(instance, reported, *, exclude=frozenset()):
                 best_entries = chosen
 
     allocation = _allocation_from(best_entries) if best_entries else EMPTY_ALLOCATION
-    gains = [0.0] * instance.n
-    for a in allocation.slot_agents:
-        gains[a] = reported[a].gain(allocation.price_of(a))
-    return DirectAllocationResult(allocation, best_sw, tuple(gains))
+    return DirectAllocationResult(allocation, best_sw)
 
 
 def _tie_heavy_instance(seed):
@@ -270,7 +269,7 @@ def _tie_heavy_instance(seed):
 
 def _fields(result):
     return (result.allocation.slot_agents, result.allocation.display_prices,
-            result.declared_welfare, result.gains)
+            result.declared_welfare)
 
 
 def test_direct_matches_reference_exactly():
@@ -290,7 +289,8 @@ def test_direct_matches_reference_exactly():
             assert _allocation_from(entries) == expected.allocation, (seed, i)
             assert sw == expected.declared_welfare, (seed, i)
             assert without[i] == declared_welfare(
-                inst, expected.allocation, expected.gains), (seed, i)
+                inst, expected.allocation,
+                truthful_gains(inst, expected.allocation)), (seed, i)
 
 
 def test_direct_best_price_ties_go_to_the_lowest_price():
@@ -454,8 +454,8 @@ def test_indirect_matches_reference_exactly():
         assert alloc == expected, seed
         assert sw == declared_welfare(inst, expected, prof.gains), seed
         assert indirect_allocate(inst, prof) == expected, seed
-        assert indirect_allocate(inst, prof, include_zero_gain=True) == \
-            _allocation_from(_fill_zero_gain(inst, prof, entries)), seed
+        assert _indirect_search(inst, prof, True)[1] == \
+            _fill_zero_gain(inst, prof, entries), seed
         assert set(without) == set(alloc.slot_agents)
         table = _indirect_table(inst, prof)
         for i in range(inst.n):

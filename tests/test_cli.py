@@ -190,8 +190,8 @@ def test_audit_json_deterministic(instance_file, capsys):
 
 def test_audit_fail_exits_one(instance_file, capsys, monkeypatch):
     from price_display_auctions import cli
-    from price_display_auctions.quality import AuditReport, AuditViolation
-    bad = AuditReport((AuditViolation("range", "q out of range"),))
+    from price_display_auctions.quality import AuditViolation
+    bad = (AuditViolation("range", "q out of range"),)
     monkeypatch.setattr(cli, "audit_quality", lambda *a, **k: bad)
     code, out, _ = run(capsys, "audit", instance_file)
     assert code == 1

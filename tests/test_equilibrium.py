@@ -28,7 +28,7 @@ from price_display_auctions import (
     truthful_star_profile,
 )
 from price_display_auctions import quality as quality_mod
-from price_display_auctions.equilibrium import _payoffs
+from price_display_auctions.equilibrium import ENUMERATION_GUARD, _payoffs
 from price_display_auctions.model import true_value
 
 VCG = MechanismKind.INDIRECT_VCG
@@ -97,10 +97,15 @@ def test_enumeration_against_hand_check():
 
 
 def test_enumeration_guard():
+    # 41 gain levels at each of 2 prices: 82 strategies per agent and
+    # 82**4 = 45,212,176 joint profiles, refused before any profile runs.
     inst = random_instance(1, max_agents=4)
-    space = StrategySpace.build(inst)
+    space = StrategySpace.build(inst, gain_levels=[k / 40 for k in range(41)])
+    assert space.size == 45_212_176 > ENUMERATION_GUARD
+    quality_mod.reset_evaluation_count()
     with pytest.raises(GuardExceededError):
-        enumerate_pure_nash(inst, VCG, space, guard=1)
+        enumerate_pure_nash(inst, VCG, space)
+    assert quality_mod.evaluation_count() == 0
 
 
 def test_efficiency_report_ratios():

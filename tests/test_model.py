@@ -78,8 +78,7 @@ def test_slot_profile_validation():
     with pytest.raises(AuctionError):
         SlotProfile((1.2,))
     slots = SlotProfile((1.0, 0.5))
-    assert slots.prominence(1) == 1.0
-    assert slots.prominence(None) == 0.0
+    assert slots.prominences[0] == 1.0
     assert len(slots) == 2
 
 

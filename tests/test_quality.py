@@ -10,14 +10,15 @@ from price_display_auctions import (
     AuctionError,
     AuctionInstance,
     HyperbolaQuality,
+    InferenceError,
     OnlyMinQuality,
     PriceThresholdQuality,
     QualityDomainError,
+    QualityModel,
     SlotProfile,
     SmoothDecayQuality,
     TabulatedQuality,
     audit_quality,
-    diagonal_derivative,
     indirect_allocate,
     probe_grid,
     profile,
@@ -98,14 +99,14 @@ def test_hyperbola_derivative_matches_finite_difference():
     for p in (1.2, 1.8, 2.3):
         fd = (q.psi(p + 1e-6) - q.psi(p - 1e-6)) / 2e-6
         assert abs(q.psi_derivative(p) - fd) <= 1e-5
-        assert diagonal_derivative(q, p) == q.psi_derivative(p)
+        assert q.diagonal_derivative(p) == q.psi_derivative(p)
 
 
 def test_smooth_decay_values_and_derivative():
     q = SmoothDecayQuality(price_slope=0.3, gap_slope=0.2, intercept=0.9)
     assert abs(q.q(1.0, 0.5) - (0.9 - 0.3 - 0.1)) <= 1e-12
     assert q.q(10.0, 10.0) == 0.0
-    assert diagonal_derivative(q, 1.0) == -0.3
+    assert q.diagonal_derivative(1.0) == -0.3
 
 
 def test_smooth_decay_standalone_price_closed_form():
@@ -132,10 +133,27 @@ def test_finite_difference_fallback():
     # exercised through a model that never reports a derivative.
     class Opaque(SmoothDecayQuality):
         def diagonal_derivative(self, p):
-            return None
+            return QualityModel.diagonal_derivative(self, p)
     op = Opaque(price_slope=0.3, intercept=0.9)
-    assert abs(diagonal_derivative(op, 1.0) + 0.3) <= 1e-6
-    assert diagonal_derivative(q, 0.5) == 0.0
+    assert abs(op.diagonal_derivative(1.0) + 0.3) <= 1e-6
+    assert q.diagonal_derivative(0.5) == 0.0
+    # The central difference needs p - 1e-6 >= 0.
+    with pytest.raises(InferenceError):
+        op.diagonal_derivative(0.0)
+
+
+def test_kinks_take_the_finite_difference():
+    hyperbola = HyperbolaQuality(low=1.0, high=2.5, delta=0.1)
+    kinks = [(OnlyMinQuality(cap=2.0), 2.0),
+             (PriceThresholdQuality(threshold=1.5), 1.5),
+             (hyperbola, 1.0), (hyperbola, 2.5),
+             # The clip binds at 0 (raw -0.3) and at 1 (no slope).
+             (SmoothDecayQuality(price_slope=0.3, intercept=0.9), 4.0),
+             (SmoothDecayQuality(price_slope=0.0), 1.0)]
+    for model, p in kinks:
+        d = model.diagonal_derivative(p)
+        assert math.isfinite(d), (model, p)
+        assert d == QualityModel.diagonal_derivative(model, p), (model, p)
 
 
 def test_tabulated_lookup_and_clamping():
@@ -215,15 +233,15 @@ def test_audit_passes_for_valid_models():
               SmoothDecayQuality(0.3, 0.2, 0.9)]
     probes = probe_grid([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
     for m in models:
-        assert audit_quality(m, probes).ok, m
+        assert audit_quality(m, probes) == (), m
 
 
 def test_audit_range_violation():
     class TooEager(SmoothDecayQuality):
         def _evaluate(self, p, p_min):
             return 1.5
-    report = audit_quality(TooEager(0.1), probe_grid([1.0, 2.0]))
-    assert any(v.constraint == "range" for v in report.violations)
+    violations = audit_quality(TooEager(0.1), probe_grid([1.0, 2.0]))
+    assert any(v.constraint == "range" for v in violations)
 
 
 @given(st.floats(0.01, 3.0), st.floats(0.01, 3.0),
