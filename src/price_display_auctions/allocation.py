@@ -170,17 +170,14 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile
     weights stay near their bounds and O(n |C|) at worst, then O(|C| m)
     steps and at most m |C| re-evaluations.
     """
-    return _allocation_from(_indirect_search(instance, profile, False)[1])
+    return _allocation_from(_indirect_search(instance, profile)[1])
 
 
-def _indirect_search(instance, profile, include_zero_gain):
+def _indirect_search(instance, profile):
     """``indirect_allocate``'s (welfare, slot-ordered entries, table).
-    Each entry's weight is q(price, p_min) * gain; ``include_zero_gain``
-    (GSP's ``allow_zero_gain``) fills free slots with zero-gain agents."""
+    Each entry's weight is q(price, p_min) * gain."""
     table = _indirect_table(instance, profile)
     sw, entries = _solve_indirect(instance, profile, table, frozenset())
-    if include_zero_gain:
-        entries = _fill_zero_gain(instance, profile, entries)
     return sw, entries, table
 
 
@@ -196,42 +193,10 @@ def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
     score, equal bit for bit to ``declared_welfare`` of the allocation it
     picks.
     """
-    sw, entries, table = _indirect_search(instance, profile, False)
+    sw, entries, table = _indirect_search(instance, profile)
     without = {i: _solve_indirect(instance, profile, table, frozenset({i}))[0]
                for i, _, _ in entries}
     return sw, entries, without
-
-
-def _fill_zero_gain(instance, profile, entries):
-    """Append zero-gain agents (b == 0, positive quality) to free slots."""
-    m = instance.m
-    taken = {i for i, _, _ in entries}
-    p_min = min((p for _, p, _ in entries), default=None)
-    agents = range(instance.n)
-
-    if p_min is None:
-        # Nothing displayed: pick the candidate minimum price that fits
-        # the most zero-gain ads (ties to the lower price).
-        best = None
-        for cand in sorted({profile[i].price for i in agents}):
-            fit = [i for i in agents
-                   if profile[i].gain == 0.0 and profile[i].price >= cand
-                   and instance.quality(i).q(profile[i].price, cand) > 0.0]
-            if fit and (best is None or len(fit) > len(best[1])):
-                best = (cand, fit)
-        if best is None:
-            return entries
-        p_min, _ = best
-
-    extras = [i for i in agents
-              if i not in taken and profile[i].gain == 0.0
-              and profile[i].price >= p_min
-              and instance.quality(i).q(profile[i].price, p_min) > 0.0]
-    extras.sort(key=instance.rank)
-    free = m - len(entries)
-    if not extras or free <= 0:
-        return entries
-    return entries + [(i, profile[i].price, 0.0) for i in extras[:free]]
 
 
 def _direct_table(instance, reported):

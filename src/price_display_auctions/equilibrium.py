@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+from .allocation import direct_allocate
 from .errors import AuctionError, GuardExceededError
 from .mechanisms import (
     MechanismKind,
@@ -232,10 +233,11 @@ def truthful_direct_profile(instance: AuctionInstance) -> StrategyProfile:
     """The profile that mimics the direct mechanism under truthful play:
     displayed agents submit its chosen price with their true gain there,
     everyone else submits (0, 0)."""
-    result = run_direct_vcg(instance)
+    reported = [instance.atype(i) for i in range(instance.n)]
+    allocation = direct_allocate(instance, reported).allocation
     strategies = []
     for i in range(instance.n):
-        p = result.allocation.price_of(i)
+        p = allocation.price_of(i)
         if p is None:
             strategies.append(Strategy(0.0, 0.0))
         else:

@@ -100,14 +100,41 @@ def run_indirect_vcg(instance: AuctionInstance, profile: StrategyProfile) -> Out
     return _outcome(instance, *_indirect_vcg(instance, profile))
 
 
+def _fill_zero_gain(instance, profile, entries):
+    """Append zero-gain agents (b == 0, positive quality) to free slots.
+
+    They join at the page minimum, or on an empty page at the submitted
+    price that fits the most of them (ties to the lower price), in
+    tie-break order.
+    """
+    free = instance.m - len(entries)
+    if free <= 0:
+        return entries
+    candidates = ([min(p for _, p, _ in entries)] if entries
+                  else sorted({s.price for s in profile.strategies}))
+    taken = {i for i, _, _ in entries}
+    extras: list = []
+    for cand in candidates:
+        fit = [i for i, s in enumerate(profile.strategies)
+               if i not in taken and s.gain == 0.0 and s.price >= cand
+               and instance.quality(i).q(s.price, cand) > 0.0]
+        if len(fit) > len(extras):
+            extras = fit
+    extras.sort(key=instance.rank)
+    return entries + [(i, profile[i].price, 0.0) for i in extras[:free]]
+
+
 def _indirect_gsp(instance, profile, allow_zero_gain):
     """Indirect GSP's (slot agents, display prices, payments, declared
     welfare).  The next slot's occupant's weighted value is her search
     entry's weight.  The best agent left out is the first entry at the
     page minimum (always a candidate) that is not displayed: at most m
     positive weights are displayed and the table keeps m + 1, so she is
-    there unless no positive weight is left out (then 0.0)."""
-    sw, entries, table = _indirect_search(instance, profile, allow_zero_gain)
+    there unless no positive weight is left out (then 0.0).
+    ``allow_zero_gain`` fills free slots with zero-gain agents."""
+    sw, entries, table = _indirect_search(instance, profile)
+    if allow_zero_gain:
+        entries = _fill_zero_gain(instance, profile, entries)
     slot_agents = tuple(i for i, _, _ in entries)
     display_prices = tuple(p for _, p, _ in entries)
     payments = [0.0] * instance.n
@@ -182,7 +209,7 @@ def run_indirect_vcg_star(instance: AuctionInstance,
             diagnostics.append(f"agent {i}: inferred alpha clamped into [0, 1]")
         inferred.append(AgentType(it.alpha_hat, max(0.0, it.c_hat)))
 
-    sw, entries, _ = _indirect_search(instance, profile, False)
+    sw, entries, _ = _indirect_search(instance, profile)
     alloc = _allocation_from(entries)
     *_, sw_without = direct_pivots(instance, inferred, range(instance.n))
 

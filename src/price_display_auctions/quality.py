@@ -88,27 +88,25 @@ class QualityModel:
     def standalone_price(self, alpha: float, cost: float) -> float:
         """Price maximizing alpha * q(p, p) * (p - cost) over p >= 0.
 
-        Subclasses with a closed form override this; the generic version
-        runs a bounded scalar search on the diagonal.
+        Subclasses with a closed form override this.  The generic version
+        searches the diagonal on [max(cost, 0), max(cost + 1, 10)], so an
+        unbounded diagonal value, such as ``OnlyMinQuality(cap=inf)``'s,
+        returns the upper end of that interval.
         """
-        from scipy.optimize import minimize_scalar
-
         lo = max(cost, 0.0)
         hi = max(cost + 1.0, 10.0)
         objective = lambda p: -alpha * self.q(p, p) * (p - cost)
         # Diagonals are often flat or discontinuous, so a local search
-        # alone can stall; presample coarsely and refine near the best.
+        # alone can stall: presample coarsely, then shrink the step by 4
+        # around the best point.  The best point stays a candidate, so no
+        # refinement makes it worse.
         samples = 400
         step = (hi - lo) / samples
         best = min((lo + k * step for k in range(samples + 1)), key=objective)
-        res = minimize_scalar(
-            objective,
-            bounds=(max(lo, best - step), min(hi, best + step)),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        if objective(float(res.x)) <= objective(best):
-            return float(res.x)
+        while step > 1e-12:
+            step /= 4.0
+            best = min((p for p in (best + k * step for k in range(-4, 5))
+                        if lo <= p <= hi), key=objective)
         return best
 
 

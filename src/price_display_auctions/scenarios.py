@@ -299,15 +299,15 @@ def reproduce(scenario: Scenario) -> VerdictReport:
             exp["ratio"], RATIO_TOL))
 
     elif sid == "T7-poa-m":
+        outs = {}
         for kind in (VCG, GSP):
             checks.append(_check_nash(scenario, kind))
-            out = _reference_outcome(scenario, kind)
+            outs[kind] = out = _reference_outcome(scenario, kind)
             checks.append(_check_close(
                 f"equilibrium welfare under {kind.value}",
                 out.true_welfare, exp["equilibrium_sw"], VALUE_TOL))
-        out = _reference_outcome(scenario, VCG)
         checks.append(_check_close(
-            "welfare ratio", direct.true_welfare / out.true_welfare,
+            "welfare ratio", direct.true_welfare / outs[VCG].true_welfare,
             exp["ratio"], RATIO_TOL))
 
     elif sid == "T9-overbid":

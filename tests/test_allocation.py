@@ -32,14 +32,13 @@ from price_display_auctions.allocation import (
     DirectAllocationResult,
     _allocation_from,
     _direct_table,
-    _fill_zero_gain,
-    _indirect_search,
     _indirect_table,
     _ranked,
     _solve_direct,
     _solve_indirect,
     _weighted_sw,
 )
+from price_display_auctions.mechanisms import _fill_zero_gain
 from price_display_auctions.model import (
     EMPTY_ALLOCATION,
     WELFARE_TOL,
@@ -454,8 +453,8 @@ def test_indirect_matches_reference_exactly():
         assert alloc == expected, seed
         assert sw == declared_welfare(inst, expected, prof.gains), seed
         assert indirect_allocate(inst, prof) == expected, seed
-        assert _indirect_search(inst, prof, True)[1] == \
-            _fill_zero_gain(inst, prof, entries), seed
+        assert run_indirect_gsp(inst, prof, allow_zero_gain=True).allocation \
+            == _allocation_from(_fill_zero_gain(inst, prof, entries)), seed
         assert set(without) == set(alloc.slot_agents)
         table = _indirect_table(inst, prof)
         for i in range(inst.n):

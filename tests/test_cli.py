@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from price_display_auctions import (
     AgentType,
     AuctionInstance,
+    HyperbolaQuality,
     OnlyMinQuality,
     PriceThresholdQuality,
     SlotProfile,
@@ -21,6 +22,7 @@ from price_display_auctions import (
     random_instance,
     random_profile,
     save_instance,
+    smooth_instance,
 )
 from price_display_auctions.cli import main
 from price_display_auctions.scenarios import VerdictReport, Check
@@ -70,10 +72,25 @@ def test_pay_all_mechanisms(instance_file, capsys):
         assert "payments" in payload["outcome"]
 
 
-def test_pay_star_defaults_to_truthful(tmp_path, capsys):
-    from price_display_auctions import smooth_instance
-    path = tmp_path / "smooth.json"
-    save_instance(path, smooth_instance(2))
+def _hyperbola_instance():
+    """Three psi-hyperbola agents: their standalone prices come from the
+    generic search, not from a closed form."""
+    agents = tuple((AgentType(alpha, cost),
+                    HyperbolaQuality(low=1.0, high=2.5, delta=0.1))
+                   for alpha, cost in ((0.9, 0.1), (0.7, 0.2), (0.5, 0.0)))
+    return AuctionInstance(agents, SlotProfile((1.0, 0.6)),
+                           (1.0, 1.5, 2.0, 2.5))
+
+
+@pytest.mark.parametrize("make", [lambda: smooth_instance(2),
+                                  _hyperbola_instance],
+                         ids=["smooth-decay", "psi-hyperbola"])
+def test_pay_star_defaults_to_truthful(tmp_path, capsys, monkeypatch, make):
+    # The library needs no third-party module at run time.
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    path = tmp_path / "star.json"
+    save_instance(path, make())
     code, out, _ = run(capsys, "pay", str(path),
                        "--mechanism", "indirect-vcg-star", "--json")
     assert code == 0

@@ -1,0 +1,41 @@
+"""The package runs on the standard library alone.
+
+Every import in ``src/price_display_auctions``, function-local ones
+included, is relative or names a standard-library module, and
+``pyproject.toml`` declares no runtime dependency, so a third-party
+import cannot creep back unnoticed.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "price_display_auctions"
+
+
+def _absolute_imports(path):
+    """The module names of every absolute import in the file at ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    outside = [(path.name, name) for path in sources
+               for name in _absolute_imports(path)
+               if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []

@@ -127,6 +127,26 @@ def test_generic_standalone_price_search():
     assert f(p_star) >= max(f(p) for p in grid) - 1e-6
 
 
+@pytest.mark.parametrize("model, kink", [
+    (PriceThresholdQuality(threshold=3.7, level=0.6), 3.7),
+    (OnlyMinQuality(cap=2.345, level=0.8), 2.345),
+    (PriceThresholdQuality(threshold=0.301), 0.301),
+], ids=["price-threshold", "only-min", "within-first-step"])
+def test_generic_standalone_price_reaches_the_kink(model, kink):
+    """The value rises up to the kink and drops to 0 past it; the kink is
+    off the 400-step presample, so only the refinement can reach it.  In
+    the last case every presample point is worth 0."""
+    alpha, cost = 0.7, 0.3
+    p_star = model.standalone_price(alpha, cost)
+    assert abs(p_star - kink) <= 1e-9
+    value = lambda p: alpha * model.q(p, p) * (p - cost)
+    lo, hi = cost, max(cost + 1.0, 10.0)
+    step = (hi - lo) / 400
+    presample = [lo + k * step for k in range(401)]
+    assert kink not in presample
+    assert value(p_star) >= max(value(p) for p in presample)
+
+
 def test_finite_difference_fallback():
     q = PriceThresholdQuality(threshold=1.0)
     # Analytic away from the threshold, finite difference elsewhere is
