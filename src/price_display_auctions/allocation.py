@@ -56,6 +56,31 @@ def _allocation_from(entries):
                       tuple(p for _, p, _ in entries))
 
 
+def _threshold_top(scan, keep, score):
+    """The best ``keep`` entries of a bound-ordered scan, descending.
+
+    ``scan`` holds tuples in ascending order whose first field is an
+    agent's negated bound, and ``score`` maps one to that agent's entry
+    (w, -rank, agent, price), w at most the bound, or to None.  The scan
+    stops once it holds ``keep`` entries and the next bound is strictly
+    below the keep-th weight (Fagin, Lotem and Naor's threshold
+    algorithm); an equal bound may still tie and win on rank.
+    """
+    top: list = []  # a min-heap whose root is the worst entry kept
+    for item in scan:
+        if len(top) == keep and -item[0] < top[0][0]:
+            break
+        entry = score(item)
+        if entry is None:
+            continue
+        if len(top) < keep:
+            heapq.heappush(top, entry)
+        elif entry > top[0]:
+            heapq.heapreplace(top, entry)
+    top.sort(reverse=True)
+    return top
+
+
 def _indirect_table(instance, profile):
     """Per candidate minimum: (cand, holders, ranked entries).
 
@@ -71,10 +96,9 @@ def _indirect_table(instance, profile):
     Qualities are non-decreasing in the minimum price, so an agent's
     weight at any candidate is at most her bound, peak * gain (see
     ``QualityModel.peak``).  Each candidate scans the agents in descending
-    bound order and stops once it holds ``keep`` entries and the next
-    bound is strictly below the keep-th weight (Fagin, Lotem and Naor's
-    threshold algorithm); an equal bound may still tie and win on rank.
-    An agent with a bound <= 0 is never scored.
+    bound order until ``_threshold_top`` stops; on a page of at most
+    ``keep`` agents nothing can be pruned, and all are scored.  An agent
+    with a bound <= 0 is never scored.
     """
     keep = instance.m + 1
     holders: dict = {}
@@ -94,29 +118,24 @@ def _indirect_table(instance, profile):
     scored.sort()
     table = []
     for cand in sorted(holders):
-        top: list = []
         if len(scored) <= keep:
             # Nothing can be pruned: score every agent.
+            top = []
             for _, rank, i, p, gain, q, d in scored:
                 if p >= cand:
                     w = d if p == cand else q(p, cand) * gain
                     if w > 0.0:
                         top.append((w, -rank, i, p))
+            top.sort(reverse=True)
         else:
-            # A min-heap whose root is the worst entry kept.
-            for neg_bound, rank, i, p, gain, q, d in scored:
-                if len(top) == keep and -neg_bound < top[0][0]:
-                    break
-                if p < cand:
-                    continue
-                w = d if p == cand else q(p, cand) * gain
-                if w > 0.0:
-                    entry = (w, -rank, i, p)
-                    if len(top) < keep:
-                        heapq.heappush(top, entry)
-                    elif entry > top[0]:
-                        heapq.heapreplace(top, entry)
-        top.sort(reverse=True)
+            def score(item, cand=cand):
+                _, rank, i, p, gain, q, d = item
+                if p >= cand:
+                    w = d if p == cand else q(p, cand) * gain
+                    if w > 0.0:
+                        return (w, -rank, i, p)
+                return None
+            top = _threshold_top(scored, keep, score)
         table.append((cand, holders[cand], [(i, p, w) for w, _, i, p in top]))
     return table
 
@@ -207,26 +226,67 @@ def _direct_table(instance, reported):
     (agent, price, weight) at the first price >= p_hat whose weight beats
     the best so far by more than WELFARE_TOL; it depends on p_hat alone,
     not on the designated agent or on who is excluded, so one table serves
-    every solve.  Agents with no positive weight have no entry.
+    every solve.  Agents with no positive weight have no entry, and only
+    the first keep = m + 1 entries in ``_ranked`` order are kept: a solve
+    excludes at most one agent, so it still finds its first m there.
+
+    Qualities are non-decreasing in the minimum price, so an agent's
+    weight at price grid[j] and any p_hat <= grid[j] is at most
+    peak(grid[j]) * gain(grid[j]) (see ``QualityModel.peak``), and her
+    best entry at p_hat = grid[k] at most the suffix maximum of those
+    terms over j >= k, her bound.  Each p_hat scans the agents in
+    descending bound order, scoring full rows, until ``_threshold_top``
+    stops.  Every agent's diagonal is scored once per grid price and
+    serves as her row's first cell, so a table costs n |P| quality
+    evaluations plus the rows of the agents scanned.
     """
     grid = instance.price_grid
-    gains = [[reported[h].gain(p) for p in grid] for h in range(instance.n)]
+    keep = instance.m + 1
+    ranks = [instance.rank(h) for h in range(instance.n)]
+    qs, gains, diagonals, bounds = [], [], [], []
+    for h in range(instance.n):
+        quality = instance.quality(h)
+        gains_h = [reported[h].gain(p) for p in grid]
+        diagonal = []
+        terms = []
+        for p, gain in zip(grid, gains_h):
+            d = quality.q(p, p)
+            diagonal.append(d * gain)
+            terms.append(quality.peak(p, d) * gain)
+        # Suffix maxima; a bound <= 0 is never scanned, so start at 0.
+        bound = 0.0
+        bounds_h = []
+        for term in reversed(terms):
+            if term > bound:
+                bound = term
+            bounds_h.append(bound)
+        bounds_h.reverse()
+        qs.append(quality.q)
+        gains.append(gains_h)
+        diagonals.append(diagonal)
+        bounds.append(bounds_h)
+
+    def entry(item):
+        """Agent h's best entry at p_hat = grid[k], as (w, -rank, h, price),
+        or None."""
+        _, rank, h, k = item
+        best = None
+        for j in range(k, len(grid)):
+            w = diagonals[h][k] if j == k else \
+                qs[h](grid[j], grid[k]) * gains[h][j]
+            if w > 0.0 and (best is None or w > best[0] + WELFARE_TOL):
+                best = (w, -rank, h, grid[j])
+        return best
+
     table = []
     for k, p_hat in enumerate(grid):
-        diagonal = []
-        best = []
-        for h in range(instance.n):
-            q = instance.quality(h).q
-            best_h = None
-            for j in range(k, len(grid)):
-                w = q(grid[j], p_hat) * gains[h][j]
-                if j == k:
-                    diagonal.append(w)
-                if w > 0.0 and (best_h is None or w > best_h[2] + WELFARE_TOL):
-                    best_h = (h, grid[j], w)
-            if best_h is not None:
-                best.append(best_h)
-        table.append((p_hat, diagonal, _ranked(instance, best)))
+        # (-bound, rank) and (w, -rank) are unique per agent; the kept
+        # (w, -rank, agent, price) in descending order are in _ranked's order.
+        scan = sorted((-b[k], ranks[h], h, k) for h, b in enumerate(bounds)
+                      if b[k] > 0.0)
+        top = _threshold_top(scan, keep, entry)
+        table.append((p_hat, [d[k] for d in diagonals],
+                      [(h, p, w) for w, _, h, p in top]))
     return table
 
 
@@ -238,23 +298,50 @@ def _solve_direct(instance, table, exclude):
     ranked entries that are neither i nor excluded: the first m entries
     not excluded (``top``) less i's own entry, or else less the m-th.  The
     designated entry is inserted where ``_ranked`` would put it.
+
+    Per p_hat and dropped entry, prefix sums of lam_j * w_j and suffix
+    sums of lam_{j+1} * w_j over the others give each candidate's welfare
+    as an O(1) estimate.  It adds the same m or fewer non-negative
+    products as ``_weighted_sw`` in another order, so the two differ by
+    about 2 (m - 1) 2^-53 times the estimate at most.  A candidate is
+    skipped when its estimate plus a margin of 4 (m + 2) 2^-53 times it
+    still cannot beat the best by more than WELFARE_TOL; every other
+    candidate is scored exactly.  A NaN estimate is never skipped, and an
+    infinite one only once the best is infinite, which no sum can beat.
     """
     m = instance.m
-    rank = instance.rank
+    lams = instance.slots.prominences
+    ranks = [instance.rank(i) for i in range(instance.n)]
+    slack = 4 * (m + 2) * 2.0 ** -53
     best_sw = 0.0
     best_entries: list = []
     for p_hat, diagonal, ranked in table:
         top = [e for e in ranked if e[0] not in exclude][:m]
-        top_agents = [a for a, _, _ in top]
-        top_keys = [(-w, rank(a)) for a, _, w in top]
+        top_index = {a: k for k, (a, _, _) in enumerate(top)}
+        top_keys = [(-w, ranks[a]) for a, _, w in top]
+        views: dict = {}
         for i, w_i in enumerate(diagonal):
             if w_i <= 0.0 or i in exclude:
                 continue
             # Drop i's own entry, or else the m-th.
-            k = top_agents.index(i) if i in top_agents else m - 1
-            others = top[:k] + top[k + 1:]
-            keys = top_keys[:k] + top_keys[k + 1:]
-            pos = bisect_left(keys, (-w_i, rank(i)))
+            k = top_index.get(i, m - 1)
+            view = views.get(k)
+            if view is None:
+                others = top[:k] + top[k + 1:]
+                pre = [0.0]
+                for lam, (_, _, w) in zip(lams, others):
+                    pre.append(pre[-1] + lam * w)
+                suf = [0.0] * len(pre)
+                for j in range(len(others) - 1, -1, -1):
+                    suf[j] = lams[j + 1] * others[j][2] + suf[j + 1]
+                view = views[k] = (others, top_keys[:k] + top_keys[k + 1:],
+                                   pre, suf)
+            others, keys, pre, suf = view
+            pos = bisect_left(keys, (-w_i, ranks[i]))
+            est = pre[pos] + lams[pos] * w_i + suf[pos]
+            margin = slack * est
+            if est + margin <= best_sw + WELFARE_TOL:
+                continue
             chosen = others[:pos] + [(i, p_hat, w_i)] + others[pos:]
             sw = _weighted_sw(instance, chosen)
             if sw > best_sw + WELFARE_TOL:
@@ -270,9 +357,11 @@ def direct_allocate(instance: AuctionInstance, reported
     Tries every (candidate minimum price, designated agent) pair: the
     designated agent is fixed at the candidate price, every other agent
     gets her best allowed price (when it yields positive value), and
-    slots are filled greedily.  Each agent's best price per candidate is
-    computed once and ranked once, so the search makes O(n |P|^2)
-    quality evaluations and then O(|P| n m) steps.
+    slots are filled greedily.  Each agent's diagonal is scored once per
+    grid price, and her best price per candidate only while she can still
+    enter the best m + 1 there: n |P| quality evaluations plus the rows of
+    those contenders, O(n |P|^2) at worst.  Each pair's welfare is then
+    estimated in O(1), and summed exactly only when it can win.
     """
     sw, entries, _ = direct_pivots(instance, reported, ())
     return DirectAllocationResult(_allocation_from(entries), sw)
@@ -287,8 +376,9 @@ def direct_pivots(instance: AuctionInstance, reported, pivots=None
     weight) entries, whose weight is q(price, p_hat) * gain(price) at the
     designated minimum price p_hat, the allocation's own minimum.
     ``pivots`` defaults to the agents the optimum assigns (the VCG
-    pivots).  All solves share one table, so each pivot adds O(|P| n m)
-    steps and no quality evaluations.  The welfare is the search's own
+    pivots).  All solves share one table, so each pivot adds
+    O(|P| (n log m + m^2)) steps, an exact O(m) sum per pair that can win
+    and no quality evaluations.  The welfare is the search's own
     score, equal bit for bit to ``declared_welfare`` of the allocation it
     picks at its chosen gains.
     """

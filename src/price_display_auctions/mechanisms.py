@@ -178,7 +178,8 @@ def infer_type(quality, bid) -> InferredType:
     d = quality.diagonal_derivative(p_star)
     if abs(d) < DERIVATIVE_FLOOR:
         raise InferenceError(
-            f"diagonal derivative is zero at standalone price {p_star}")
+            f"the {quality.kind} quality is flat at its standalone price "
+            f"{p_star}, so its cost cannot be inferred")
     c_hat = quality.q(p_star, p_star) / d + p_star
     if p == c_hat:
         return InferredType(c_hat, 0.0)
@@ -204,7 +205,11 @@ def run_indirect_vcg_star(instance: AuctionInstance,
         s = profile[i]
         if s.standalone_price is None:
             raise AuctionError(f"agent {i} did not submit a standalone price")
-        it = infer_type(instance.quality(i), (s.gain, s.price, s.standalone_price))
+        try:
+            it = infer_type(instance.quality(i),
+                            (s.gain, s.price, s.standalone_price))
+        except InferenceError as e:
+            raise InferenceError(f"agent {i}: {e}") from e
         if it.alpha_clamped:
             diagnostics.append(f"agent {i}: inferred alpha clamped into [0, 1]")
         inferred.append(AgentType(it.alpha_hat, max(0.0, it.c_hat)))
@@ -236,7 +241,10 @@ def truthful_star_profile(instance: AuctionInstance) -> StrategyProfile:
     Assigned agents take the price the direct mechanism would choose for
     them; the rest use their best grid price when displayed alone.  Gains
     are truthful at those prices, and the standalone price is the
-    unconstrained optimizer of the diagonal value.
+    unconstrained optimizer of the diagonal value.  Where an agent's
+    diagonal is flat there, as for the piecewise-constant kinds (only-min,
+    price-threshold, tabulated) away from their kinks, the starred
+    mechanism refuses the profile: ``infer_type`` cannot recover her cost.
     """
     reported = [instance.atype(i) for i in range(instance.n)]
     result = direct_allocate(instance, reported)

@@ -3,6 +3,7 @@
 import heapq
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -190,9 +191,11 @@ def _direct_eval_count(n, n_prices):
 
 
 def test_direct_evaluation_count_scales_quadratically():
-    # The search is O(n |P|^2) quality evaluations: linear in n (each
-    # agent's best price per candidate minimum is found once, not once per
-    # designated agent) and quadratic in |P|.
+    # The search makes n |P| diagonal evaluations plus the rows of the
+    # agents that can still enter each candidate minimum's best m + 1, so
+    # at most O(n |P|^2): linear in n (each agent's best price per
+    # candidate minimum is found at most once, not once per designated
+    # agent) and at most quadratic in |P|.
     base = _direct_eval_count(6, 5)
     assert base <= 6 * 5 * 5
     assert _direct_eval_count(12, 5) <= 2.3 * base
@@ -313,6 +316,170 @@ def test_direct_pivots_default_to_assigned_agents():
     reported = [inst.atype(i) for i in range(inst.n)]
     _, entries, without = direct_pivots(inst, reported)
     assert set(without) == {a for a, _, _ in entries}
+
+
+def _reference_direct_table(instance, reported):
+    """The direct table with every agent's full row scored at every p_hat
+    and every best entry kept, as before the bound-ordered scan, kept
+    verbatim as an exact oracle."""
+    grid = instance.price_grid
+    gains = [[reported[h].gain(p) for p in grid] for h in range(instance.n)]
+    table = []
+    for k, p_hat in enumerate(grid):
+        diagonal = []
+        best = []
+        for h in range(instance.n):
+            q = instance.quality(h).q
+            best_h = None
+            for j in range(k, len(grid)):
+                w = q(grid[j], p_hat) * gains[h][j]
+                if j == k:
+                    diagonal.append(w)
+                if w > 0.0 and (best_h is None or w > best_h[2] + WELFARE_TOL):
+                    best_h = (h, grid[j], w)
+            if best_h is not None:
+                best.append(best_h)
+        table.append((p_hat, diagonal, _ranked(instance, best)))
+    return table
+
+
+def _reference_solve_direct(instance, table, exclude):
+    """The direct solve with every candidate scored exactly, as before the
+    estimate filter, kept verbatim as an exact oracle."""
+    m = instance.m
+    rank = instance.rank
+    best_sw = 0.0
+    best_entries: list = []
+    for p_hat, diagonal, ranked in table:
+        top = [e for e in ranked if e[0] not in exclude][:m]
+        top_agents = [a for a, _, _ in top]
+        top_keys = [(-w, rank(a)) for a, _, w in top]
+        for i, w_i in enumerate(diagonal):
+            if w_i <= 0.0 or i in exclude:
+                continue
+            # Drop i's own entry, or else the m-th.
+            k = top_agents.index(i) if i in top_agents else m - 1
+            others = top[:k] + top[k + 1:]
+            keys = top_keys[:k] + top_keys[k + 1:]
+            pos = bisect_left(keys, (-w_i, rank(i)))
+            chosen = others[:pos] + [(i, p_hat, w_i)] + others[pos:]
+            sw = _weighted_sw(instance, chosen)
+            if sw > best_sw + WELFARE_TOL:
+                best_sw = sw
+                best_entries = chosen
+    return best_sw, best_entries
+
+
+def _direct_within_slack_instance():
+    """Agent 0's table row dips by 5e-13 (inside the constructor's 1e-12
+    slack), so at p_hat 1.0 her best weight is 1.0, above every diagonal
+    term of hers.  Agents 1 to 3 weigh 1.0 - 5e-13 there.  A scan bounded
+    by the diagonal would keep those three and stop before agent 0."""
+    dip = TabulatedQuality((1.0, 2.0), (1.0, 2.0),
+                           ((0.5, 0.5), (0.5, 0.5 - 5e-13)))
+    flat = PriceThresholdQuality(2.0, 0.5 - 2.5e-13)
+    agents = ((AgentType(1.0, 0.0), dip),) + ((AgentType(1.0, 0.0), flat),) * 3
+    return AuctionInstance(agents, SlotProfile((1.0, 0.5)), (1.0, 2.0))
+
+
+def _direct_equal_bound_instance():
+    """At p_hat 1.0, agent 1's bound (0.75, from her price 2.0) puts her
+    in the top three before agent 3, although her weight there is only
+    0.375.  Agent 3's bound equals that weight, and she ties it and wins
+    on rank, so a scan that stopped on an equal bound would keep agent 1."""
+    agents = ((AgentType(1.0, 0.0), PriceThresholdQuality(1.0)),
+              (AgentType(1.0, 0.0), OnlyMinQuality(level=0.375)),
+              (AgentType(1.0, 0.0), PriceThresholdQuality(1.0, 0.5)),
+              (AgentType(1.0, 0.0), PriceThresholdQuality(1.0, 0.375)))
+    return AuctionInstance(agents, SlotProfile((1.0, 0.5)), (1.0, 2.0),
+                           (0, 3, 2, 1))
+
+
+def _direct_cases():
+    for seed in range(120):
+        yield seed, _tie_heavy_instance(seed)
+    for seed in range(200):
+        yield ("coarse", seed), _coarse_case(seed)[0]
+    yield "within slack", _direct_within_slack_instance()
+    yield "equal bound", _direct_equal_bound_instance()
+
+
+def test_direct_table_matches_full_scoring():
+    for seed, inst in _direct_cases():
+        reported = [inst.atype(i) for i in range(inst.n)]
+        table = _direct_table(inst, reported)
+        expected = _reference_direct_table(inst, reported)
+        assert [(p, d) for p, d, _ in table] == \
+            [(p, d) for p, d, _ in expected], seed
+        assert [r for _, _, r in table] == \
+            [r[:inst.m + 1] for _, _, r in expected], seed
+
+
+def test_direct_solve_matches_the_exact_scoring():
+    for seed, inst in _direct_cases():
+        reported = [inst.atype(i) for i in range(inst.n)]
+        table = _direct_table(inst, reported)
+        expected = _reference_direct_table(inst, reported)
+        for exclude in [frozenset()] + [frozenset({i}) for i in range(inst.n)]:
+            assert _solve_direct(inst, table, exclude) == \
+                _reference_solve_direct(inst, expected, exclude), \
+                (seed, exclude)
+
+
+def test_direct_solve_scores_estimates_at_the_tolerance_boundary():
+    # At p_hat 2.0, agent 1 is designated with weight 1.0 and agents 2 and
+    # 3 follow.  The estimate adds 1.0 to a + b; the exact left-to-right
+    # sum adds a, then b, and rounds one ulp higher.  The bar, the first
+    # candidate's welfare plus WELFARE_TOL, equals the estimate, so only
+    # the exact sum clears it: a filter with no margin would keep the
+    # first candidate.
+    agents = ((AgentType(1.0, 0.0), PriceThresholdQuality(2.0)),) * 4
+    inst = AuctionInstance(agents, SlotProfile((1.0, 1.0, 1.0)), (1.0, 2.0))
+    a = float.fromhex("0x1.526eb52fe346ap-1")
+    b = float.fromhex("0x1.c764c27bc23e1p-2")
+    chosen = [(1, 2.0, 1.0), (2, 2.0, a), (3, 2.0, b)]
+    est = 1.0 + (a + b)
+    exact = _weighted_sw(inst, chosen)
+    assert est < exact == (1.0 + a) + b
+    first = est - WELFARE_TOL
+    assert first + WELFARE_TOL == est
+    table = [(1.0, [first, 0.0, 0.0, 0.0], []),
+             (2.0, [0.0, 1.0, 0.0, 0.0], chosen[1:])]
+    assert _reference_solve_direct(inst, table, frozenset()) == (exact, chosen)
+    assert _solve_direct(inst, table, frozenset()) == (exact, chosen)
+
+
+def test_direct_solve_on_an_infinite_estimate():
+    # Two agents whose values are each a finite 1.7e308 and one rival
+    # with a finite value far below: the optimum's welfare, and so its
+    # estimate, is inf, yet every solve returns what exact scoring does.
+    big = (AgentType(1.0, 0.0), PriceThresholdQuality(1.7e308))
+    rival = (AgentType(1.0, 0.0), PriceThresholdQuality(1.7e308, 1e-300))
+    inst = AuctionInstance((big, big, rival), SlotProfile((1.0, 1.0)),
+                           (1e308, 1.7e308))
+    reported = [inst.atype(i) for i in range(inst.n)]
+    table = _direct_table(inst, reported)
+    expected = _reference_direct_table(inst, reported)
+    assert _reference_solve_direct(inst, expected, frozenset())[0] == math.inf
+    for exclude in [frozenset()] + [frozenset({i}) for i in range(inst.n)]:
+        assert _solve_direct(inst, table, exclude) == \
+            _reference_solve_direct(inst, expected, exclude), exclude
+
+
+def test_direct_table_stops_early():
+    # A seeded instance of 30 agents, 5 slots and 8 grid prices: the table
+    # scores the 240 diagonals, then the rows of the agents that can still
+    # enter each p_hat's best six.  Scoring every agent's full row at
+    # every p_hat takes 30 * (8 + 7 + ... + 1) = 1,080 evaluations.
+    inst = random_instance(238, max_agents=30, max_slots=5, max_prices=8)
+    assert (inst.n, inst.m, len(inst.price_grid)) == (30, 5, 8)
+    reported = [inst.atype(i) for i in range(inst.n)]
+    quality_mod.reset_evaluation_count()
+    _reference_direct_table(inst, reported)
+    assert quality_mod.evaluation_count() == 1080
+    quality_mod.reset_evaluation_count()
+    _direct_table(inst, reported)
+    assert quality_mod.evaluation_count() == 487
 
 
 def _reference_indirect_allocate(instance, profile, *, exclude=frozenset()):

@@ -97,6 +97,23 @@ def test_pay_star_defaults_to_truthful(tmp_path, capsys, monkeypatch, make):
     assert json.loads(out)["mechanism"] == "indirect-vcg-star"
 
 
+def test_pay_star_refuses_a_flat_standalone_price(tmp_path, capsys):
+    # Both costs lie below the kinks, so each standalone price sits on the
+    # flat side of its kink, where no cost can be inferred.
+    agents = ((AgentType(1.0, 0.5), PriceThresholdQuality(1.5)),
+              (AgentType(1.0, 0.5), OnlyMinQuality(cap=2.0)))
+    path = tmp_path / "kink.json"
+    save_instance(path, AuctionInstance(agents, SlotProfile((1.0, 0.5)),
+                                        (1.0, 1.5, 2.0)))
+    code, out, err = run(capsys, "pay", str(path),
+                         "--mechanism", "indirect-vcg-star")
+    assert code == 2
+    assert "agent 0: the price-threshold quality is flat at its standalone " \
+           "price 1.4999" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_pay_unknown_mechanism(instance_file, capsys):
     code, _, err = run(capsys, "pay", instance_file, "--mechanism", "magic")
     assert code == 2

@@ -199,6 +199,17 @@ def test_star_truthful_matches_direct_vcg():
         assert a == pytest.approx(b, abs=1e-9)
 
 
+def test_star_refuses_a_flat_diagonal_by_agent_and_kind():
+    # Agent 0's cost is inferable; agent 1's only-min diagonal is flat at
+    # her standalone price, so the mechanism refuses her truthful bid.
+    agents = ((AgentType(1.0, 0.0), SmoothDecayQuality(0.4, 0.0, 1.0)),
+              (AgentType(1.0, 0.5), OnlyMinQuality(cap=2.0)))
+    inst = AuctionInstance(agents, SlotProfile((1.0,)), (1.0, 1.5, 2.0))
+    with pytest.raises(InferenceError, match="agent 1: the only-min quality "
+                       "is flat at its standalone price"):
+        run_indirect_vcg_star(inst, truthful_star_profile(inst))
+
+
 def test_star_requires_standalone_price():
     inst = smooth_instance(7)
     from price_display_auctions import AuctionError
