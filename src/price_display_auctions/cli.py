@@ -12,12 +12,14 @@ import json
 import math
 import random
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .allocation import brute_force_allocate, direct_allocate, indirect_allocate
 from .equilibrium import StrategySpace, efficiency_report, enumerate_pure_nash
 from .errors import AuctionError
 from .mechanisms import MechanismKind, run_mechanism, truthful_star_profile
+from .model import declared_welfare
 from .quality import audit_quality, probe_grid
 from .scenarios import SCENARIO_IDS, build, reproduce
 from .serialization import (
@@ -99,7 +101,6 @@ def cmd_allocate(args) -> int:
             alloc = brute_force_allocate(instance, profile, "indirect")
         else:
             alloc = indirect_allocate(instance, profile)
-        from .model import declared_welfare
         sw = declared_welfare(instance, alloc, profile.gains)
     lines = [f"mode: {args.mode}" + (" (oracle)" if args.oracle else ""),
              f"assigned agents (by slot): {list(alloc.slot_agents)}",
@@ -207,9 +208,7 @@ def cmd_reproduce(args) -> int:
     _emit(args, "reproduce",
           {"scenario": verdict.scenario_id, "params": verdict.params,
            "passed": verdict.passed,
-           "checks": [{"name": c.name, "passed": c.passed,
-                       "observed": c.observed, "expected": c.expected}
-                      for c in verdict.checks]},
+           "checks": [asdict(c) for c in verdict.checks]},
           lines)
     return 0 if verdict.passed else 1
 
@@ -229,9 +228,7 @@ def cmd_audit(args) -> int:
         violations = audit_quality(instance.quality(i), probes)
         total += len(violations)
         agents.append({"agent": i, "ok": not violations,
-                       "violations": [{"constraint": v.constraint,
-                                       "detail": v.detail}
-                                      for v in violations]})
+                       "violations": [asdict(v) for v in violations]})
         lines.append(f"agent {i}: " +
                      (f"{len(violations)} violation(s)" if violations else "ok"))
         for v in violations:

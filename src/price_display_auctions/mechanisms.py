@@ -21,6 +21,7 @@ from .allocation import (
 from .errors import AuctionError, InferenceError
 from .model import (
     EMPTY_ALLOCATION,
+    WELFARE_TOL,
     AgentType,
     Allocation,
     AuctionInstance,
@@ -32,8 +33,6 @@ from .model import (
 
 # Treat a diagonal derivative smaller than this as zero (inference error).
 DERIVATIVE_FLOOR = 1e-12
-# Slack used when comparing welfare maxima inside the starred mechanism.
-STAR_TOL = 1e-9
 
 
 class MechanismKind(enum.Enum):
@@ -218,7 +217,7 @@ def run_indirect_vcg_star(instance: AuctionInstance,
     alloc = _allocation_from(entries)
     *_, sw_without = direct_pivots(instance, inferred, range(instance.n))
 
-    if sw < max(sw_without.values(), default=0.0) - STAR_TOL:
+    if sw < max(sw_without.values(), default=0.0) - WELFARE_TOL:
         payments = (0.0,) * instance.n
         return Outcome(EMPTY_ALLOCATION, payments, 0.0, 0.0,
                        tuple(diagnostics + ["fallback: no ad allocated"]))
@@ -227,7 +226,7 @@ def run_indirect_vcg_star(instance: AuctionInstance,
     for lam, (i, _, w) in zip(instance.slots.prominences, entries):
         v_hat = lam * w
         pi = sw_without[i] - (sw - v_hat)
-        if pi < -STAR_TOL or pi > v_hat + STAR_TOL:
+        if pi < -WELFARE_TOL or pi > v_hat + WELFARE_TOL:
             diagnostics.append(
                 f"agent {i}: payment {pi} clamped into [0, declared value]")
         payments[i] = min(max(0.0, pi), max(0.0, v_hat))

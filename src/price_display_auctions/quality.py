@@ -19,18 +19,9 @@ from .errors import (
     QualityDomainError,
 )
 
-# Incremented on every quality evaluation.  Profiling aid only; reset it
-# with reset_evaluation_count() before measuring.
-_EVALUATIONS = 0
-
-
-def evaluation_count() -> int:
-    return _EVALUATIONS
-
-
-def reset_evaluation_count() -> None:
-    global _EVALUATIONS
-    _EVALUATIONS = 0
+# How far a table cell or an audited value may break monotonicity before
+# it counts as a violation: steps this small are rounding noise.
+_MONOTONE_SLACK = 1e-12
 
 
 def _require_finite(model, *names):
@@ -54,8 +45,6 @@ class QualityModel:
 
     def q(self, p: float, p_min: float) -> float:
         """Click probability for displayed price ``p`` given ``p_min``."""
-        global _EVALUATIONS
-        _EVALUATIONS += 1
         if p < p_min:
             raise QualityDomainError(
                 f"quality evaluated at p={p} < p_min={p_min}"
@@ -302,10 +291,10 @@ class TabulatedQuality(QualityModel):
                 if not 0.0 <= v <= 1.0:
                     bad = (f"range: cell [{i}][{j}] (p={self.prices[i]}, "
                            f"p_min={self.min_prices[j]}) = {v}")
-                elif i and v > self.values[i - 1][j] + 1e-12:
+                elif i and v > self.values[i - 1][j] + _MONOTONE_SLACK:
                     bad = (f"price-monotone: cell [{i}][{j}] > cell "
                            f"[{i - 1}][{j}] ({v} > {self.values[i - 1][j]})")
-                elif j and v < row[j - 1] - 1e-12:
+                elif j and v < row[j - 1] - _MONOTONE_SLACK:
                     bad = (f"min-price-monotone: cell [{i}][{j}] < cell "
                            f"[{i}][{j - 1}] ({v} < {row[j - 1]})")
                 else:
@@ -322,8 +311,8 @@ class TabulatedQuality(QualityModel):
         return self.values[i][j]
 
     def peak(self, p, diagonal):
-        # A row may dip by up to the constructor's 1e-12 slack, so the
-        # largest cell up to p's own column can exceed the diagonal.
+        # A row may dip by up to _MONOTONE_SLACK, so the largest cell
+        # up to p's own column can exceed the diagonal.
         i, j = self._cell(p, p)
         return max(self.values[i][:j + 1])
 
@@ -365,14 +354,14 @@ def audit_quality(model: QualityModel, probes) -> tuple[AuditViolation, ...]:
         by_p.setdefault(p, []).append(pm)
     for pm, ps in by_pmin.items():
         for a, b in zip(ps, ps[1:]):
-            if values[(b, pm)] > values[(a, pm)] + 1e-12:
+            if values[(b, pm)] > values[(a, pm)] + _MONOTONE_SLACK:
                 out.append(AuditViolation(
                     "price-monotone",
                     f"q({b}, {pm}) = {values[(b, pm)]} > q({a}, {pm}) = {values[(a, pm)]}",
                 ))
     for p, pms in by_p.items():
         for a, b in zip(pms, pms[1:]):
-            if values[(p, b)] < values[(p, a)] - 1e-12:
+            if values[(p, b)] < values[(p, a)] - _MONOTONE_SLACK:
                 out.append(AuditViolation(
                     "min-price-monotone",
                     f"q({p}, {b}) = {values[(p, b)]} < q({p}, {a}) = {values[(p, a)]}",

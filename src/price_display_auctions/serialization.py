@@ -92,13 +92,19 @@ def _quality_value(value, depth, path):
 
 
 def quality_from_dict(data: dict, path: str = "quality"):
-    """Read a quality model: its keys are the model's dataclass fields, and
-    an absent key takes the field's default."""
+    """Read a quality model: its keys are ``kind`` and the model's dataclass
+    fields, an absent field takes its default, and any other key is
+    refused, so that a misspelt field cannot silently take its default."""
     kind = _require(data, "kind", path, str)
     cls = QUALITY_KINDS.get(kind)
     if cls is None:
         raise InstanceFormatError(f"{path}.kind",
                                   f"unknown quality kind {kind!r}")
+    names = {f.name for f in fields(cls)}
+    for key in data:
+        if key != "kind" and key not in names:
+            raise InstanceFormatError(f"{path}.{key}",
+                                      f"unknown field for quality kind {kind!r}")
     # The field's annotation gives its list nesting: float, tuple[float, ...]
     # or a table of those.
     params = {f.name: _quality_value(_require(data, f.name, path),

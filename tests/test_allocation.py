@@ -28,7 +28,6 @@ from price_display_auctions import (
     random_profile,
     run_indirect_gsp,
 )
-from price_display_auctions import quality as quality_mod
 from price_display_auctions.allocation import (
     DirectAllocationResult,
     _allocation_from,
@@ -182,33 +181,33 @@ def _counting_instance(n, n_prices):
     return AuctionInstance(agents, SlotProfile((1.0, 0.8, 0.6)), grid)
 
 
-def _direct_eval_count(n, n_prices):
+def _direct_eval_count(count_q_calls, n, n_prices):
     inst = _counting_instance(n, n_prices)
     reported = [inst.atype(i) for i in range(inst.n)]
-    quality_mod.reset_evaluation_count()
-    direct_allocate(inst, reported)
-    return quality_mod.evaluation_count()
+    with count_q_calls() as calls:
+        direct_allocate(inst, reported)
+    return calls()
 
 
-def test_direct_evaluation_count_scales_quadratically():
+def test_direct_evaluation_count_scales_quadratically(count_q_calls):
     # The search makes n |P| diagonal evaluations plus the rows of the
     # agents that can still enter each candidate minimum's best m + 1, so
     # at most O(n |P|^2): linear in n (each agent's best price per
     # candidate minimum is found at most once, not once per designated
     # agent) and at most quadratic in |P|.
-    base = _direct_eval_count(6, 5)
+    base = _direct_eval_count(count_q_calls, 6, 5)
     assert base <= 6 * 5 * 5
-    assert _direct_eval_count(12, 5) <= 2.3 * base
-    assert _direct_eval_count(6, 10) <= 4.6 * base
+    assert _direct_eval_count(count_q_calls, 12, 5) <= 2.3 * base
+    assert _direct_eval_count(count_q_calls, 6, 10) <= 4.6 * base
 
 
-def test_indirect_evaluation_count_scales_quadratically():
+def test_indirect_evaluation_count_scales_quadratically(count_q_calls):
     for n in (6, 12):
         inst = _counting_instance(n, 4)
         prof = random_profile(inst, 1)
-        quality_mod.reset_evaluation_count()
-        indirect_allocate(inst, prof)
-        assert quality_mod.evaluation_count() <= 5 * n * n
+        with count_q_calls() as calls:
+            indirect_allocate(inst, prof)
+        assert calls() <= 5 * n * n
 
 
 def _reference_direct_allocate(instance, reported, *, exclude=frozenset()):
@@ -466,7 +465,7 @@ def test_direct_solve_on_an_infinite_estimate():
             _reference_solve_direct(inst, expected, exclude), exclude
 
 
-def test_direct_table_stops_early():
+def test_direct_table_stops_early(count_q_calls):
     # A seeded instance of 30 agents, 5 slots and 8 grid prices: the table
     # scores the 240 diagonals, then the rows of the agents that can still
     # enter each p_hat's best six.  Scoring every agent's full row at
@@ -474,12 +473,12 @@ def test_direct_table_stops_early():
     inst = random_instance(238, max_agents=30, max_slots=5, max_prices=8)
     assert (inst.n, inst.m, len(inst.price_grid)) == (30, 5, 8)
     reported = [inst.atype(i) for i in range(inst.n)]
-    quality_mod.reset_evaluation_count()
-    _reference_direct_table(inst, reported)
-    assert quality_mod.evaluation_count() == 1080
-    quality_mod.reset_evaluation_count()
-    _direct_table(inst, reported)
-    assert quality_mod.evaluation_count() == 487
+    with count_q_calls() as calls:
+        _reference_direct_table(inst, reported)
+    assert calls() == 1080
+    with count_q_calls() as calls:
+        _direct_table(inst, reported)
+    assert calls() == 487
 
 
 def _reference_indirect_allocate(instance, profile, *, exclude=frozenset()):
@@ -668,7 +667,7 @@ def test_indirect_table_matches_full_scoring():
             _reference_indirect_table(inst, prof, inst.m + 1), seed
 
 
-def test_indirect_table_stops_early_on_a_large_page():
+def test_indirect_table_stops_early_on_a_large_page(count_q_calls):
     # A seeded page of 261 bids at m = 5 and 8 distinct prices: the table
     # scores each of the 212 positive bids on its diagonal, then 44 more
     # over all candidates.  Scoring every bid at every candidate takes
@@ -678,9 +677,9 @@ def test_indirect_table_stops_early_on_a_large_page():
     prices = {s.price for s in prof.strategies}
     assert (inst.n, inst.m, len(prices)) == (261, 5, 8)
     assert sum(s.gain > 0.0 for s in prof.strategies) == 212
-    quality_mod.reset_evaluation_count()
-    _indirect_table(inst, prof)
-    assert quality_mod.evaluation_count() == 212 + 44
+    with count_q_calls() as calls:
+        _indirect_table(inst, prof)
+    assert calls() == 212 + 44
 
 
 def _reference_gsp_payments(instance, profile, allocation):

@@ -259,6 +259,18 @@ def test_empty_outcome_welfare_prints_as_float(tmp_path, capsys):
     assert type(json.loads(out)["declared_welfare"]) is float
 
 
+def test_unknown_quality_key_exits_two(tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({
+        "agents": [{"alpha": 1.0, "cost": 0.0,
+                    "quality": {"kind": "only-min", "capp": 2.0}}],
+        "prominences": [1.0], "price_grid": [1.0, 2.0]}))
+    code, out, err = run(capsys, "allocate", str(path))
+    assert code == 2 and out == ""
+    assert "$.agents[0].quality.capp" in err
+    assert "Traceback" not in err
+
+
 def test_indirect_needs_profile(tmp_path, capsys):
     path = tmp_path / "bare.json"
     save_instance(path, random_instance(4))

@@ -1,9 +1,12 @@
-"""The package runs on the standard library alone.
+"""The package runs on the standard library alone and keeps no module
+state.
 
 Every import in ``src/price_display_auctions``, function-local ones
 included, is relative or names a standard-library module, and
 ``pyproject.toml`` declares no runtime dependency, so a third-party
-import cannot creep back unnoticed.
+import cannot creep back unnoticed.  No function rebinds a module
+global, so every object the package builds is safe to share across
+threads.
 """
 
 import ast
@@ -16,9 +19,13 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "price_display_auctions"
 
 
+def _nodes(path):
+    return ast.walk(ast.parse(path.read_text(), str(path)))
+
+
 def _absolute_imports(path):
     """The module names of every absolute import in the file at ``path``."""
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in _nodes(path):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -32,6 +39,14 @@ def test_package_imports_only_the_standard_library():
                for name in _absolute_imports(path)
                if name.split(".")[0] not in sys.stdlib_module_names]
     assert not outside
+
+
+def test_package_declares_no_global_statement():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    found = [(path.name, node.lineno) for path in sources
+             for node in _nodes(path) if isinstance(node, ast.Global)]
+    assert not found
 
 
 def test_pyproject_declares_no_runtime_dependency():

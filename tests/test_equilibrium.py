@@ -27,7 +27,6 @@ from price_display_auctions import (
     truthful_direct_profile,
     truthful_star_profile,
 )
-from price_display_auctions import quality as quality_mod
 from price_display_auctions.equilibrium import ENUMERATION_GUARD, _payoffs
 from price_display_auctions.model import true_value
 
@@ -96,16 +95,15 @@ def test_enumeration_against_hand_check():
     assert len(got) >= 1
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(count_q_calls):
     # 41 gain levels at each of 2 prices: 82 strategies per agent and
     # 82**4 = 45,212,176 joint profiles, refused before any profile runs.
     inst = random_instance(1, max_agents=4)
     space = StrategySpace.build(inst, gain_levels=[k / 40 for k in range(41)])
     assert space.size == 45_212_176 > ENUMERATION_GUARD
-    quality_mod.reset_evaluation_count()
-    with pytest.raises(GuardExceededError):
+    with count_q_calls() as calls, pytest.raises(GuardExceededError):
         enumerate_pure_nash(inst, VCG, space)
-    assert quality_mod.evaluation_count() == 0
+    assert calls() == 0
 
 
 def test_efficiency_report_ratios():
@@ -286,7 +284,7 @@ def test_starred_mechanism_enumerates_menus_with_standalone_prices():
     assert all(is_nash(inst, star, space, eq)[0] for eq in want)
 
 
-def test_enumeration_quality_evaluations_are_pinned():
+def test_enumeration_quality_evaluations_are_pinned(count_q_calls):
     # Per profile, the engine makes the mechanism's own evaluations (its
     # search) plus one true value per displayed agent.  Re-scoring the
     # optimum, building an Outcome per profile or scoring GSP's last-slot
@@ -295,8 +293,8 @@ def test_enumeration_quality_evaluations_are_pinned():
     space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
     counts = []
     for kind in (VCG, MechanismKind.INDIRECT_GSP):
-        quality_mod.reset_evaluation_count()
-        enumerate_pure_nash(inst, kind, space)
-        counts.append(quality_mod.evaluation_count())
+        with count_q_calls() as calls:
+            enumerate_pure_nash(inst, kind, space)
+        counts.append(calls())
     assert (inst.n, inst.m, space.size) == (3, 2, 216)
     assert counts == [927, 904]

@@ -37,7 +37,6 @@ from price_display_auctions import (
     truthful_gains,
     truthful_star_profile,
 )
-from price_display_auctions import quality as quality_mod
 from price_display_auctions.allocation import _allocation_from
 from price_display_auctions.model import (
     declared_value,
@@ -316,7 +315,7 @@ def test_outcome_welfare_is_declared_welfare_exactly():
                 inst, out.allocation, gains), seed
 
 
-def test_direct_vcg_pivots_add_no_quality_evaluations():
+def test_direct_vcg_pivots_add_no_quality_evaluations(count_q_calls):
     # The pivots reuse the optimum's search table and its welfare, and
     # each payer's declared value (the v_hat of the payment rule) is her
     # search entry's weight: a whole run costs direct_pivots' evaluations
@@ -327,14 +326,14 @@ def test_direct_vcg_pivots_add_no_quality_evaluations():
     inst = AuctionInstance(agents, SlotProfile((1.0, 0.8, 0.6)),
                            (0.5, 0.9, 1.3, 1.7, 2.1))
     reported = [inst.atype(i) for i in range(inst.n)]
-    quality_mod.reset_evaluation_count()
-    direct_pivots(inst, reported)
-    search = quality_mod.evaluation_count()
-    quality_mod.reset_evaluation_count()
-    out = run_direct_vcg(inst)
+    with count_q_calls() as calls:
+        direct_pivots(inst, reported)
+    search = calls()
+    with count_q_calls() as calls:
+        out = run_direct_vcg(inst)
     k = len(out.allocation.slot_agents)
     assert k == 3
-    assert quality_mod.evaluation_count() == search + k
+    assert calls() == search + k
 
 
 def _counting_instance():
@@ -345,40 +344,40 @@ def _counting_instance():
                            (0.5, 0.9, 1.3, 1.7, 2.1))
 
 
-def test_indirect_vcg_pivots_add_few_quality_evaluations():
+def test_indirect_vcg_pivots_add_few_quality_evaluations(count_q_calls):
     # The pivots reuse the optimum's search table, and the payments price
     # from the search's own welfare and entry weights: a whole run costs
     # indirect_pivots' evaluations plus one per payer, for her true value.
     # Neither the optimum nor any pivot allocation is re-scored.
     inst = _counting_instance()
     prof = random_profile(inst, 1)
-    quality_mod.reset_evaluation_count()
-    _, entries, _ = indirect_pivots(inst, prof)
-    search = quality_mod.evaluation_count()
-    quality_mod.reset_evaluation_count()
-    out = run_indirect_vcg(inst, prof)
+    with count_q_calls() as calls:
+        _, entries, _ = indirect_pivots(inst, prof)
+    search = calls()
+    with count_q_calls() as calls:
+        out = run_indirect_vcg(inst, prof)
     k = len(entries)
     assert out.allocation == _allocation_from(entries)
     assert k == 3
-    assert (search, quality_mod.evaluation_count()) == (47, 47 + k)
+    assert (search, calls()) == (47, 47 + k)
 
 
-def test_indirect_gsp_adds_few_quality_evaluations():
+def test_indirect_gsp_adds_few_quality_evaluations(count_q_calls):
     # GSP prices each slot from the next occupant's search weight and the
     # last slot from the best agent left out in the search's own table at
     # the page minimum, so a run costs the search's evaluations plus one
     # per displayed agent, for her true value.
     inst = _counting_instance()
     prof = random_profile(inst, 1)
-    quality_mod.reset_evaluation_count()
-    alloc = indirect_allocate(inst, prof)
-    search = quality_mod.evaluation_count()
-    quality_mod.reset_evaluation_count()
-    out = run_indirect_gsp(inst, prof)
+    with count_q_calls() as calls:
+        alloc = indirect_allocate(inst, prof)
+    search = calls()
+    with count_q_calls() as calls:
+        out = run_indirect_gsp(inst, prof)
     k = len(alloc.slot_agents)
     assert out.allocation == alloc
     assert k == 3
-    assert (search, quality_mod.evaluation_count()) == (38, 38 + k)
+    assert (search, calls()) == (38, 38 + k)
 
 
 @st.composite

@@ -23,7 +23,6 @@ from price_display_auctions import (
     probe_grid,
     profile,
 )
-from price_display_auctions import quality as quality_mod
 
 
 def test_domain_guard():
@@ -227,7 +226,7 @@ def test_table_monotonicity_slack():
                      ((0.5, 0.5 - 1e-13), (0.5 + 1e-13, 0.5)))
 
 
-def test_peak_bounds_every_minimum_price():
+def test_peak_bounds_every_minimum_price(count_q_calls):
     # The indirect search bounds an agent's weight at every candidate
     # minimum by peak(p, q(p, p)); it must hold exactly, with no q() call.
     dip = TabulatedQuality((1.0, 2.0), (1.0, 2.0),
@@ -239,9 +238,9 @@ def test_peak_bounds_every_minimum_price():
     for m in models:
         for p in points:
             diagonal = m.q(p, p)
-            before = quality_mod.evaluation_count()
-            peak = m.peak(p, diagonal)
-            assert quality_mod.evaluation_count() == before
+            with count_q_calls() as calls:
+                peak = m.peak(p, diagonal)
+            assert calls() == 0
             assert peak == max(m.q(p, pm) for pm in points if pm <= p), (m, p)
     # Inside the slack, the row's peak is above its diagonal.
     assert dip.peak(2.0, dip.q(2.0, 2.0)) == 0.5 + 1e-13 > dip.q(2.0, 2.0)
@@ -282,17 +281,6 @@ def test_hyperbola_diagonal_monotone(p1, p2):
     lo, hi = sorted((p1, p2))
     assert q.q(hi, hi) <= q.q(lo, lo) + 1e-12
     assert 0.0 <= q.q(lo, lo) <= 1.0
-
-
-def test_evaluation_counter():
-    from price_display_auctions import quality as qm
-    qm.reset_evaluation_count()
-    q = OnlyMinQuality()
-    q.q(1.0, 1.0)
-    q.q(2.0, 1.0)
-    assert qm.evaluation_count() == 2
-    qm.reset_evaluation_count()
-    assert qm.evaluation_count() == 0
 
 
 def test_infinite_cap_survives_math():

@@ -108,6 +108,21 @@ def test_bad_tabulated_table_refused():
     assert err.value.field_path == "quality.values"
 
 
+def test_unknown_quality_keys_refused():
+    # A misspelt "cap" would otherwise load as an uncapped model.
+    with pytest.raises(InstanceFormatError) as err:
+        instance_from_dict(_one_agent(agents=[
+            {"alpha": 1.0, "cost": 0.0,
+             "quality": {"kind": "only-min", "capp": 2.0}}]))
+    assert err.value.field_path == "$.agents[0].quality.capp"
+    assert "only-min" in str(err.value)
+    # A field of another kind is unknown too.
+    with pytest.raises(InstanceFormatError) as err:
+        quality_from_dict({"kind": "price-threshold", "threshold": 1.0,
+                           "cap": 2.0})
+    assert err.value.field_path == "quality.cap"
+
+
 def test_invalid_json_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
