@@ -82,13 +82,16 @@ def _threshold_top(scan, keep, score):
 
 
 def _indirect_table(instance, profile):
-    """Per candidate minimum: (cand, holders, ranked entries).
+    """Per candidate minimum: (cand, live holders, ranked entries).
 
-    The candidates are the distinct submitted prices, in ascending order,
-    and a candidate's holders are the agents who submitted exactly it.
-    Its entries are the (agent, price, weight) triples of the agents
-    priced at or above it with a positive weight q(price, cand) * gain,
-    the first keep = m + 1 in ``_ranked`` order.  A solve that excludes
+    The candidates are the distinct submitted prices, in ascending order.
+    A candidate's live holders are the agents who submitted exactly it
+    with a positive diagonal weight q(cand, cand) * gain, the bids that
+    could be shown at it; a candidate held only by bids that cannot has
+    none, and its row serves GSP's page-minimum lookup alone.  Its entries
+    are the (agent, price, weight) triples of the agents priced at or
+    above it with a positive weight q(price, cand) * gain, the first
+    keep = m + 1 in ``_ranked`` order.  A solve that excludes
     one agent still finds its first m entries there; and as at most m
     entries are displayed, so does the best agent left out at the page
     minimum.
@@ -105,10 +108,12 @@ def _indirect_table(instance, profile):
     scored = []
     for i, s in enumerate(profile.strategies):
         p, gain = s.price, s.gain
-        holders.setdefault(p, []).append(i)
+        live = holders.setdefault(p, [])
         if gain > 0.0:
             quality = instance.quality(i)
             diagonal = quality.q(p, p)
+            if diagonal * gain > 0.0:
+                live.append(i)
             bound = quality.peak(p, diagonal) * gain
             if bound > 0.0:
                 scored.append((-bound, instance.rank(i), i, p, gain,
@@ -143,21 +148,21 @@ def _indirect_table(instance, profile):
 def _solve_indirect(instance, profile, table, exclude):
     """Best (welfare, entries) over the table without ``exclude``.
 
-    A candidate whose holders are all excluded is skipped, so the
-    candidates tried are the distinct prices of the agents left, in
-    ascending order, and the first best wins.  Each takes the first m
-    entries not excluded; when none of them holds the candidate, they are
-    re-evaluated at their actual minimum price (qualities can only rise)
-    and re-ranked.
+    A candidate whose live holders are all excluded, or that has none, is
+    skipped: the candidates tried are the prices at which a bid left in
+    could be shown, in ascending order, and the first best wins.  Each
+    takes the first m entries not excluded; when none of them holds the
+    candidate, they are re-evaluated at their actual minimum price
+    (qualities can only rise) and re-ranked.
     """
     m = instance.m
     best_entries: list = []
     best_sw = 0.0
     for cand, holders, ranked in table:
+        if exclude.issuperset(holders):
+            continue
         if not exclude:
             chosen = ranked[:m]
-        elif exclude.issuperset(holders):
-            continue
         else:
             chosen = [e for e in ranked if e[0] not in exclude][:m]
         if not chosen:
@@ -178,8 +183,13 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile
                       ) -> Allocation:
     """Assignment maximizing declared welfare at the submitted prices.
 
-    Every submitted price is tried as the minimum displayed price; only
-    agents with strictly positive weighted declared value are assigned.
+    Each submitted price held by a bid with a positive diagonal weight
+    q(p, p) * gain is tried as the minimum displayed price (the best
+    page's minimum is always such a bid's); only agents with strictly
+    positive weighted declared value are assigned.  So a bid that can
+    never be shown, with peak * gain <= 0 (see ``QualityModel.peak``),
+    moves nothing: the optimum and every pivot are the same whichever such
+    bid an agent submits.
 
     The search relies on every quality being non-decreasing in the
     minimum price: it evaluates each positive bid once on its diagonal,

@@ -105,20 +105,63 @@ def _payoffs(instance, kind, gsp_allow_zero_gain):
     return payoff
 
 
+def _menu_classes(instance, kind, space, gsp_allow_zero_gain):
+    """Per agent, her menu's indices in classes of strategies that give
+    every agent the same utilities, ordered by their first index: all her
+    non-participating strategies in one class, each other one alone.
+
+    A non-participant is a bid that no run can show: its table bound
+    peak(p, q(p, p)) * gain is <= 0, unless GSP's zero-gain fill can show
+    it (gain 0 and a positive peak).  Neither the indirect search nor the
+    fill tries a page minimum that only such bids hold, so the outcome is
+    the same whichever of them an agent submits.  The starred mechanism's
+    payments read every bid, so its strategies each stay alone.
+    """
+    if kind is MechanismKind.INDIRECT_VCG_STAR:
+        return [[[k] for k in range(len(menu))] for menu in space.options]
+    zero_fill = kind is MechanismKind.INDIRECT_GSP and gsp_allow_zero_gain
+    menus = []
+    for i, menu in enumerate(space.options):
+        quality = instance.quality(i)
+        peaks: dict = {}
+        classes: list = []
+        dead = None
+        for k, s in enumerate(menu):
+            peak = peaks.get(s.price)
+            if peak is None:
+                peak = peaks[s.price] = quality.peak(
+                    s.price, quality.q(s.price, s.price))
+            if peak * s.gain > 0.0 or (zero_fill and s.gain == 0.0
+                                       and peak > 0.0):
+                classes.append([k])
+            elif dead is None:
+                dead = [k]
+                classes.append(dead)
+            else:
+                dead.append(k)
+        menus.append(classes)
+    return menus
+
+
 def is_nash(instance: AuctionInstance, kind: MechanismKind,
             space: StrategySpace, profile: StrategyProfile,
             *, gsp_allow_zero_gain: bool = False):
     """True iff no agent has a strictly improving unilateral deviation.
 
     Returns (verdict, witness); the witness is (agent, strategy, gain in
-    utility) for the first improving deviation found, else None.
+    utility) for the first improving deviation found in menu order, else
+    None.  An agent's non-participating strategies give every agent the
+    same utilities (see ``_menu_classes``), so only her first one is
+    tried, and none when she already plays one.
     """
     payoff = _payoffs(instance, kind, gsp_allow_zero_gain)
     base = payoff(profile)
-    for i in range(instance.n):
-        for s in space.options[i]:
-            if s == profile[i]:
+    menus = _menu_classes(instance, kind, space, gsp_allow_zero_gain)
+    for i, (options, classes) in enumerate(zip(space.options, menus)):
+        for stands_for in classes:
+            if profile[i] in [options[k] for k in stands_for]:
                 continue
+            s = options[stands_for[0]]
             u = payoff(profile.replace(i, s))[i]
             if u > base[i] + NASH_TOL:
                 return False, (i, s, u - base[i])
@@ -131,28 +174,37 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
                         ) -> list[StrategyProfile]:
     """All pure Nash profiles of the finite game, in lexicographic order.
 
-    Each joint profile runs through the mechanism once, filling a table
-    of every agent's utility (memory is O(profiles)); the indirect
-    mechanisms report only their allocation and payments, so no
-    ``Outcome`` is built.  A profile is Nash iff each agent's utility is
-    within NASH_TOL of the maximum along that agent's axis of the table,
-    which is the test ``is_nash`` applies.  Direct VCG raises
-    ``AuctionError``; over ``ENUMERATION_GUARD`` profiles, no run is made
-    and ``GuardExceededError`` is raised.
+    Each agent's non-participating strategies (see ``_menu_classes``)
+    give every agent the same utilities, so only her first one is
+    enumerated.  Each profile of that collapsed game runs through the
+    mechanism once, filling a table of every agent's utility (memory is
+    O(collapsed profiles)); the indirect mechanisms report only their
+    allocation and payments, so no ``Outcome`` is built.  A profile is
+    Nash iff each agent's utility is within NASH_TOL of the maximum along
+    that agent's axis of the table, which is the test ``is_nash``
+    applies; an axis maximum is the same over the collapsed menu as over
+    the whole one.  Each collapsed equilibrium then stands for every
+    profile that swaps in other non-participants, and all are listed.
+    Direct VCG raises ``AuctionError``; over ``ENUMERATION_GUARD``
+    profiles of the whole game, no run is made and
+    ``GuardExceededError`` is raised.
     """
     payoff = _payoffs(instance, kind, gsp_allow_zero_gain)
     if space.size > ENUMERATION_GUARD:
         raise GuardExceededError(f"joint strategy space has {space.size} "
                                  f"profiles (guard {ENUMERATION_GUARD})")
+    menus = _menu_classes(instance, kind, space, gsp_allow_zero_gain)
+    reduced = [[options[stands_for[0]] for stands_for in classes]
+               for options, classes in zip(space.options, menus)]
     rows = [payoff(StrategyProfile(combo))
-            for combo in itertools.product(*space.options)]
+            for combo in itertools.product(*reduced)]
     if not rows:  # some menu is empty
         return []
     nash = bytearray(b"\x01") * len(rows)
     # Axis i has stride prod(|S_j| for j > i); each line along it starts
     # at a profile whose axis-i strategy is the menu's first.
     stride = len(rows)
-    for column, menu in zip(zip(*rows), space.options):
+    for column, menu in zip(zip(*rows), reduced):
         block, stride = stride, stride // len(menu)
         for start in range(0, len(rows), block):
             for first in range(start, start + stride):
@@ -161,8 +213,14 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
                 for k, u in enumerate(line):
                     if best > u + NASH_TOL:
                         nash[first + k * stride] = 0
-    return [StrategyProfile(combo) for combo, ok
-            in zip(itertools.product(*space.options), nash) if ok]
+    found = []
+    for stands_for, ok in zip(itertools.product(*menus), nash):
+        if ok:
+            found.extend(itertools.product(*stands_for))
+    found.sort()
+    return [StrategyProfile(tuple(options[k] for options, k
+                                  in zip(space.options, index)))
+            for index in found]
 
 
 def _equilibria_and_outcomes(instance, kind, space, gsp_allow_zero_gain):

@@ -104,7 +104,9 @@ def _fill_zero_gain(instance, profile, entries):
 
     They join at the page minimum, or on an empty page at the submitted
     price that fits the most of them (ties to the lower price), in
-    tie-break order.
+    tie-break order.  On an empty page a price counts only when one of
+    the agents it fits holds it, as they set the page minimum; so, as in
+    the search, a bid that cannot be shown moves nothing.
     """
     free = instance.m - len(entries)
     if free <= 0:
@@ -117,7 +119,8 @@ def _fill_zero_gain(instance, profile, entries):
         fit = [i for i, s in enumerate(profile.strategies)
                if i not in taken and s.gain == 0.0 and s.price >= cand
                and instance.quality(i).q(s.price, cand) > 0.0]
-        if len(fit) > len(extras):
+        if len(fit) > len(extras) and (
+                entries or any(profile[i].price == cand for i in fit)):
             extras = fit
     extras.sort(key=instance.rank)
     return entries + [(i, profile[i].price, 0.0) for i in extras[:free]]

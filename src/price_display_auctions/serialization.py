@@ -50,6 +50,15 @@ def _build(path, cls, *args, **kwargs):
         raise InstanceFormatError(path, str(exc)) from exc
 
 
+def _refuse_unknown(data, known, path, what):
+    """Refuse a key of ``data`` outside ``known``, at its own path, so that
+    a misspelt field cannot silently take its default or be ignored."""
+    for key in data:
+        if key not in known:
+            raise InstanceFormatError(f"{path}.{key}",
+                                      f"unknown field for {what}")
+
+
 def _shown(value):
     # Arrays and objects are named by type: a nested array's repr can run
     # to thousands of characters.
@@ -94,17 +103,14 @@ def _quality_value(value, depth, path):
 def quality_from_dict(data: dict, path: str = "quality"):
     """Read a quality model: its keys are ``kind`` and the model's dataclass
     fields, an absent field takes its default, and any other key is
-    refused, so that a misspelt field cannot silently take its default."""
+    refused."""
     kind = _require(data, "kind", path, str)
     cls = QUALITY_KINDS.get(kind)
     if cls is None:
         raise InstanceFormatError(f"{path}.kind",
                                   f"unknown quality kind {kind!r}")
-    names = {f.name for f in fields(cls)}
-    for key in data:
-        if key != "kind" and key not in names:
-            raise InstanceFormatError(f"{path}.{key}",
-                                      f"unknown field for quality kind {kind!r}")
+    _refuse_unknown(data, {"kind"} | {f.name for f in fields(cls)}, path,
+                    f"quality kind {kind!r}")
     # The field's annotation gives its list nesting: float, tuple[float, ...]
     # or a table of those.
     params = {f.name: _quality_value(_require(data, f.name, path),
@@ -131,9 +137,18 @@ def quality_to_dict(model) -> dict:
                for f in fields(cls)}}
 
 
+# The keys an instance file may hold, per object; ``profile`` is read by
+# ``load_instance``.
+_INSTANCE_KEYS = {"agents", "prominences", "price_grid", "tie_break",
+                  "profile"}
+_AGENT_KEYS = {"alpha", "cost", "quality"}
+_STRATEGY_KEYS = {"price", "gain", "standalone_price"}
+
+
 def instance_from_dict(data: dict) -> AuctionInstance:
     if not isinstance(data, dict):
         raise InstanceFormatError("$", "top level must be a JSON object")
+    _refuse_unknown(data, _INSTANCE_KEYS, "$", "an instance")
     agents_raw = _require(data, "agents", "$", list)
     if not agents_raw:
         raise InstanceFormatError("$.agents", "need at least one agent")
@@ -142,6 +157,7 @@ def instance_from_dict(data: dict) -> AuctionInstance:
         path = f"$.agents[{idx}]"
         if not isinstance(a, dict):
             raise InstanceFormatError(path, "agent must be an object")
+        _refuse_unknown(a, _AGENT_KEYS, path, "an agent")
         t = _build(path, AgentType, _number(a, "alpha", path),
                    _number(a, "cost", path))
         q = quality_from_dict(_require(a, "quality", path, dict),
@@ -188,6 +204,7 @@ def profile_from_dict(data: list, n: int) -> StrategyProfile:
         path = f"$.profile[{idx}]"
         if not isinstance(s, dict):
             raise InstanceFormatError(path, "strategy must be an object")
+        _refuse_unknown(s, _STRATEGY_KEYS, path, "a strategy")
         standalone = None
         if s.get("standalone_price") is not None:
             standalone = _number(s, "standalone_price", path)

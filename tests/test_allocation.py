@@ -483,10 +483,15 @@ def test_direct_table_stops_early(count_q_calls):
 
 def _reference_indirect_allocate(instance, profile, *, exclude=frozenset()):
     """The original indirect search, kept verbatim as an exact oracle: the
-    whole candidate loop runs again for every ``exclude`` set."""
+    whole candidate loop runs again for every ``exclude`` set.  Its one
+    edit since: only the price of a bid with a positive diagonal weight,
+    one that could be shown at it, is a candidate."""
     agents = [i for i in range(instance.n) if i not in exclude]
     m = instance.m
-    candidates = sorted({profile[i].price for i in agents})
+    candidates = sorted({profile[i].price for i in agents
+                         if instance.quality(i).q(profile[i].price,
+                                                  profile[i].price)
+                         * profile[i].gain > 0.0})
 
     best_entries: list = []
     best_sw = 0.0
@@ -635,15 +640,18 @@ def test_indirect_matches_reference_exactly():
 
 def _reference_indirect_table(instance, profile, keep):
     """The indirect table with every agent scored at every candidate, as
-    before the bound-ordered scan, kept verbatim as an exact oracle."""
+    before the bound-ordered scan, kept verbatim as an exact oracle.  Its
+    one edit since: a candidate lists only its live holders, those with a
+    positive diagonal weight."""
     strategies = profile.strategies
     bids = sorted([(strategies[i].price, i, strategies[i].gain,
                     instance.quality(i).q, instance.rank(i))
                    for i in range(instance.n)])
     table = []
-    for start, (cand, holder, _, _, _) in enumerate(bids):
+    for start, (cand, holder, gain, q, _) in enumerate(bids):
+        live = [holder] if q(cand, cand) * gain > 0.0 else []
         if table and table[-1][0] == cand:
-            table[-1][1].append(holder)
+            table[-1][1].extend(live)
             continue
         scored = []
         for p, i, gain, q, rank in bids[start:]:
@@ -656,7 +664,7 @@ def _reference_indirect_table(instance, profile, keep):
             scored = heapq.nsmallest(keep, scored)
         else:
             scored.sort()
-        table.append((cand, [holder],
+        table.append((cand, live,
                       [(i, p, w) for _, _, i, p, w in scored[:keep]]))
     return table
 

@@ -17,6 +17,7 @@ from price_display_auctions import (
     Strategy,
     StrategyProfile,
     StrategySpace,
+    TabulatedQuality,
     efficiency_report,
     enumerate_pure_nash,
     is_nash,
@@ -27,7 +28,13 @@ from price_display_auctions import (
     truthful_direct_profile,
     truthful_star_profile,
 )
-from price_display_auctions.equilibrium import ENUMERATION_GUARD, _payoffs
+from price_display_auctions import equilibrium
+from price_display_auctions.equilibrium import (
+    ENUMERATION_GUARD,
+    NASH_TOL,
+    _menu_classes,
+    _payoffs,
+)
 from price_display_auctions.model import true_value
 
 VCG = MechanismKind.INDIRECT_VCG
@@ -297,4 +304,200 @@ def test_enumeration_quality_evaluations_are_pinned(count_q_calls):
             enumerate_pure_nash(inst, kind, space)
         counts.append(calls())
     assert (inst.n, inst.m, space.size) == (3, 2, 216)
-    assert counts == [927, 904]
+    assert counts == [385, 385]
+
+
+def _collapse_edge_games():
+    """Hand-built games at the edges of the engine's collapse of
+    non-participating strategies: (name, instance, space, kind, zero fill).
+    """
+    one = SlotProfile((1.0,))
+    # (a) Agent 0's row at price 2 dips inside the table's 1e-12 slack:
+    # q(2, 2) = 0 but q(2, 1) = 5e-13, so her overbid (2, 2e12) weighs
+    # 1.0 at page minimum 1, where re-scoring at her own price leaves
+    # nothing to show.  It shuts agent 1 out, as no zero-gain bid does.
+    dip = TabulatedQuality((1.0, 2.0), (1.0, 2.0), ((1.0, 1.0), (5e-13, 0.0)))
+    dip_game = AuctionInstance(
+        ((AgentType(1.0, 0.0), dip),
+         (AgentType(1.0, 0.0), PriceThresholdQuality(5.0))),
+        one, (1.0, 2.0))
+    dip_space = StrategySpace((
+        (Strategy(1.0, 1.0), Strategy(1.0, 0.0), Strategy(2.0, 2e12),
+         Strategy(2.0, 0.0)),
+        (Strategy(1.0, 0.0), Strategy(1.0, 0.5), Strategy(2.0, 1.0),
+         Strategy(2.0, 0.0))))
+    # (b) Zero-gain bids that the zero-gain fill shows, beside agent 0's
+    # negative truthful gain at price 1 (her cost is 1.5).
+    fill_game = AuctionInstance(
+        ((AgentType(1.0, 1.5), OnlyMinQuality()),
+         (AgentType(1.0, 0.0), PriceThresholdQuality(threshold=1.5))),
+        SlotProfile((1.0, 0.5)), (1.0, 2.0))
+    fill_space = StrategySpace.build(fill_game, gain_levels=(0.0, 1.0))
+    # (c) Agent 0 can never be shown: her whole menu collapses.
+    idle_space = StrategySpace((
+        (Strategy(1.0, 0.0), Strategy(2.0, 0.0), Strategy(2.0, -1.0)),
+        StrategySpace.build(second_price_instance()).options[1]))
+    # (d) Agent 3's dead bid (1, 0) shares agent 0's price.  Without
+    # agent 0, a solve that still tried page minimum 1 would pick agent 2
+    # (0.5 * 1 < 1 - 1e-12 there), re-score her at 2 and keep her, 1e-12
+    # short of agent 1's 1.0: agent 0's VCG payment would move with agent
+    # 3's dead bid.
+    shared_game = AuctionInstance(
+        ((AgentType(1.0, 0.0), PriceThresholdQuality(5.0)),
+         (AgentType(1.0, 0.0), TabulatedQuality(
+             (1.0, 2.0), (1.0, 2.0), ((1.0, 1.0), (0.5, 1.0)))),
+         (AgentType(1.0, 0.0), PriceThresholdQuality(5.0, 1.0 - 1e-12)),
+         (AgentType(1.0, 0.0), OnlyMinQuality())),
+        one, (1.0, 2.0, 3.0))
+    shared_space = StrategySpace((
+        (Strategy(1.0, 3.0), Strategy(1.0, 0.0)),
+        (Strategy(2.0, 1.0),),
+        (Strategy(2.0, 1.0),),
+        (Strategy(1.0, 0.0), Strategy(3.0, 0.0), Strategy(3.0, -1.0))))
+    # (e) Agent 0's zero-gain bid at 2 fits only page minimum 1 (her row
+    # dips to 0 at 2).  Agent 2's dead bid at 1 must not let the zero-gain
+    # fill of an empty page show agent 0 there in place of agent 1.
+    fill_dip_game = AuctionInstance(
+        ((AgentType(1.0, 0.0), dip), (AgentType(1.0, 0.0), OnlyMinQuality()),
+         (AgentType(1.0, 0.0), OnlyMinQuality())),
+        one, (1.0, 2.0, 3.0))
+    fill_dip_space = StrategySpace((
+        (Strategy(2.0, 0.0),),
+        (Strategy(3.0, 0.0), Strategy(3.0, -1.0)),
+        (Strategy(1.0, -1.0), Strategy(3.0, -1.0))))
+    return [
+        ("diagonal dip", dip_game, dip_space, VCG, False),
+        ("zero-gain fill", fill_game, fill_space,
+         MechanismKind.INDIRECT_GSP, True),
+        ("no participant", second_price_instance(), idle_space, VCG, False),
+        ("no participant gsp", second_price_instance(), idle_space,
+         MechanismKind.INDIRECT_GSP, False),
+        ("dead shares a live price", shared_game, shared_space, VCG, False),
+        ("zero-gain fill below a dip", fill_dip_game, fill_dip_space,
+         MechanismKind.INDIRECT_GSP, True),
+    ]
+
+
+@pytest.mark.parametrize("name,inst,space,kind,allow_zero_gain", [
+    pytest.param(*game, id=game[0]) for game in _collapse_edge_games()])
+def test_collapse_matches_plain_enumeration_on_edge_games(
+        name, inst, space, kind, allow_zero_gain):
+    want = _plain_nash(inst, kind, space, allow_zero_gain)
+    assert enumerate_pure_nash(inst, kind, space,
+                               gsp_allow_zero_gain=allow_zero_gain) == want
+    report = efficiency_report(inst, kind, space,
+                               gsp_allow_zero_gain=allow_zero_gain)
+    assert list(report.equilibria) == want
+    # The strategies of one class leave every outcome, payments included,
+    # bit for bit the same.
+    menus = _menu_classes(inst, kind, space, allow_zero_gain)
+    assert any(len(stands_for) > 1 for classes in menus
+               for stands_for in classes)
+    for i, classes in enumerate(menus):
+        for stands_for, combo in itertools.product(
+                classes, itertools.product(*space.options)):
+            prof = StrategyProfile(combo)
+            outcomes = {run_mechanism(inst, kind,
+                                      prof.replace(i, space.options[i][k]),
+                                      gsp_allow_zero_gain=allow_zero_gain)
+                        for k in stands_for}
+            assert len(outcomes) == 1, (i, combo)
+
+
+def test_collapse_keeps_the_bids_it_must():
+    games = {name: (inst, space) for name, inst, space, _, _
+             in _collapse_edge_games()}
+    dip_game, dip_space = games["diagonal dip"]
+    fill_game, fill_space = games["zero-gain fill"]
+    _, idle_space = games["no participant"]
+    # (a) The overbid at price 2 has a zero diagonal and a positive peak.
+    assert dip_game.quality(0).q(2.0, 2.0) == 0.0
+    assert _menu_classes(dip_game, VCG, dip_space, False)[0] == \
+        [[0], [1, 3], [2]]
+    # (b) Under the zero-gain fill, zero gains with a positive peak stay.
+    assert [(s.price, s.gain) for s in fill_space.options[0]] == \
+        [(1.0, -0.5), (2.0, 0.0), (2.0, 0.5)]
+    gsp = MechanismKind.INDIRECT_GSP
+    assert _menu_classes(fill_game, gsp, fill_space, False)[0] == \
+        [[0, 1], [2]]
+    assert _menu_classes(fill_game, gsp, fill_space, True)[0] == \
+        [[0], [1], [2]]
+    # (c) A menu with no participant is one class.
+    assert _menu_classes(second_price_instance(), VCG, idle_space,
+                         False)[0] == [[0, 1, 2]]
+    # The starred mechanism keeps every strategy alone.
+    assert _menu_classes(dip_game, MechanismKind.INDIRECT_VCG_STAR,
+                         dip_space, False)[0] == [[0], [1], [2], [3]]
+
+
+def _whole_menu_witness(utilities, space, combo):
+    """The first improving deviation from ``combo`` in a scan over every
+    strategy of every menu, or None; ``utilities`` maps each profile to
+    its utility row."""
+    base = utilities[combo]
+    for i, menu in enumerate(space.options):
+        for s in menu:
+            if s == combo[i]:
+                continue
+            u = utilities[combo[:i] + (s,) + combo[i + 1:]][i]
+            if u > base[i] + NASH_TOL:
+                return i, s, u - base[i]
+    return None
+
+
+@pytest.mark.parametrize("kind,allow_zero_gain", [
+    (VCG, False),
+    (MechanismKind.INDIRECT_GSP, False),
+    (MechanismKind.INDIRECT_GSP, True),
+])
+def test_is_nash_witness_matches_the_whole_menu_scan(kind, allow_zero_gain):
+    # On every 7th profile of each differential game.
+    for inst in _differential_instances():
+        for space in _differential_spaces(inst).values():
+            combos = list(itertools.product(*space.options))
+            utilities = {combo: run_mechanism(
+                inst, kind, StrategyProfile(combo),
+                gsp_allow_zero_gain=allow_zero_gain).utilities(inst)
+                for combo in combos}
+            for combo in combos[::7]:
+                want = _whole_menu_witness(utilities, space, combo)
+                got = is_nash(inst, kind, space, StrategyProfile(combo),
+                              gsp_allow_zero_gain=allow_zero_gain)
+                assert got == (want is None, want), combo
+
+
+@pytest.mark.parametrize("kind,allow_zero_gain", [
+    (VCG, False),
+    (MechanismKind.INDIRECT_GSP, True),
+])
+def test_enumeration_runs_each_collapsed_profile_once(
+        monkeypatch, kind, allow_zero_gain):
+    # The engine's work, counted as calls of the mechanism's core: one per
+    # profile of the game with each agent's non-participating strategies
+    # (bound peak * gain <= 0, less the zero gains the fill can show)
+    # collapsed into one.
+    inst = random_instance(22, max_agents=3, max_slots=2, max_prices=4)
+    space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
+    collapsed = 1
+    for i, menu in enumerate(space.options):
+        quality = inst.quality(i)
+        peaks = [quality.peak(s.price, quality.q(s.price, s.price))
+                 for s in menu]
+        live = sum(peak * s.gain > 0.0
+                   or (allow_zero_gain and s.gain == 0.0 and peak > 0.0)
+                   for s, peak in zip(menu, peaks))
+        collapsed *= live + (live < len(menu))
+    name = "_indirect_vcg" if kind is VCG else "_indirect_gsp"
+    core = getattr(equilibrium, name)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return core(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(equilibrium, name, counted)
+        enumerate_pure_nash(inst, kind, space,
+                            gsp_allow_zero_gain=allow_zero_gain)
+    assert calls == collapsed < space.size

@@ -185,6 +185,39 @@ def test_tie_break_permutation_round_trips():
         instance_from_dict(_one_agent(tie_break=[1]))
 
 
+@pytest.mark.parametrize("data, field_path", [
+    (_one_agent(tie_brake=[0]), "$.tie_brake"),
+    (_one_agent(agents=[{"alpha": 1.0, "cost": 0.0, "costt": 5,
+                         "quality": {"kind": "only-min"}}]),
+     "$.agents[0].costt"),
+    (_one_agent(profile=[{"price": 1.0, "gain": 0.5, "gian": 0.5}]),
+     "$.profile[0].gian"),
+])
+def test_unknown_keys_refused_at_their_path(tmp_path, capsys, data,
+                                            field_path):
+    # Each would otherwise load, the misspelt value silently ignored.
+    from price_display_auctions.cli import main
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InstanceFormatError, match="unknown field") as err:
+        load_instance(path)
+    assert err.value.field_path == field_path
+    assert main(["allocate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert field_path in err
+    assert "Traceback" not in err
+
+
+def test_every_known_key_loads(tmp_path):
+    data = _one_agent(tie_break=[0], profile=[
+        {"price": 1.0, "gain": 0.5, "standalone_price": 0.9}])
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    instance, prof = load_instance(path)
+    assert instance.tie_break == (0,)
+    assert prof[0].standalone_price == 0.9
+
+
 @pytest.mark.parametrize("extra, field_path", [
     ({"tie_break": [1]}, "$.tie_break"),
     ({"price_grid": [2.0, 1.0]}, "$.price_grid"),
