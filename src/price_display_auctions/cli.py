@@ -8,6 +8,7 @@ input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -214,6 +215,8 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.probes < 0:
+        raise AuctionError(f"--probes must be >= 0, got {args.probes}")
     instance, _ = load_instance(args.instance)
     rng = random.Random(args.seed)
     points = set(instance.price_grid)
@@ -261,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="use the exhaustive-search oracle")
     add_common(p)
-    p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("pay", help="run a mechanism and show payments")
     p.add_argument("instance")
@@ -270,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-zero-gain", action="store_true",
                    help="let zero-gain ads fill leftover slots (GSP only)")
     add_common(p)
-    p.set_defaults(func=cmd_pay)
 
     def add_game(p):
         p.add_argument("instance")
@@ -283,11 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equilibria", help="enumerate pure Nash equilibria")
     add_game(p)
-    p.set_defaults(func=cmd_equilibria)
 
     p = sub.add_parser("report", help="equilibrium efficiency report")
     add_game(p)
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("reproduce", help="replay a benchmark scenario")
     p.add_argument("scenario", help=f"one of {', '.join(SCENARIO_IDS)} "
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export", metavar="PATH",
                    help="write the scenario instance to a JSON file")
     add_common(p)
-    p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("audit", help="check quality-model assumptions")
     p.add_argument("instance")
@@ -305,15 +303,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random probe prices added to the grid")
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
-    p.set_defaults(func=cmd_audit)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call,
+    not at import.  ``parse_args`` leaves it unchanged and writes to the
+    ``sys.stdout`` and ``sys.stderr`` of the moment."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, so a ``cmd_*`` rebound after the parser was built
+    # (as perfbench's tracer does) is the one that runs.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (AuctionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior and exit codes."""
 
+import argparse
 import contextlib
 import copy
 import functools
@@ -230,6 +231,105 @@ def test_audit_fail_exits_one(instance_file, capsys, monkeypatch):
     code, out, _ = run(capsys, "audit", instance_file)
     assert code == 1
     assert "audit: FAIL" in out
+
+
+@pytest.mark.parametrize("probes", ["-1", "-3"])
+def test_audit_refuses_negative_probes(instance_file, capsys, probes):
+    code, out, err = run(capsys, "audit", instance_file, "--probes", probes)
+    assert code == 2
+    assert f"--probes must be >= 0, got {probes}" in err
+    assert out == ""
+
+
+def test_audit_zero_probes_checks_the_grid_alone(instance_file, capsys):
+    from price_display_auctions import load_instance
+    from price_display_auctions.quality import probe_grid
+    instance, _ = load_instance(instance_file)
+    code, out, _ = run(capsys, "audit", instance_file, "--probes", "0",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["probe_count"] == len(
+        probe_grid(set(instance.price_grid)))
+
+
+def test_main_builds_its_parser_once(instance_file, capsys, monkeypatch):
+    assert main(["reproduce", "T7", "--json"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["allocate", instance_file]) == 0
+    assert main(["pay", instance_file, "--mechanism", "indirect-gsp"]) == 0
+    assert main(["audit", instance_file, "--probes", "2", "--json"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_main_keeps_no_state_between_calls(instance_file, capsys,
+                                           monkeypatch):
+    from price_display_auctions import cli
+    seen = []
+
+    def recording(handler):
+        def record(args):
+            seen.append(args)
+            return handler(args)
+        return record
+
+    for name in ("cmd_allocate", "cmd_reproduce"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+
+    code, out, _ = run(capsys, "reproduce", "T7", "--param", "m=3", "--json")
+    assert code == 0
+    assert json.loads(out)["params"]["m"] == 3
+    code, out, _ = run(capsys, "reproduce", "T7", "--json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"m": 2, "p_high": 1.0}
+
+    code, out, _ = run(capsys, "allocate", instance_file, "--json")
+    assert code == 0
+    assert json.loads(out)["command"] == "allocate"
+    code, out, _ = run(capsys, "allocate", instance_file)
+    assert code == 0
+    assert out.startswith("mode: indirect\n")
+
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce"])
+    assert exc.value.code == 2
+    assert "usage: pda reproduce" in capsys.readouterr().err
+    code, out, err = run(capsys, "reproduce", "T7")
+    assert code == 0
+    assert "verdict: PASS" in out
+    assert err == ""
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("pda ")
+
+    # Each call gets a fresh namespace holding its own subcommand's fields
+    # only, not one carried over from an earlier call.
+    fields = {"allocate": {"command", "instance", "mode", "oracle", "json"},
+              "reproduce": {"command", "scenario", "param", "export", "json"}}
+    assert len(seen) == 5
+    assert len({id(args) for args in seen}) == len(seen)
+    assert [set(vars(args)) for args in seen] == [
+        fields[args.command] for args in seen]
+
+
+def test_handler_rebound_after_the_parser_is_built_runs(capsys, monkeypatch):
+    from price_display_auctions import cli
+    assert main(["reproduce", "T7", "--json"]) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_reproduce",
+                        lambda args: seen.append(args.scenario) or 7)
+    assert main(["reproduce", "T9"]) == 7
+    assert seen == ["T9"]
 
 
 def test_missing_file(capsys):
