@@ -35,6 +35,10 @@ from .serialization import (
 
 _MECHANISMS = {k.value: k for k in MechanismKind}
 
+# ``audit`` checks every (p, p_min) pair of its points on every agent; this
+# many checks take about 5 s on a 2-core host (700 probes on 4 agents).
+AUDIT_CHECK_LIMIT = 1_000_000
+
 
 def _parse_mechanism(name: str) -> MechanismKind:
     if name not in _MECHANISMS:
@@ -218,6 +222,13 @@ def cmd_audit(args) -> int:
     if args.probes < 0:
         raise AuctionError(f"--probes must be >= 0, got {args.probes}")
     instance, _ = load_instance(args.instance)
+    # Bounded before any point is drawn; duplicates only lower the count.
+    size = len(instance.price_grid) + args.probes
+    checks = size * (size + 1) // 2 * instance.n
+    if checks > AUDIT_CHECK_LIMIT:
+        raise AuctionError(
+            f"--probes {args.probes}: {size} prices on {instance.n} agents "
+            f"make {checks} checks, over the limit of {AUDIT_CHECK_LIMIT}")
     rng = random.Random(args.seed)
     points = set(instance.price_grid)
     lo, hi = min(points), max(points)

@@ -2,9 +2,9 @@
 
 Each scenario pins down an auction instance, reference strategy
 profiles, finite strategy menus, and the numeric conclusions expected of
-them; ``reproduce`` replays the whole analysis and reports a per-check
-verdict.  Scenario ids follow the T<number> naming used throughout the
-test suite and CLI.
+them, with their checks beside the builder; ``reproduce`` replays the
+analysis and reports a per-check verdict.  Scenario ids follow the
+T<number> naming used throughout the test suite and CLI.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from .equilibrium import (
     StrategySpace,
@@ -40,7 +42,8 @@ GSP = MechanismKind.INDIRECT_GSP
 class Scenario:
     scenario_id: str
     params: dict = field(compare=False)
-    instance: AuctionInstance = None
+    instance: AuctionInstance
+    check: Callable = field(compare=False)  # (scenario, direct) -> checks
     reference_profiles: dict = field(default_factory=dict, compare=False)
     spaces: dict = field(default_factory=dict, compare=False)
     gsp_allow_zero_gain: bool = False
@@ -78,6 +81,35 @@ def _uniform_instance(qualities, m, price_grid, costs=None):
     return AuctionInstance(agents, SlotProfile((1.0,) * m), tuple(price_grid))
 
 
+def _check_close(name, observed, expected, tol):
+    return Check(name, abs(observed - expected) <= tol,
+                 f"{observed:.12g}", f"{expected:.12g} (tol {tol:g})")
+
+
+def _check_nash(scenario, kind, equilibria=()):
+    """A reference listed in ``equilibria``, enumerated on the same space,
+    passed ``is_nash``'s own test; only an unlisted one runs ``is_nash``,
+    to name its witness or to judge a reference off the menus."""
+    reference = scenario.reference_profiles[kind]
+    ok, witness = (True, None) if reference in equilibria else is_nash(
+        scenario.instance, kind, scenario.spaces[kind], reference,
+        gsp_allow_zero_gain=scenario.gsp_allow_zero_gain)
+    return Check(f"reference profile is Nash under {kind.value}", ok,
+                 "Nash" if ok else f"improving deviation {witness}", "Nash")
+
+
+def _reference_outcome(scenario, kind):
+    return run_mechanism(scenario.instance, kind,
+                         scenario.reference_profiles[kind],
+                         gsp_allow_zero_gain=scenario.gsp_allow_zero_gain)
+
+
+def _check_ratio(scenario, direct, outcome):
+    return _check_close("welfare ratio",
+                        direct.true_welfare / outcome.true_welfare,
+                        scenario.expected["ratio"], RATIO_TOL)
+
+
 def build_t5(p_low: float = 1.0, eps: float = 0.01) -> Scenario:
     """Two slots, three sellers, price-matching-only clicks: the only
     stable outcomes keep prices at the floor, halving welfare."""
@@ -97,7 +129,7 @@ def build_t5(p_low: float = 1.0, eps: float = 0.01) -> Scenario:
     opt = 2.0 * (p_low - eps)
     eq_sw = p_low + eps
     return Scenario(
-        "T5-gsp-pos-sw", {"p_low": p_low, "eps": eps}, inst,
+        "T5-gsp-pos-sw", {"p_low": p_low, "eps": eps}, inst, _t5_checks,
         reference_profiles={GSP: ref},
         spaces={GSP: space},
         expected={
@@ -106,6 +138,17 @@ def build_t5(p_low: float = 1.0, eps: float = 0.01) -> Scenario:
             "ratio": opt / eq_sw,
         },
     )
+
+
+def _t5_checks(scenario, direct):
+    bound = scenario.expected["equilibrium_sw"]
+    nash = _check_nash(scenario, GSP)
+    out = _reference_outcome(scenario, GSP)
+    return [nash,
+            Check("equilibrium welfare at most p_low + eps",
+                  out.true_welfare <= bound + VALUE_TOL,
+                  f"{out.true_welfare:.12g}", f"<= {bound:.12g}"),
+            _check_ratio(scenario, direct, out)]
 
 
 def build_t7(m: int = 2, p_high: float = 1.0) -> Scenario:
@@ -120,7 +163,7 @@ def build_t7(m: int = 2, p_high: float = 1.0) -> Scenario:
     ref = StrategyProfile(tuple(Strategy(p_low, p_low) for _ in range(m + 1)))
     space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
     return Scenario(
-        "T7-poa-m", {"m": m, "p_high": p_high}, inst,
+        "T7-poa-m", {"m": m, "p_high": p_high}, inst, _t7_checks,
         reference_profiles={VCG: ref, GSP: ref},
         spaces={VCG: space, GSP: space},
         expected={
@@ -129,6 +172,17 @@ def build_t7(m: int = 2, p_high: float = 1.0) -> Scenario:
             "ratio": float(m),
         },
     )
+
+
+def _t7_checks(scenario, direct):
+    checks, outs = [], {}
+    for kind in (VCG, GSP):
+        checks.append(_check_nash(scenario, kind))
+        outs[kind] = out = _reference_outcome(scenario, kind)
+        checks.append(_check_close(
+            f"equilibrium welfare under {kind.value}", out.true_welfare,
+            scenario.expected["equilibrium_sw"], VALUE_TOL))
+    return checks + [_check_ratio(scenario, direct, outs[VCG])]
 
 
 def build_t9(delta: float = 0.1, p_high: float = 1.0) -> Scenario:
@@ -151,7 +205,7 @@ def build_t9(delta: float = 0.1, p_high: float = 1.0) -> Scenario:
                                     gain_levels=(0.0, 1.0),
                                     overbidding=True, extra_gains=(overbid,))
     return Scenario(
-        "T9-overbid", {"delta": delta, "p_high": p_high}, inst,
+        "T9-overbid", {"delta": delta, "p_high": p_high}, inst, _t9_checks,
         reference_profiles={VCG: ref, GSP: ref},
         spaces={VCG: space_vcg, GSP: space_gsp},
         expected={
@@ -160,6 +214,15 @@ def build_t9(delta: float = 0.1, p_high: float = 1.0) -> Scenario:
             "ratio": 1.0 / delta,
         },
     )
+
+
+def _t9_checks(scenario, direct):
+    checks = [_check_nash(scenario, kind) for kind in (VCG, GSP)]
+    out = _reference_outcome(scenario, VCG)
+    return checks + [
+        _check_close("equilibrium welfare", out.true_welfare,
+                     scenario.expected["equilibrium_sw"], VALUE_TOL),
+        _check_ratio(scenario, direct, out)]
 
 
 def build_t10(delta: float = 0.1, p_low: float = 1.0, p_high: float = 2.5,
@@ -186,6 +249,7 @@ def build_t10(delta: float = 0.1, p_low: float = 1.0, p_high: float = 2.5,
         {"delta": delta, "p_low": p_low, "p_high": p_high,
          "interior_points": interior_points},
         inst,
+        partial(_zero_revenue_checks, per_kind=True),
         reference_profiles={VCG: ref_vcg, GSP: ref_gsp},
         spaces={VCG: space, GSP: space},
         gsp_allow_zero_gain=True,
@@ -197,6 +261,36 @@ def build_t10(delta: float = 0.1, p_low: float = 1.0, p_high: float = 2.5,
             "optimal_sw": (1.0 + delta) * p_high,
         },
     )
+
+
+def _zero_revenue_checks(scenario, direct, per_kind):
+    """T10 and T12: direct revenue, then per kind in ``spaces`` a Nash
+    reference and equilibria with zero revenue (named per kind in T10), and
+    in T10's VCG space equal prices."""
+    checks = [_check_close("direct mechanism revenue", direct.revenue,
+                           scenario.expected["direct_revenue"], VALUE_TOL)]
+    for kind in scenario.spaces:
+        eqs, outs = _equilibria_and_outcomes(
+            scenario.instance, kind, scenario.spaces[kind],
+            scenario.gsp_allow_zero_gain)
+        under = f" under {kind.value}" if per_kind else ""
+        every = f"every {kind.value}" if per_kind else "every"
+        checks.append(_check_nash(scenario, kind, eqs))
+        checks.append(Check(f"equilibria exist{under}", bool(eqs),
+                            f"{len(eqs)} found", ">= 1"))
+        worst = max((abs(o.revenue) for o in outs), default=0.0)
+        checks.append(Check(f"{every} equilibrium has zero revenue",
+                            worst <= VALUE_TOL,
+                            f"max |revenue| {worst:.3g}", "0"))
+        if kind is VCG:
+            mismatched = [eq for eq in eqs if eq[0].price != eq[1].price]
+            checks.append(Check(
+                "every indirect-vcg equilibrium has equal prices",
+                not mismatched, f"{len(mismatched)} unequal-price",
+                "0 unequal-price"))
+    checks.append(Check("revenue stability ratio is infinite",
+                        direct.revenue > VALUE_TOL, "+inf", "+inf"))
+    return checks
 
 
 def build_t12(p_low: float = 1.0, p_high: float = 2.5) -> Scenario:
@@ -211,6 +305,7 @@ def build_t12(p_low: float = 1.0, p_high: float = 2.5) -> Scenario:
     space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
     return Scenario(
         "T12-gsp-rev", {"p_low": p_low, "p_high": p_high}, inst,
+        partial(_zero_revenue_checks, per_kind=False),
         reference_profiles={GSP: ref},
         spaces={GSP: space},
         expected={"direct_revenue": p_low},
@@ -254,114 +349,17 @@ def build(scenario_id: str, **params) -> Scenario:
     return builder(**params)
 
 
-def _check_close(name, observed, expected, tol):
-    return Check(name, abs(observed - expected) <= tol,
-                 f"{observed:.12g}", f"{expected:.12g} (tol {tol:g})")
-
-
-def _check_nash(scenario, kind):
-    ok, witness = is_nash(
-        scenario.instance, kind, scenario.spaces[kind],
-        scenario.reference_profiles[kind],
-        gsp_allow_zero_gain=scenario.gsp_allow_zero_gain)
-    return Check(f"reference profile is Nash under {kind.value}", ok,
-                 "Nash" if ok else f"improving deviation {witness}", "Nash")
-
-
-def _reference_outcome(scenario, kind):
-    return run_mechanism(scenario.instance, kind,
-                         scenario.reference_profiles[kind],
-                         gsp_allow_zero_gain=scenario.gsp_allow_zero_gain)
-
-
 def reproduce(scenario: Scenario) -> VerdictReport:
     """Rerun the mechanisms and equilibrium engine on a built scenario and
-    assert its expected conclusions."""
-    exp = scenario.expected
-    checks: list[Check] = []
+    assert its expected conclusions: the optimal welfare when it is
+    expected, then the scenario's own checks."""
     direct = run_direct_vcg(scenario.instance)
-
-    if "optimal_sw" in exp:
+    checks = []
+    if "optimal_sw" in scenario.expected:
         checks.append(_check_close("optimal social welfare",
-                                   direct.true_welfare, exp["optimal_sw"],
+                                   direct.true_welfare,
+                                   scenario.expected["optimal_sw"],
                                    VALUE_TOL))
-
-    sid = scenario.scenario_id
-    if sid == "T5-gsp-pos-sw":
-        checks.append(_check_nash(scenario, GSP))
-        out = _reference_outcome(scenario, GSP)
-        checks.append(Check(
-            "equilibrium welfare at most p_low + eps",
-            out.true_welfare <= exp["equilibrium_sw"] + VALUE_TOL,
-            f"{out.true_welfare:.12g}", f"<= {exp['equilibrium_sw']:.12g}"))
-        checks.append(_check_close(
-            "welfare ratio", direct.true_welfare / out.true_welfare,
-            exp["ratio"], RATIO_TOL))
-
-    elif sid == "T7-poa-m":
-        outs = {}
-        for kind in (VCG, GSP):
-            checks.append(_check_nash(scenario, kind))
-            outs[kind] = out = _reference_outcome(scenario, kind)
-            checks.append(_check_close(
-                f"equilibrium welfare under {kind.value}",
-                out.true_welfare, exp["equilibrium_sw"], VALUE_TOL))
-        checks.append(_check_close(
-            "welfare ratio", direct.true_welfare / outs[VCG].true_welfare,
-            exp["ratio"], RATIO_TOL))
-
-    elif sid == "T9-overbid":
-        for kind in (VCG, GSP):
-            checks.append(_check_nash(scenario, kind))
-        out = _reference_outcome(scenario, VCG)
-        checks.append(_check_close("equilibrium welfare", out.true_welfare,
-                                   exp["equilibrium_sw"], VALUE_TOL))
-        checks.append(_check_close(
-            "welfare ratio", direct.true_welfare / out.true_welfare,
-            exp["ratio"], RATIO_TOL))
-
-    elif sid == "T10-rev-pos":
-        checks.append(_check_close("direct mechanism revenue",
-                                   direct.revenue, exp["direct_revenue"],
-                                   VALUE_TOL))
-        for kind in (VCG, GSP):
-            checks.append(_check_nash(scenario, kind))
-            eqs, outs = _equilibria_and_outcomes(
-                scenario.instance, kind, scenario.spaces[kind],
-                scenario.gsp_allow_zero_gain)
-            checks.append(Check(
-                f"equilibria exist under {kind.value}", bool(eqs),
-                f"{len(eqs)} found", ">= 1"))
-            worst = max((abs(o.revenue) for o in outs), default=0.0)
-            checks.append(Check(
-                f"every {kind.value} equilibrium has zero revenue",
-                worst <= VALUE_TOL, f"max |revenue| {worst:.3g}", "0"))
-            if kind is VCG:
-                mismatched = [eq for eq in eqs
-                              if eq[0].price != eq[1].price]
-                checks.append(Check(
-                    "every indirect-vcg equilibrium has equal prices",
-                    not mismatched, f"{len(mismatched)} unequal-price",
-                    "0 unequal-price"))
-        checks.append(Check("revenue stability ratio is infinite",
-                            direct.revenue > VALUE_TOL, "+inf", "+inf"))
-
-    elif sid == "T12-gsp-rev":
-        checks.append(_check_close("direct mechanism revenue",
-                                   direct.revenue, exp["direct_revenue"],
-                                   VALUE_TOL))
-        checks.append(_check_nash(scenario, GSP))
-        eqs, outs = _equilibria_and_outcomes(
-            scenario.instance, GSP, scenario.spaces[GSP],
-            scenario.gsp_allow_zero_gain)
-        checks.append(Check("equilibria exist", bool(eqs),
-                            f"{len(eqs)} found", ">= 1"))
-        worst = max((abs(o.revenue) for o in outs), default=0.0)
-        checks.append(Check("every equilibrium has zero revenue",
-                            worst <= VALUE_TOL,
-                            f"max |revenue| {worst:.3g}", "0"))
-        checks.append(Check("revenue stability ratio is infinite",
-                            direct.revenue > VALUE_TOL, "+inf", "+inf"))
-
+    checks += scenario.check(scenario, direct)
     return VerdictReport(scenario.scenario_id, dict(scenario.params),
                          tuple(checks))

@@ -241,6 +241,35 @@ def test_audit_refuses_negative_probes(instance_file, capsys, probes):
     assert out == ""
 
 
+def test_audit_refuses_probes_over_the_limit(instance_file, capsys,
+                                            monkeypatch):
+    from price_display_auctions import cli
+
+    def unreachable(points):
+        raise AssertionError("probe_grid called")
+
+    monkeypatch.setattr(cli, "probe_grid", unreachable)
+    code, out, err = run(capsys, "audit", instance_file, "--probes", "100000")
+    assert code == 2
+    assert "--probes 100000" in err
+    assert f"limit of {cli.AUDIT_CHECK_LIMIT}" in err
+    assert out == ""
+
+
+def test_audit_limit_counts_pairs_times_agents(instance_file, capsys,
+                                               monkeypatch):
+    from price_display_auctions import cli, load_instance
+    instance, _ = load_instance(instance_file)
+    points = len(instance.price_grid) + 2
+    monkeypatch.setattr(cli, "AUDIT_CHECK_LIMIT",
+                        points * (points + 1) // 2 * instance.n)
+    code, _, _ = run(capsys, "audit", instance_file, "--probes", "2")
+    assert code == 0
+    code, _, err = run(capsys, "audit", instance_file, "--probes", "3")
+    assert code == 2
+    assert "--probes 3" in err
+
+
 def test_audit_zero_probes_checks_the_grid_alone(instance_file, capsys):
     from price_display_auctions import load_instance
     from price_display_auctions.quality import probe_grid
