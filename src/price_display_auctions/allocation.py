@@ -81,32 +81,22 @@ def _threshold_top(scan, keep, score):
     return top
 
 
-def _indirect_table(instance, profile):
-    """Per candidate minimum: (cand, live holders, ranked entries).
+def _score_bids(instance, bids):
+    """Score (agent, strategy) ``bids`` for ``_table_rows``: (holders,
+    scored).
 
-    The candidates are the distinct submitted prices, in ascending order.
-    A candidate's live holders are the agents who submitted exactly it
-    with a positive diagonal weight q(cand, cand) * gain, the bids that
-    could be shown at it; a candidate held only by bids that cannot has
-    none, and its row serves GSP's page-minimum lookup alone.  Its entries
-    are the (agent, price, weight) triples of the agents priced at or
-    above it with a positive weight q(price, cand) * gain, the first
-    keep = m + 1 in ``_ranked`` order.  A solve that excludes
-    one agent still finds its first m entries there; and as at most m
-    entries are displayed, so does the best agent left out at the page
-    minimum.
-
-    Qualities are non-decreasing in the minimum price, so an agent's
-    weight at any candidate is at most her bound, peak * gain (see
-    ``QualityModel.peak``).  Each candidate scans the agents in descending
-    bound order until ``_threshold_top`` stops; on a page of at most
-    ``keep`` agents nothing can be pruned, and all are scored.  An agent
-    with a bound <= 0 is never scored.
+    ``holders`` maps each submitted price to its live holders, in agent
+    order: the agents who submitted exactly it with a positive diagonal
+    weight q(p, p) * gain, the bids that could be shown at it.
+    ``scored`` holds, in ascending order, (-bound, rank, agent, price,
+    gain, q, diagonal weight) per bid with a positive bound peak * gain
+    (see ``QualityModel.peak``), the largest weight it can take at any
+    candidate; a bid with a gain <= 0 is not evaluated at all.  That is
+    one quality evaluation per positive bid.
     """
-    keep = instance.m + 1
     holders: dict = {}
     scored = []
-    for i, s in enumerate(profile.strategies):
+    for i, s in bids:
         p, gain = s.price, s.gain
         live = holders.setdefault(p, [])
         if gain > 0.0:
@@ -121,8 +111,23 @@ def _indirect_table(instance, profile):
     # (-bound, rank) and (w, -rank) are unique per agent; the kept
     # (w, -rank, agent, price) in descending order are in _ranked's order.
     scored.sort()
+    return holders, scored
+
+
+def _table_rows(instance, holders, scored, cands):
+    """Per candidate minimum in ``cands``: (cand, live holders, ranked
+    entries), from ``_score_bids``' ``holders`` and ``scored``.
+
+    A candidate's entries are the (agent, price, weight) triples of the
+    scored bids priced at or above it with a positive weight
+    q(price, cand) * gain, the first keep = m + 1 in ``_ranked`` order.
+    Each candidate scans the bids in descending bound order until
+    ``_threshold_top`` stops; when at most ``keep`` bids are scored
+    nothing can be pruned, and all are.
+    """
+    keep = instance.m + 1
     table = []
-    for cand in sorted(holders):
+    for cand in cands:
         if len(scored) <= keep:
             # Nothing can be pruned: score every agent.
             top = []
@@ -141,7 +146,75 @@ def _indirect_table(instance, profile):
                         return (w, -rank, i, p)
                 return None
             top = _threshold_top(scored, keep, score)
-        table.append((cand, holders[cand], [(i, p, w) for w, _, i, p in top]))
+        table.append((cand, holders.get(cand, []),
+                      [(i, p, w) for w, _, i, p in top]))
+    return table
+
+
+def _indirect_table(instance, profile):
+    """Per candidate minimum: (cand, live holders, ranked entries).
+
+    The candidates are the distinct submitted prices, in ascending order,
+    and the rows are ``_table_rows``' over every bid ``_score_bids``
+    scored.  A candidate held only by bids that cannot be shown has no
+    live holder, and its row serves GSP's page-minimum lookup alone.  A
+    solve that excludes one agent still finds its first m entries in a
+    row; and as at most m entries are displayed, so does the best agent
+    left out at the page minimum.
+
+    Qualities are non-decreasing in the minimum price, so an agent's
+    weight at any candidate is at most her bound, and the bound-ordered
+    scan of each row is exact.  An agent with a bound <= 0 is never
+    scored.
+    """
+    holders, scored = _score_bids(instance, enumerate(profile.strategies))
+    return _table_rows(instance, holders, scored, sorted(holders))
+
+
+def _score_bid(instance, agent, strategy, cands):
+    """One bid scored for ``_merge_bid``: (agent, price, live, weights).
+
+    ``live`` says whether the bid could be shown at its own price, and
+    ``weights`` maps each of ``cands`` (which should hold the price) at
+    which it has a positive weight q(price, cand) * gain to that weight,
+    as ``_table_rows`` scores it.
+    """
+    holders, scored = _score_bids(instance, [(agent, strategy)])
+    weights = {cand: ranked[0][2] for cand, _, ranked
+               in _table_rows(instance, holders, scored, cands) if ranked}
+    return agent, strategy.price, bool(holders[strategy.price]), weights
+
+
+def _merge_bid(instance, rows, bid):
+    """``_indirect_table`` of a profile, from the rows of all its bids but
+    one and that bid as ``_score_bid`` scored it.
+
+    ``rows`` are the other bids' ``_table_rows`` at the profile's
+    candidates, the prices they hold and the bid's, in ascending order.
+    The bid joins its own price's live holders when it is live, and each
+    row's ranked entries where ``_ranked`` puts it, if among the first
+    m + 1.  Both sides' rows are exact, so each merged row equals the
+    profile's own; the merge takes O(|C| m) steps and no quality
+    evaluation.
+    """
+    agent, price, live, weights = bid
+    keep = instance.m + 1
+    rank = instance.rank(agent)
+    table = []
+    for cand, holders, ranked in rows:
+        if live and cand == price:
+            holders = sorted([*holders, agent])
+        w = weights.get(cand)
+        if w is not None:
+            for k, (i, _, v) in enumerate(ranked):
+                if w > v or (w == v and rank < instance.rank(i)):
+                    break
+            else:
+                k = len(ranked)
+            if k < keep:
+                ranked = [*ranked[:k], (agent, price, w),
+                          *ranked[k:keep - 1]]
+        table.append((cand, holders, ranked))
     return table
 
 
@@ -203,11 +276,10 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile
 
 
 def _indirect_search(instance, profile):
-    """``indirect_allocate``'s (welfare, slot-ordered entries, table).
-    Each entry's weight is q(price, p_min) * gain."""
-    table = _indirect_table(instance, profile)
-    sw, entries = _solve_indirect(instance, profile, table, frozenset())
-    return sw, entries, table
+    """``indirect_allocate``'s (welfare, slot-ordered entries).  Each
+    entry's weight is q(price, p_min) * gain."""
+    return _solve_indirect(instance, profile,
+                           _indirect_table(instance, profile), frozenset())
 
 
 def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
@@ -222,8 +294,17 @@ def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
     score, equal bit for bit to ``declared_welfare`` of the allocation it
     picks.
     """
-    sw, entries, table = _indirect_search(instance, profile)
-    without = {i: _solve_indirect(instance, profile, table, frozenset({i}))[0]
+    return _indirect_pivots(instance, profile,
+                            _indirect_table(instance, profile), {})
+
+
+def _indirect_pivots(instance, profile, table, known):
+    """``indirect_pivots`` over the profile's prebuilt ``table``; a pivot
+    in ``known``, a map from agents to their welfare without them, is
+    taken from it, not solved."""
+    sw, entries = _solve_indirect(instance, profile, table, frozenset())
+    without = {i: known[i] if i in known else
+               _solve_indirect(instance, profile, table, frozenset({i}))[0]
                for i, _, _ in entries}
     return sw, entries, without
 

@@ -11,7 +11,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .allocation import direct_allocate
+from .allocation import (
+    _merge_bid,
+    _score_bid,
+    _score_bids,
+    _solve_indirect,
+    _table_rows,
+    direct_allocate,
+)
 from .errors import AuctionError, GuardExceededError
 from .mechanisms import (
     MechanismKind,
@@ -79,30 +86,70 @@ class StrategySpace:
         return StrategySpace(tuple(menus))
 
 
-def _payoffs(instance, kind, gsp_allow_zero_gain):
-    """A function from a profile to every agent's utility under ``kind``.
-
-    The two indirect mechanisms are asked only for their allocation and
-    payments, so no ``Outcome`` is built; the starred mechanism runs in
-    full.  Direct VCG is refused: its bids are types, not strategies.
-    """
-    if kind is MechanismKind.INDIRECT_VCG_STAR:
-        return lambda prof: run_indirect_vcg_star(instance, prof
-                                                  ).utilities(instance)
-    if kind is MechanismKind.INDIRECT_VCG:
-        core, options = _indirect_vcg, ()
-    elif kind is MechanismKind.INDIRECT_GSP:
-        core, options = _indirect_gsp, (gsp_allow_zero_gain,)
-    else:
+def _refuse_types(kind):
+    """Direct VCG is refused: its bids are agent types, not (price, gain)
+    strategies."""
+    if kind is MechanismKind.DIRECT_VCG:
         raise AuctionError(
             f"the equilibrium engine cannot analyse {kind.value}: its bids "
             f"are agent types, not (price, gain) strategies")
 
-    def payoff(prof):
-        slot_agents, display_prices, payments, _ = core(instance, prof,
-                                                        *options)
-        return utilities(instance, slot_agents, display_prices, payments)
-    return payoff
+
+def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
+    """A walk of ``agent``'s lines under ``kind``: a function from a
+    profile to a generator of every agent's utilities at each profile of
+    its line, the profile with her strategy replaced by each of
+    ``strategies`` in turn.
+
+    A profile's indirect table is the other bids' rows with her bid
+    merged in (``_merge_bid``), and along a line only her bid changes.
+    So each of her strategies is scored once, on its first line, at
+    ``cands`` (the prices the other agents can hold) and at its own price.
+    Per line, the other agents' bids are scored once and their rows built
+    at the prices they hold and at hers; under VCG her pivot, the optimum
+    without her, is the optimum of their rows alone, solved once.  Per
+    profile, her bid is merged into their rows and the mechanism's core
+    solves the merged table for the allocation and payments, so no
+    ``Outcome`` is built.  The starred mechanism runs in full per
+    profile.
+    """
+    if kind is MechanismKind.INDIRECT_VCG_STAR:
+        def star_line(start):
+            for s in strategies:
+                yield run_indirect_vcg_star(instance, start.replace(agent, s)
+                                            ).utilities(instance)
+        return star_line
+    vcg = kind is MechanismKind.INDIRECT_VCG
+    bids = [None] * len(strategies)
+    prices = {s.price for s in strategies}
+
+    def line(start):
+        head = start.strategies[:agent]
+        tail = start.strategies[agent + 1:]
+        held, scored = _score_bids(instance, [
+            (i, s) for i, s in enumerate(start.strategies) if i != agent])
+        theirs = _table_rows(instance, held, scored,
+                             sorted(prices.union(held)))
+        if vcg:
+            known = {agent: _solve_indirect(instance, start, theirs,
+                                            frozenset())[0]}
+        at = {row[0]: row for row in theirs}
+        rows = {p: [at[cand] for cand in sorted({*held, p})] for p in prices}
+        for k, s in enumerate(strategies):
+            bid = bids[k]
+            if bid is None:
+                bid = bids[k] = _score_bid(instance, agent, s,
+                                           sorted(cands | {s.price}))
+            prof = StrategyProfile((*head, s, *tail))
+            table = _merge_bid(instance, rows[s.price], bid)
+            if vcg:
+                out = _indirect_vcg(instance, prof, table, known)
+            else:
+                out = _indirect_gsp(instance, prof, table,
+                                    gsp_allow_zero_gain)
+            slot_agents, display_prices, payments, _ = out
+            yield utilities(instance, slot_agents, display_prices, payments)
+    return line
 
 
 def _menu_classes(instance, kind, space, gsp_allow_zero_gain):
@@ -152,19 +199,27 @@ def is_nash(instance: AuctionInstance, kind: MechanismKind,
     utility) for the first improving deviation found in menu order, else
     None.  An agent's non-participating strategies give every agent the
     same utilities (see ``_menu_classes``), so only her first one is
-    tried, and none when she already plays one.
+    tried, and none when she already plays one.  Each agent's deviations
+    are one line of ``_lines``: the other agents' rows are built once per
+    agent, and the profile itself is run once, on the first line walked.
     """
-    payoff = _payoffs(instance, kind, gsp_allow_zero_gain)
-    base = payoff(profile)
+    _refuse_types(kind)
     menus = _menu_classes(instance, kind, space, gsp_allow_zero_gain)
+    base = None
     for i, (options, classes) in enumerate(zip(space.options, menus)):
-        for stands_for in classes:
-            if profile[i] in [options[k] for k in stands_for]:
-                continue
-            s = options[stands_for[0]]
-            u = payoff(profile.replace(i, s))[i]
-            if u > base[i] + NASH_TOL:
-                return False, (i, s, u - base[i])
+        tried = [options[stands_for[0]] for stands_for in classes
+                 if profile[i] not in [options[k] for k in stands_for]]
+        line = tried if base is not None else [profile[i], *tried]
+        if not line:
+            continue
+        others = {s.price for k, s in enumerate(profile.strategies) if k != i}
+        rows = _lines(instance, kind, gsp_allow_zero_gain, i, line,
+                      others)(profile)
+        if base is None:
+            base = next(rows)
+        for s, row in zip(tried, rows):
+            if row[i] > base[i] + NASH_TOL:
+                return False, (i, s, row[i] - base[i])
     return True, None
 
 
@@ -177,9 +232,14 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
     Each agent's non-participating strategies (see ``_menu_classes``)
     give every agent the same utilities, so only her first one is
     enumerated.  Each profile of that collapsed game runs through the
-    mechanism once, filling a table of every agent's utility (memory is
-    O(collapsed profiles)); the indirect mechanisms report only their
-    allocation and payments, so no ``Outcome`` is built.  A profile is
+    mechanism's core once, filling a table of every agent's utility
+    (memory is O(collapsed profiles)).  ``itertools.product`` varies the
+    last agent fastest, so the table fills line by line along her axis
+    (see ``_lines``): per line, the other agents' bids are scored and
+    their rows built once, and under VCG her pivot is solved once; per
+    profile, her pre-scored bid is merged into those rows, the optimum
+    and the other payers' pivots are solved, and the utilities read; no
+    ``Outcome`` is built.  A profile is
     Nash iff each agent's utility is within NASH_TOL of the maximum along
     that agent's axis of the table, which is the test ``is_nash``
     applies; an axis maximum is the same over the collapsed menu as over
@@ -189,17 +249,21 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
     profiles of the whole game, no run is made and
     ``GuardExceededError`` is raised.
     """
-    payoff = _payoffs(instance, kind, gsp_allow_zero_gain)
+    _refuse_types(kind)
     if space.size > ENUMERATION_GUARD:
         raise GuardExceededError(f"joint strategy space has {space.size} "
                                  f"profiles (guard {ENUMERATION_GUARD})")
     menus = _menu_classes(instance, kind, space, gsp_allow_zero_gain)
     reduced = [[options[stands_for[0]] for stands_for in classes]
                for options, classes in zip(space.options, menus)]
-    rows = [payoff(StrategyProfile(combo))
-            for combo in itertools.product(*reduced)]
-    if not rows:  # some menu is empty
+    if not all(reduced):  # some menu is empty
         return []
+    *heads, last = reduced
+    walk = _lines(instance, kind, gsp_allow_zero_gain, len(heads), last,
+                  {s.price for menu in heads for s in menu})
+    rows = []
+    for start in itertools.product(*heads, last[:1]):
+        rows.extend(walk(StrategyProfile(start)))
     nash = bytearray(b"\x01") * len(rows)
     # Axis i has stride prod(|S_j| for j > i); each line along it starts
     # at a profile whose axis-i strategy is the menu's first.

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 from .allocation import (
     _allocation_from,
+    _indirect_pivots,
     _indirect_search,
+    _indirect_table,
+    _solve_indirect,
     direct_allocate,
     direct_pivots,
     indirect_pivots,
@@ -84,10 +87,12 @@ def run_direct_vcg(instance: AuctionInstance, reported=None) -> Outcome:
                                     *direct_pivots(instance, reported)))
 
 
-def _indirect_vcg(instance, profile):
-    """Indirect VCG's (slot agents, display prices, payments, declared
-    welfare), all from one pivot search."""
-    return _vcg(instance, *indirect_pivots(instance, profile))
+def _indirect_vcg(instance, profile, table, known):
+    """``run_indirect_vcg``'s (slot agents, display prices, payments,
+    declared welfare), from solves of the profile's prebuilt indirect
+    ``table``; the pivots in ``known`` (agent to welfare without her) are
+    not solved again."""
+    return _vcg(instance, *_indirect_pivots(instance, profile, table, known))
 
 
 def run_indirect_vcg(instance: AuctionInstance, profile: StrategyProfile) -> Outcome:
@@ -96,7 +101,8 @@ def run_indirect_vcg(instance: AuctionInstance, profile: StrategyProfile) -> Out
     The optimum, its declared welfare and every pivot's welfare come from
     one shared indirect search; nothing is re-scored but the true welfare.
     """
-    return _outcome(instance, *_indirect_vcg(instance, profile))
+    return _outcome(instance, *_vcg(instance,
+                                    *indirect_pivots(instance, profile)))
 
 
 def _fill_zero_gain(instance, profile, entries):
@@ -126,15 +132,16 @@ def _fill_zero_gain(instance, profile, entries):
     return entries + [(i, profile[i].price, 0.0) for i in extras[:free]]
 
 
-def _indirect_gsp(instance, profile, allow_zero_gain):
+def _indirect_gsp(instance, profile, table, allow_zero_gain):
     """Indirect GSP's (slot agents, display prices, payments, declared
-    welfare).  The next slot's occupant's weighted value is her search
-    entry's weight.  The best agent left out is the first entry at the
-    page minimum (always a candidate) that is not displayed: at most m
-    positive weights are displayed and the table keeps m + 1, so she is
-    there unless no positive weight is left out (then 0.0).
-    ``allow_zero_gain`` fills free slots with zero-gain agents."""
-    sw, entries, table = _indirect_search(instance, profile)
+    welfare), from the profile's indirect ``table``.  The next slot's
+    occupant's weighted value is her search entry's weight.  The best
+    agent left out is the first entry at the page minimum (always a
+    candidate) that is not displayed: at most m positive weights are
+    displayed and the table keeps m + 1, so she is there unless no
+    positive weight is left out (then 0.0).  ``allow_zero_gain`` fills
+    free slots with zero-gain agents."""
+    sw, entries = _solve_indirect(instance, profile, table, frozenset())
     if allow_zero_gain:
         entries = _fill_zero_gain(instance, profile, entries)
     slot_agents = tuple(i for i, _, _ in entries)
@@ -165,8 +172,9 @@ def run_indirect_gsp(instance: AuctionInstance, profile: StrategyProfile,
     declared welfare and the occupants' weighted values are the search's
     own scores.
     """
-    return _outcome(instance, *_indirect_gsp(instance, profile,
-                                             allow_zero_gain))
+    return _outcome(instance, *_indirect_gsp(
+        instance, profile, _indirect_table(instance, profile),
+        allow_zero_gain))
 
 
 def infer_type(quality, bid) -> InferredType:
@@ -216,7 +224,7 @@ def run_indirect_vcg_star(instance: AuctionInstance,
             diagnostics.append(f"agent {i}: inferred alpha clamped into [0, 1]")
         inferred.append(AgentType(it.alpha_hat, max(0.0, it.c_hat)))
 
-    sw, entries, _ = _indirect_search(instance, profile)
+    sw, entries = _indirect_search(instance, profile)
     alloc = _allocation_from(entries)
     *_, sw_without = direct_pivots(instance, inferred, range(instance.n))
 

@@ -33,9 +33,13 @@ from price_display_auctions.allocation import (
     _allocation_from,
     _direct_table,
     _indirect_table,
+    _merge_bid,
     _ranked,
+    _score_bid,
+    _score_bids,
     _solve_direct,
     _solve_indirect,
+    _table_rows,
     _weighted_sw,
 )
 from price_display_auctions.mechanisms import _fill_zero_gain
@@ -673,6 +677,22 @@ def test_indirect_table_matches_full_scoring():
     for seed, inst, prof in _indirect_cases():
         assert _indirect_table(inst, prof) == \
             _reference_indirect_table(inst, prof, inst.m + 1), seed
+
+
+def test_merged_table_equals_the_profiles_own_table():
+    # The equilibrium engine builds a profile's table as the other bids'
+    # rows plus the one bid it varies, scored once at a superset of the
+    # candidates (here every grid price too).
+    for seed, inst, prof in _indirect_cases():
+        for agent in range(0, inst.n, max(1, inst.n // 4)):
+            held, scored = _score_bids(inst, [
+                (i, s) for i, s in enumerate(prof.strategies) if i != agent])
+            price = prof[agent].price
+            rows = _table_rows(inst, held, scored, sorted({*held, price}))
+            bid = _score_bid(inst, agent, prof[agent],
+                             sorted({*held, *inst.price_grid, price}))
+            assert _merge_bid(inst, rows, bid) == \
+                _indirect_table(inst, prof), (seed, agent)
 
 
 def test_indirect_table_stops_early_on_a_large_page(count_q_calls):

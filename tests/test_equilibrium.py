@@ -28,12 +28,11 @@ from price_display_auctions import (
     truthful_direct_profile,
     truthful_star_profile,
 )
-from price_display_auctions import equilibrium
+from price_display_auctions import allocation, equilibrium
 from price_display_auctions.equilibrium import (
     ENUMERATION_GUARD,
     NASH_TOL,
     _menu_classes,
-    _payoffs,
 )
 from price_display_auctions.model import true_value
 
@@ -240,27 +239,65 @@ def test_enumeration_of_an_empty_menu_finds_nothing():
     assert enumerate_pure_nash(inst, VCG, space) == []
 
 
+def _line_games():
+    """The differential games, and a 4-agent game whose collapsed menus
+    hold different price sets: agent 3's lacks 0.147, which agent 0 bids,
+    so a line agent scored only at her own menu's prices misses rows."""
+    games = [(inst, space) for inst in _differential_instances()
+             for space in _differential_spaces(inst).values()]
+    inst = random_instance(145, max_agents=4, max_prices=4)
+    space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
+    classes = _menu_classes(inst, VCG, space, False)
+    assert 0.147 in {s.price for s in space.options[0]}
+    assert 0.147 not in {space.options[3][stands_for[0]].price
+                         for stands_for in classes[3]}
+    games.append((inst, space))
+    return games
+
+
 @pytest.mark.parametrize("kind,allow_zero_gain", [
     (VCG, False),
     (MechanismKind.INDIRECT_GSP, False),
     (MechanismKind.INDIRECT_GSP, True),
 ])
-def test_engine_utilities_equal_the_outcomes_exactly(kind, allow_zero_gain):
-    # The engine never builds an Outcome per profile; the utility row it
-    # uses must still be the outcome's, and true value less payment, bit
-    # for bit.
-    for inst in _differential_instances():
-        payoff = _payoffs(inst, kind, allow_zero_gain)
-        for name, space in _differential_spaces(inst).items():
-            for combo in itertools.product(*space.options):
-                prof = StrategyProfile(combo)
-                row = payoff(prof)
-                out = run_mechanism(inst, kind, prof,
-                                    gsp_allow_zero_gain=allow_zero_gain)
-                assert row == out.utilities(inst), name
-                assert row == tuple(
-                    true_value(inst, out.allocation, i) - out.payments[i]
-                    for i in range(inst.n)), name
+def test_engine_utilities_equal_the_outcomes_exactly(
+        monkeypatch, kind, allow_zero_gain):
+    # The engine and is_nash never build an Outcome per profile, nor a
+    # profile's table from scratch: they walk lines, merging the line
+    # agent's bid into the other agents' rows.  Every utility row of every
+    # line they walk must still be the outcome's, and true value less
+    # payment, bit for bit.
+    walk = equilibrium._lines
+    checked = 0
+
+    def checked_lines(inst, kind, allow_zero_gain, agent, strategies,
+                      cands):
+        line = walk(inst, kind, allow_zero_gain, agent, strategies, cands)
+
+        def checked_line(start):
+            nonlocal checked
+            for s, row in zip(strategies, line(start)):
+                prof = start.replace(agent, s)
+                if prof not in wanted:
+                    out = run_mechanism(inst, kind, prof,
+                                        gsp_allow_zero_gain=allow_zero_gain)
+                    wanted[prof] = (out.utilities(inst), tuple(
+                        true_value(inst, out.allocation, i) - out.payments[i]
+                        for i in range(inst.n)))
+                assert wanted[prof] == (row, row), (agent, prof)
+                checked += 1
+                yield row
+        return checked_line
+
+    monkeypatch.setattr(equilibrium, "_lines", checked_lines)
+    for inst, space in _line_games():
+        wanted: dict = {}
+        enumerate_pure_nash(inst, kind, space,
+                            gsp_allow_zero_gain=allow_zero_gain)
+        for combo in list(itertools.product(*space.options))[::7]:
+            is_nash(inst, kind, space, StrategyProfile(combo),
+                    gsp_allow_zero_gain=allow_zero_gain)
+    assert checked > 10_000
 
 
 @pytest.mark.parametrize("kind", [
@@ -292,10 +329,12 @@ def test_starred_mechanism_enumerates_menus_with_standalone_prices():
 
 
 def test_enumeration_quality_evaluations_are_pinned(count_q_calls):
-    # Per profile, the engine makes the mechanism's own evaluations (its
-    # search) plus one true value per displayed agent.  Re-scoring the
-    # optimum, building an Outcome per profile or scoring GSP's last-slot
-    # rivals would raise these counts.
+    # Per line, the engine scores the other agents' bids and their rows;
+    # per game, each strategy of the line agent; per profile, only the
+    # solves' re-scoring plus one true value per displayed agent.
+    # Building each profile's table, re-scoring the optimum, building an
+    # Outcome per profile or scoring GSP's last-slot rivals would raise
+    # these counts.
     inst = random_instance(22, max_agents=3, max_slots=2, max_prices=4)
     space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
     counts = []
@@ -304,7 +343,7 @@ def test_enumeration_quality_evaluations_are_pinned(count_q_calls):
             enumerate_pure_nash(inst, kind, space)
         counts.append(calls())
     assert (inst.n, inst.m, space.size) == (3, 2, 216)
-    assert counts == [385, 385]
+    assert counts == [189, 189]
 
 
 def _collapse_edge_games():
@@ -501,3 +540,34 @@ def test_enumeration_runs_each_collapsed_profile_once(
         enumerate_pure_nash(inst, kind, space,
                             gsp_allow_zero_gain=allow_zero_gain)
     assert calls == collapsed < space.size
+
+
+@pytest.mark.parametrize("kind,allow_zero_gain", [
+    (VCG, False),
+    (MechanismKind.INDIRECT_GSP, True),
+])
+def test_enumeration_scores_bids_once_per_line(
+        monkeypatch, kind, allow_zero_gain):
+    # The engine walks lines along the last agent's axis: the other
+    # agents' bids are scored once per line, and each of her collapsed
+    # strategies once per game.  Building each profile's table from
+    # scratch would score every bid once per profile.
+    inst = random_instance(22, max_agents=3, max_slots=2, max_prices=4)
+    space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
+    *heads, last = [len(classes) for classes in
+                    _menu_classes(inst, kind, space, allow_zero_gain)]
+    score = allocation._score_bids
+    scored = []
+
+    def counted(instance, bids):
+        bids = list(bids)
+        scored.append(len(bids))
+        return score(instance, bids)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(allocation, "_score_bids", counted)
+        patch.setattr(equilibrium, "_score_bids", counted)
+        enumerate_pure_nash(inst, kind, space,
+                            gsp_allow_zero_gain=allow_zero_gain)
+    assert sorted(scored) == [1] * last + [inst.n - 1] * math.prod(heads)
+    assert math.prod(heads) * last > 2 * len(scored)
