@@ -272,14 +272,9 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile
     weights stay near their bounds and O(n |C|) at worst, then O(|C| m)
     steps and at most m |C| re-evaluations.
     """
-    return _allocation_from(_indirect_search(instance, profile)[1])
-
-
-def _indirect_search(instance, profile):
-    """``indirect_allocate``'s (welfare, slot-ordered entries).  Each
-    entry's weight is q(price, p_min) * gain."""
-    return _solve_indirect(instance, profile,
-                           _indirect_table(instance, profile), frozenset())
+    return _allocation_from(_solve_indirect(
+        instance, profile, _indirect_table(instance, profile),
+        frozenset())[1])
 
 
 def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile

@@ -2,7 +2,9 @@
 
 The engine enumerates profiles exhaustively, so every ratio it reports
 is relative to the supplied grids; callers who care about specific
-off-grid deviations must put them on the grid.
+off-grid deviations must put them on the grid.  It consumes utility
+rows: the mechanisms walk each agent's line (``mechanisms._lines``) and
+say which bids give the same outcome (``mechanisms._menu_classes``).
 """
 
 from __future__ import annotations
@@ -11,30 +13,16 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .allocation import (
-    _merge_bid,
-    _score_bid,
-    _score_bids,
-    _solve_indirect,
-    _table_rows,
-    direct_allocate,
-)
+from .allocation import direct_allocate
 from .errors import AuctionError, GuardExceededError
 from .mechanisms import (
     MechanismKind,
-    _indirect_gsp,
-    _indirect_vcg,
+    _lines,
+    _menu_classes,
     run_direct_vcg,
-    run_indirect_vcg_star,
     run_mechanism,
 )
-from .model import (
-    AuctionInstance,
-    Outcome,
-    Strategy,
-    StrategyProfile,
-    utilities,
-)
+from .model import AuctionInstance, Outcome, Strategy, StrategyProfile
 
 # An agent must gain strictly more than this to count as an improving
 # deviation; keeps floating-point welfare ties from manufacturing
@@ -95,101 +83,6 @@ def _refuse_types(kind):
             f"are agent types, not (price, gain) strategies")
 
 
-def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
-    """A walk of ``agent``'s lines under ``kind``: a function from a
-    profile to a generator of every agent's utilities at each profile of
-    its line, the profile with her strategy replaced by each of
-    ``strategies`` in turn.
-
-    A profile's indirect table is the other bids' rows with her bid
-    merged in (``_merge_bid``), and along a line only her bid changes.
-    So each of her strategies is scored once, on its first line, at
-    ``cands`` (the prices the other agents can hold) and at its own price.
-    Per line, the other agents' bids are scored once and their rows built
-    at the prices they hold and at hers; under VCG her pivot, the optimum
-    without her, is the optimum of their rows alone, solved once.  Per
-    profile, her bid is merged into their rows and the mechanism's core
-    solves the merged table for the allocation and payments, so no
-    ``Outcome`` is built.  The starred mechanism runs in full per
-    profile.
-    """
-    if kind is MechanismKind.INDIRECT_VCG_STAR:
-        def star_line(start):
-            for s in strategies:
-                yield run_indirect_vcg_star(instance, start.replace(agent, s)
-                                            ).utilities(instance)
-        return star_line
-    vcg = kind is MechanismKind.INDIRECT_VCG
-    bids = [None] * len(strategies)
-    prices = {s.price for s in strategies}
-
-    def line(start):
-        head = start.strategies[:agent]
-        tail = start.strategies[agent + 1:]
-        held, scored = _score_bids(instance, [
-            (i, s) for i, s in enumerate(start.strategies) if i != agent])
-        theirs = _table_rows(instance, held, scored,
-                             sorted(prices.union(held)))
-        if vcg:
-            known = {agent: _solve_indirect(instance, start, theirs,
-                                            frozenset())[0]}
-        at = {row[0]: row for row in theirs}
-        rows = {p: [at[cand] for cand in sorted({*held, p})] for p in prices}
-        for k, s in enumerate(strategies):
-            bid = bids[k]
-            if bid is None:
-                bid = bids[k] = _score_bid(instance, agent, s,
-                                           sorted(cands | {s.price}))
-            prof = StrategyProfile((*head, s, *tail))
-            table = _merge_bid(instance, rows[s.price], bid)
-            if vcg:
-                out = _indirect_vcg(instance, prof, table, known)
-            else:
-                out = _indirect_gsp(instance, prof, table,
-                                    gsp_allow_zero_gain)
-            slot_agents, display_prices, payments, _ = out
-            yield utilities(instance, slot_agents, display_prices, payments)
-    return line
-
-
-def _menu_classes(instance, kind, space, gsp_allow_zero_gain):
-    """Per agent, her menu's indices in classes of strategies that give
-    every agent the same utilities, ordered by their first index: all her
-    non-participating strategies in one class, each other one alone.
-
-    A non-participant is a bid that no run can show: its table bound
-    peak(p, q(p, p)) * gain is <= 0, unless GSP's zero-gain fill can show
-    it (gain 0 and a positive peak).  Neither the indirect search nor the
-    fill tries a page minimum that only such bids hold, so the outcome is
-    the same whichever of them an agent submits.  The starred mechanism's
-    payments read every bid, so its strategies each stay alone.
-    """
-    if kind is MechanismKind.INDIRECT_VCG_STAR:
-        return [[[k] for k in range(len(menu))] for menu in space.options]
-    zero_fill = kind is MechanismKind.INDIRECT_GSP and gsp_allow_zero_gain
-    menus = []
-    for i, menu in enumerate(space.options):
-        quality = instance.quality(i)
-        peaks: dict = {}
-        classes: list = []
-        dead = None
-        for k, s in enumerate(menu):
-            peak = peaks.get(s.price)
-            if peak is None:
-                peak = peaks[s.price] = quality.peak(
-                    s.price, quality.q(s.price, s.price))
-            if peak * s.gain > 0.0 or (zero_fill and s.gain == 0.0
-                                       and peak > 0.0):
-                classes.append([k])
-            elif dead is None:
-                dead = [k]
-                classes.append(dead)
-            else:
-                dead.append(k)
-        menus.append(classes)
-    return menus
-
-
 def is_nash(instance: AuctionInstance, kind: MechanismKind,
             space: StrategySpace, profile: StrategyProfile,
             *, gsp_allow_zero_gain: bool = False):
@@ -204,7 +97,7 @@ def is_nash(instance: AuctionInstance, kind: MechanismKind,
     agent, and the profile itself is run once, on the first line walked.
     """
     _refuse_types(kind)
-    menus = _menu_classes(instance, kind, space, gsp_allow_zero_gain)
+    menus = _menu_classes(instance, kind, space.options, gsp_allow_zero_gain)
     base = None
     for i, (options, classes) in enumerate(zip(space.options, menus)):
         tried = [options[stands_for[0]] for stands_for in classes
@@ -253,7 +146,7 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
     if space.size > ENUMERATION_GUARD:
         raise GuardExceededError(f"joint strategy space has {space.size} "
                                  f"profiles (guard {ENUMERATION_GUARD})")
-    menus = _menu_classes(instance, kind, space, gsp_allow_zero_gain)
+    menus = _menu_classes(instance, kind, space.options, gsp_allow_zero_gain)
     reduced = [[options[stands_for[0]] for stands_for in classes]
                for options, classes in zip(space.options, menus)]
     if not all(reduced):  # some menu is empty
@@ -305,7 +198,7 @@ class EquilibriumReport:
     pos_sw: float
     poa_rev: float
     pos_rev: float
-    grid_resolution: float = math.nan
+    grid_resolution: float
     notes: tuple[str, ...] = field(default=(
         "revenue benchmark is the direct VCG mechanism's truthful revenue",
     ))

@@ -4,6 +4,10 @@ augmented indirect VCG that infers types from an extra standalone price.
 Each mechanism is a pure pipeline: allocate, then price the externality.
 Payments are always in [0, declared value] (individual rationality plus
 weak budget balance).
+
+The equilibrium engine reads the indirect mechanisms through two helpers
+here: ``_menu_classes`` groups the bids that give every agent the same
+outcome, and ``_lines`` yields utility rows along one agent's axis.
 """
 
 from __future__ import annotations
@@ -14,9 +18,12 @@ from dataclasses import dataclass
 from .allocation import (
     _allocation_from,
     _indirect_pivots,
-    _indirect_search,
     _indirect_table,
+    _merge_bid,
+    _score_bid,
+    _score_bids,
     _solve_indirect,
+    _table_rows,
     direct_allocate,
     direct_pivots,
     indirect_pivots,
@@ -32,6 +39,7 @@ from .model import (
     Strategy,
     StrategyProfile,
     true_welfare,
+    utilities,
 )
 
 # Treat a diagonal derivative smaller than this as zero (inference error).
@@ -85,14 +93,6 @@ def run_direct_vcg(instance: AuctionInstance, reported=None) -> Outcome:
         reported = [instance.atype(i) for i in range(instance.n)]
     return _outcome(instance, *_vcg(instance,
                                     *direct_pivots(instance, reported)))
-
-
-def _indirect_vcg(instance, profile, table, known):
-    """``run_indirect_vcg``'s (slot agents, display prices, payments,
-    declared welfare), from solves of the profile's prebuilt indirect
-    ``table``; the pivots in ``known`` (agent to welfare without her) are
-    not solved again."""
-    return _vcg(instance, *_indirect_pivots(instance, profile, table, known))
 
 
 def run_indirect_vcg(instance: AuctionInstance, profile: StrategyProfile) -> Outcome:
@@ -224,7 +224,9 @@ def run_indirect_vcg_star(instance: AuctionInstance,
             diagnostics.append(f"agent {i}: inferred alpha clamped into [0, 1]")
         inferred.append(AgentType(it.alpha_hat, max(0.0, it.c_hat)))
 
-    sw, entries = _indirect_search(instance, profile)
+    sw, entries = _solve_indirect(instance, profile,
+                                  _indirect_table(instance, profile),
+                                  frozenset())
     alloc = _allocation_from(entries)
     *_, sw_without = direct_pivots(instance, inferred, range(instance.n))
 
@@ -284,3 +286,99 @@ def run_mechanism(instance: AuctionInstance, kind: MechanismKind, bids,
     if kind is MechanismKind.INDIRECT_VCG_STAR:
         return run_indirect_vcg_star(instance, bids)
     raise AuctionError(f"unknown mechanism kind {kind!r}")
+
+
+def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
+    """A walk of ``agent``'s lines under ``kind``: a function from a
+    profile to a generator of every agent's utilities at each profile of
+    its line, the profile with her strategy replaced by each of
+    ``strategies`` in turn.
+
+    A profile's indirect table is the other bids' rows with her bid
+    merged in (``_merge_bid``), and along a line only her bid changes.
+    So each of her strategies is scored once, on its first line, at
+    ``cands`` (the prices the other agents can hold) and at its own price.
+    Per line, the other agents' bids are scored once and their rows built
+    at the prices they hold and at hers; under VCG her pivot, the optimum
+    without her, is the optimum of their rows alone, solved once.  Per
+    profile, her bid is merged into their rows and the mechanism's core
+    solves the merged table for the allocation and payments, so no
+    ``Outcome`` is built.  The starred mechanism runs in full per
+    profile.
+    """
+    if kind is MechanismKind.INDIRECT_VCG_STAR:
+        def star_line(start):
+            for s in strategies:
+                yield run_indirect_vcg_star(instance, start.replace(agent, s)
+                                            ).utilities(instance)
+        return star_line
+    vcg = kind is MechanismKind.INDIRECT_VCG
+    bids = [None] * len(strategies)
+    prices = {s.price for s in strategies}
+
+    def line(start):
+        head = start.strategies[:agent]
+        tail = start.strategies[agent + 1:]
+        held, scored = _score_bids(instance, [
+            (i, s) for i, s in enumerate(start.strategies) if i != agent])
+        theirs = _table_rows(instance, held, scored,
+                             sorted(prices.union(held)))
+        if vcg:
+            known = {agent: _solve_indirect(instance, start, theirs,
+                                            frozenset())[0]}
+        at = {row[0]: row for row in theirs}
+        rows = {p: [at[cand] for cand in sorted({*held, p})] for p in prices}
+        for k, s in enumerate(strategies):
+            bid = bids[k]
+            if bid is None:
+                bid = bids[k] = _score_bid(instance, agent, s,
+                                           sorted(cands | {s.price}))
+            prof = StrategyProfile((*head, s, *tail))
+            table = _merge_bid(instance, rows[s.price], bid)
+            if vcg:
+                out = _vcg(instance, *_indirect_pivots(instance, prof, table,
+                                                       known))
+            else:
+                out = _indirect_gsp(instance, prof, table,
+                                    gsp_allow_zero_gain)
+            slot_agents, display_prices, payments, _ = out
+            yield utilities(instance, slot_agents, display_prices, payments)
+    return line
+
+
+def _menu_classes(instance, kind, options, gsp_allow_zero_gain):
+    """Per agent, her menu's indices in classes of strategies that give
+    every agent the same utilities, ordered by their first index: all her
+    non-participating strategies in one class, each other one alone.
+
+    A non-participant is a bid that no run can show: its table bound
+    peak(p, q(p, p)) * gain is <= 0, unless GSP's zero-gain fill can show
+    it (gain 0 and a positive peak).  Neither the indirect search nor the
+    fill tries a page minimum that only such bids hold, so the outcome is
+    the same whichever of them an agent submits.  The starred mechanism's
+    payments read every bid, so its strategies each stay alone.
+    """
+    if kind is MechanismKind.INDIRECT_VCG_STAR:
+        return [[[k] for k in range(len(menu))] for menu in options]
+    zero_fill = kind is MechanismKind.INDIRECT_GSP and gsp_allow_zero_gain
+    menus = []
+    for i, menu in enumerate(options):
+        quality = instance.quality(i)
+        peaks: dict = {}
+        classes: list = []
+        dead = None
+        for k, s in enumerate(menu):
+            peak = peaks.get(s.price)
+            if peak is None:
+                peak = peaks[s.price] = quality.peak(
+                    s.price, quality.q(s.price, s.price))
+            if peak * s.gain > 0.0 or (zero_fill and s.gain == 0.0
+                                       and peak > 0.0):
+                classes.append([k])
+            elif dead is None:
+                dead = [k]
+                classes.append(dead)
+            else:
+                dead.append(k)
+        menus.append(classes)
+    return menus

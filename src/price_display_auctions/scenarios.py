@@ -105,9 +105,11 @@ def _reference_outcome(scenario, kind):
 
 
 def _check_ratio(scenario, direct, outcome):
-    return _check_close("welfare ratio",
-                        direct.true_welfare / outcome.true_welfare,
-                        scenario.expected["ratio"], RATIO_TOL)
+    """An outcome with zero welfare fails, with an observed ratio of inf."""
+    achieved = outcome.true_welfare
+    ratio = direct.true_welfare / achieved if achieved else math.inf
+    return _check_close("welfare ratio", ratio, scenario.expected["ratio"],
+                        RATIO_TOL)
 
 
 def build_t5(p_low: float = 1.0, eps: float = 0.01) -> Scenario:
@@ -155,6 +157,9 @@ def build_t7(m: int = 2, p_high: float = 1.0) -> Scenario:
     """m slots, m+1 identical sellers: everyone at the low price is
     stable but earns only 1/m of the optimum."""
     _require(m >= 2, "m >= 2")
+    # The Nash checks grow about as m**3: m = 100 takes about 3.3 s on a
+    # 2-core host, within the 5 s budget of ``cli.AUDIT_CHECK_LIMIT``.
+    _require(m <= 100, "m <= 100")
     _require(p_high > 0, "p_high > 0")
     p_low = p_high / m
     q = OnlyMinQuality(cap=p_high)

@@ -77,9 +77,7 @@ def _as_number(value, path):
             path, "integer too large for a float") from None
 
 
-def _number(data, key, path, default=None):
-    if default is not None and key not in data:
-        return default
+def _number(data, key, path):
     return _as_number(_require(data, key, path), f"{path}.{key}")
 
 

@@ -185,6 +185,7 @@ def test_reproduce_bad_param(capsys):
     ("T5", "foo=1", "unknown parameter 'foo'"),
     ("T10", "interior_points=1.5", "must be an integer"),
     ("T10", "interior_points=-5", "interior_points >= 0"),
+    ("T7", "m=101", "m <= 100"),
 ])
 def test_reproduce_bad_param_value_exits_two(capsys, scenario, param, message):
     code, out, err = run(capsys, "reproduce", scenario, "--param", param)
@@ -198,6 +199,20 @@ def test_reproduce_constraint_violation(capsys):
     code, _, err = run(capsys, "reproduce", "T10", "--param", "delta=0.9")
     assert code == 2
     assert "constraint" in err
+
+
+@pytest.mark.parametrize("params", [
+    ("T7", "--param", "m=2", "--param", "p_high=1e-320"),
+    ("T9", "--param", "p_high=1e-320"),
+    ("T5", "--param", "p_low=1e-300", "--param", "eps=1e-302"),
+])
+def test_reproduce_zero_welfare_reference_fails_cleanly(capsys, params):
+    # The reference outcome's welfare underflows to 0, so its welfare
+    # ratio cannot be computed: the check fails instead of raising.
+    code, out, err = run(capsys, "reproduce", *params)
+    assert code in (1, 2)
+    assert "Traceback" not in err
+    assert "welfare ratio: inf" in out
 
 
 def test_reproduce_failing_verdict_exits_one(monkeypatch, capsys):

@@ -6,7 +6,8 @@ included, is relative or names a standard-library module, and
 ``pyproject.toml`` declares no runtime dependency, so a third-party
 import cannot creep back unnoticed.  No function rebinds a module
 global, so every object the package builds is safe to share across
-threads.
+threads.  A private name crosses one layer of the stack at most: it is
+imported only from the module directly below the importer.
 """
 
 import ast
@@ -17,6 +18,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "price_display_auctions"
+# The layered stack, bottom first.
+LAYERS = ("quality", "model", "allocation", "mechanisms", "equilibrium",
+          "scenarios", "cli")
 
 
 def _nodes(path):
@@ -30,6 +34,28 @@ def _absolute_imports(path):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.module
+
+
+def _private_imports(path):
+    """(module, name) of every private name, dunders aside, that the file
+    at ``path`` imports from the package."""
+    for node in _nodes(path):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if alias.name.startswith("_") and not (
+                        alias.name.startswith("__")
+                        and alias.name.endswith("__")):
+                    yield node.module, alias.name
+
+
+def test_private_names_come_only_from_the_layer_below():
+    below = dict(zip(LAYERS[1:], LAYERS))
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    crossing = [(path.stem, module, name) for path in sources
+                for module, name in _private_imports(path)
+                if module != below.get(path.stem)]
+    assert not crossing
 
 
 def test_package_imports_only_the_standard_library():

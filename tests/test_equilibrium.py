@@ -28,7 +28,7 @@ from price_display_auctions import (
     truthful_direct_profile,
     truthful_star_profile,
 )
-from price_display_auctions import allocation, equilibrium
+from price_display_auctions import allocation, equilibrium, mechanisms
 from price_display_auctions.equilibrium import (
     ENUMERATION_GUARD,
     NASH_TOL,
@@ -247,7 +247,7 @@ def _line_games():
              for space in _differential_spaces(inst).values()]
     inst = random_instance(145, max_agents=4, max_prices=4)
     space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
-    classes = _menu_classes(inst, VCG, space, False)
+    classes = _menu_classes(inst, VCG, space.options, False)
     assert 0.147 in {s.price for s in space.options[0]}
     assert 0.147 not in {space.options[3][stands_for[0]].price
                          for stands_for in classes[3]}
@@ -429,7 +429,7 @@ def test_collapse_matches_plain_enumeration_on_edge_games(
     assert list(report.equilibria) == want
     # The strategies of one class leave every outcome, payments included,
     # bit for bit the same.
-    menus = _menu_classes(inst, kind, space, allow_zero_gain)
+    menus = _menu_classes(inst, kind, space.options, allow_zero_gain)
     assert any(len(stands_for) > 1 for classes in menus
                for stands_for in classes)
     for i, classes in enumerate(menus):
@@ -451,22 +451,22 @@ def test_collapse_keeps_the_bids_it_must():
     _, idle_space = games["no participant"]
     # (a) The overbid at price 2 has a zero diagonal and a positive peak.
     assert dip_game.quality(0).q(2.0, 2.0) == 0.0
-    assert _menu_classes(dip_game, VCG, dip_space, False)[0] == \
+    assert _menu_classes(dip_game, VCG, dip_space.options, False)[0] == \
         [[0], [1, 3], [2]]
     # (b) Under the zero-gain fill, zero gains with a positive peak stay.
     assert [(s.price, s.gain) for s in fill_space.options[0]] == \
         [(1.0, -0.5), (2.0, 0.0), (2.0, 0.5)]
     gsp = MechanismKind.INDIRECT_GSP
-    assert _menu_classes(fill_game, gsp, fill_space, False)[0] == \
+    assert _menu_classes(fill_game, gsp, fill_space.options, False)[0] == \
         [[0, 1], [2]]
-    assert _menu_classes(fill_game, gsp, fill_space, True)[0] == \
+    assert _menu_classes(fill_game, gsp, fill_space.options, True)[0] == \
         [[0], [1], [2]]
     # (c) A menu with no participant is one class.
-    assert _menu_classes(second_price_instance(), VCG, idle_space,
-                         False)[0] == [[0, 1, 2]]
+    assert _menu_classes(second_price_instance(), VCG,
+                         idle_space.options, False)[0] == [[0, 1, 2]]
     # The starred mechanism keeps every strategy alone.
     assert _menu_classes(dip_game, MechanismKind.INDIRECT_VCG_STAR,
-                         dip_space, False)[0] == [[0], [1], [2], [3]]
+                         dip_space.options, False)[0] == [[0], [1], [2], [3]]
 
 
 def _whole_menu_witness(utilities, space, combo):
@@ -526,8 +526,8 @@ def test_enumeration_runs_each_collapsed_profile_once(
                    or (allow_zero_gain and s.gain == 0.0 and peak > 0.0)
                    for s, peak in zip(menu, peaks))
         collapsed *= live + (live < len(menu))
-    name = "_indirect_vcg" if kind is VCG else "_indirect_gsp"
-    core = getattr(equilibrium, name)
+    name = "_indirect_pivots" if kind is VCG else "_indirect_gsp"
+    core = getattr(mechanisms, name)
     calls = 0
 
     def counted(*args):
@@ -536,7 +536,7 @@ def test_enumeration_runs_each_collapsed_profile_once(
         return core(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(equilibrium, name, counted)
+        patch.setattr(mechanisms, name, counted)
         enumerate_pure_nash(inst, kind, space,
                             gsp_allow_zero_gain=allow_zero_gain)
     assert calls == collapsed < space.size
@@ -555,7 +555,7 @@ def test_enumeration_scores_bids_once_per_line(
     inst = random_instance(22, max_agents=3, max_slots=2, max_prices=4)
     space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
     *heads, last = [len(classes) for classes in
-                    _menu_classes(inst, kind, space, allow_zero_gain)]
+                    _menu_classes(inst, kind, space.options, allow_zero_gain)]
     score = allocation._score_bids
     scored = []
 
@@ -566,7 +566,7 @@ def test_enumeration_scores_bids_once_per_line(
 
     with monkeypatch.context() as patch:
         patch.setattr(allocation, "_score_bids", counted)
-        patch.setattr(equilibrium, "_score_bids", counted)
+        patch.setattr(mechanisms, "_score_bids", counted)
         enumerate_pure_nash(inst, kind, space,
                             gsp_allow_zero_gain=allow_zero_gain)
     assert sorted(scored) == [1] * last + [inst.n - 1] * math.prod(heads)

@@ -36,6 +36,10 @@ def test_constraint_violations_name_the_inequality():
         build("T10", p_low=2.0, p_high=2.5)
     with pytest.raises(ConstraintViolationError):
         build("T7", m=1)
+    with pytest.raises(ConstraintViolationError) as err:
+        build("T7", m=101)
+    assert "m <= 100" in str(err.value)
+    assert build("T7", m=100).instance.m == 100
     with pytest.raises(ConstraintViolationError):
         build("T9", delta=1.5)
     with pytest.raises(ConstraintViolationError):
