@@ -45,10 +45,13 @@ def _ranked(instance, entries):
 
 
 def _weighted_sw(instance, entries):
-    """Declared welfare of slot-ordered entries: the sum of
-    lam * (q * gain), ``declared_welfare``'s arithmetic."""
-    lams = instance.slots.prominences
-    return sum(lam * w for lam, (_, _, w) in zip(lams, entries))
+    """Declared welfare of slot-ordered entries: lam * (q * gain) added
+    left to right from 0.0, ``declared_welfare``'s arithmetic.  A loop,
+    not ``sum()``, which compensates float sums from Python 3.12 on."""
+    sw = 0.0
+    for lam, (_, _, w) in zip(instance.slots.prominences, entries):
+        sw += lam * w
+    return sw
 
 
 def _allocation_from(entries):
@@ -229,6 +232,7 @@ def _solve_indirect(instance, profile, table, exclude):
     (qualities can only rise) and re-ranked.
     """
     m = instance.m
+    lams = instance.slots.prominences
     best_entries: list = []
     best_sw = 0.0
     for cand, holders, ranked in table:
@@ -240,12 +244,18 @@ def _solve_indirect(instance, profile, table, exclude):
             chosen = [e for e in ranked if e[0] not in exclude][:m]
         if not chosen:
             continue
-        actual = min(p for _, p, _ in chosen)
+        actual = chosen[0][1]
+        for _, p, _ in chosen:
+            if p < actual:
+                actual = p
         if actual != cand:
             chosen = _ranked(instance, [
                 (i, p, instance.quality(i).q(p, actual) * profile[i].gain)
                 for i, p, _ in chosen])
-        sw = _weighted_sw(instance, chosen)
+        # _weighted_sw's sum, inlined: this is the engine's hottest loop.
+        sw = 0.0
+        for lam, (_, _, w) in zip(lams, chosen):
+            sw += lam * w
         if sw > best_sw + WELFARE_TOL:
             best_sw = sw
             best_entries = chosen
@@ -290,17 +300,35 @@ def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
     picks.
     """
     return _indirect_pivots(instance, profile,
-                            _indirect_table(instance, profile), {})
+                            _indirect_table(instance, profile), None)
 
 
 def _indirect_pivots(instance, profile, table, known):
-    """``indirect_pivots`` over the profile's prebuilt ``table``; a pivot
-    in ``known``, a map from agents to their welfare without them, is
-    taken from it, not solved."""
+    """``indirect_pivots`` over the profile's prebuilt ``table``.
+
+    ``known`` is None, and every pivot is solved, or (memo, codes): a
+    memo that one walk of many profiles owns, and this profile's
+    strategies as codes, one int per agent that stands for the same
+    strategy in every profile of the walk.  The solve without i tries
+    exactly the prices where some other bid is live and reads the
+    others' first m entries there, so her pivot depends only on the
+    others' strategies: it is stored under their codes and solved only
+    on a miss, bit for bit what a fresh solve gives.
+    """
     sw, entries = _solve_indirect(instance, profile, table, frozenset())
-    without = {i: known[i] if i in known else
-               _solve_indirect(instance, profile, table, frozenset({i}))[0]
-               for i, _, _ in entries}
+    without = {}
+    for i, _, _ in entries:
+        if known is None:
+            without[i] = _solve_indirect(instance, profile, table,
+                                         frozenset((i,)))[0]
+            continue
+        memo, codes = known
+        key = codes[:i], codes[i + 1:]
+        pivot = memo.get(key)
+        if pivot is None:
+            pivot = memo[key] = _solve_indirect(instance, profile, table,
+                                                frozenset((i,)))[0]
+        without[i] = pivot
     return sw, entries, without
 
 

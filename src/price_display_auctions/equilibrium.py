@@ -129,10 +129,10 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
     (memory is O(collapsed profiles)).  ``itertools.product`` varies the
     last agent fastest, so the table fills line by line along her axis
     (see ``_lines``): per line, the other agents' bids are scored and
-    their rows built once, and under VCG her pivot is solved once; per
-    profile, her pre-scored bid is merged into those rows, the optimum
-    and the other payers' pivots are solved, and the utilities read; no
-    ``Outcome`` is built.  A profile is
+    their rows built once; per profile, her pre-scored bid is merged into
+    those rows, the optimum is solved and the utilities read, and no
+    ``Outcome`` is built.  Under VCG each payer's pivot is solved once
+    per set of the other agents' strategies.  A profile is
     Nash iff each agent's utility is within NASH_TOL of the maximum along
     that agent's axis of the table, which is the test ``is_nash``
     applies; an axis maximum is the same over the collapsed menu as over

@@ -70,8 +70,8 @@ def _vcg(instance, sw, entries, without):
     payments = [0.0] * instance.n
     for lam, (i, _, w) in zip(instance.slots.prominences, entries):
         payments[i] = max(0.0, without[i] - (sw - lam * w))
-    return (tuple(i for i, _, _ in entries), tuple(p for _, p, _ in entries),
-            payments, sw)
+    return (tuple([i for i, _, _ in entries]),
+            tuple([p for _, p, _ in entries]), payments, sw)
 
 
 def _outcome(instance, slot_agents, display_prices, payments, sw):
@@ -144,14 +144,19 @@ def _indirect_gsp(instance, profile, table, allow_zero_gain):
     sw, entries = _solve_indirect(instance, profile, table, frozenset())
     if allow_zero_gain:
         entries = _fill_zero_gain(instance, profile, entries)
-    slot_agents = tuple(i for i, _, _ in entries)
-    display_prices = tuple(p for _, p, _ in entries)
+    slot_agents = tuple([i for i, _, _ in entries])
+    display_prices = tuple([p for _, p, _ in entries])
     payments = [0.0] * instance.n
     if entries:
         p_min = min(display_prices)
-        ranked = next(r for cand, _, r in table if cand == p_min)
-        best_left_out = next((w for i, _, w in ranked
-                              if i not in slot_agents), 0.0)
+        for cand, _, ranked in table:
+            if cand == p_min:
+                break
+        best_left_out = 0.0
+        for i, _, w in ranked:
+            if i not in slot_agents:
+                best_left_out = w
+                break
         next_values = [w for _, _, w in entries[1:]] + [best_left_out]
         for lam, i, value in zip(instance.slots.prominences, slot_agents,
                                  next_values):
@@ -299,12 +304,14 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
     So each of her strategies is scored once, on its first line, at
     ``cands`` (the prices the other agents can hold) and at its own price.
     Per line, the other agents' bids are scored once and their rows built
-    at the prices they hold and at hers; under VCG her pivot, the optimum
-    without her, is the optimum of their rows alone, solved once.  Per
-    profile, her bid is merged into their rows and the mechanism's core
-    solves the merged table for the allocation and payments, so no
-    ``Outcome`` is built.  The starred mechanism runs in full per
-    profile.
+    at the prices they hold and at hers.  Per profile, her bid is merged
+    into their rows and the mechanism's core solves the merged table for
+    the allocation and payments, so no ``Outcome`` is built.  Under VCG a
+    payer's pivot reads only the other agents' bids, so the walk keeps
+    one memo of pivots under the others' strategies, coded as ints (her
+    strategies by their index in ``strategies``): each is solved once
+    per walk, and only when its payer pays.  The starred mechanism runs
+    in full per profile.
     """
     if kind is MechanismKind.INDIRECT_VCG_STAR:
         def star_line(start):
@@ -315,17 +322,21 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
     vcg = kind is MechanismKind.INDIRECT_VCG
     bids = [None] * len(strategies)
     prices = {s.price for s in strategies}
+    memo: dict = {}  # VCG pivots, keyed as in _indirect_pivots
+    codes: dict = {}  # the other agents' strategies, as ints
 
     def line(start):
         head = start.strategies[:agent]
         tail = start.strategies[agent + 1:]
+        if vcg:
+            head_codes = tuple([codes.setdefault(s, len(codes))
+                                for s in head])
+            tail_codes = tuple([codes.setdefault(s, len(codes))
+                                for s in tail])
         held, scored = _score_bids(instance, [
             (i, s) for i, s in enumerate(start.strategies) if i != agent])
         theirs = _table_rows(instance, held, scored,
                              sorted(prices.union(held)))
-        if vcg:
-            known = {agent: _solve_indirect(instance, start, theirs,
-                                            frozenset())[0]}
         at = {row[0]: row for row in theirs}
         rows = {p: [at[cand] for cand in sorted({*held, p})] for p in prices}
         for k, s in enumerate(strategies):
@@ -336,6 +347,7 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
             prof = StrategyProfile((*head, s, *tail))
             table = _merge_bid(instance, rows[s.price], bid)
             if vcg:
+                known = memo, (*head_codes, k, *tail_codes)
                 out = _vcg(instance, *_indirect_pivots(instance, prof, table,
                                                        known))
             else:

@@ -236,14 +236,21 @@ def true_value(instance: AuctionInstance, allocation: Allocation,
 def declared_welfare(instance: AuctionInstance, allocation: Allocation,
                      gains) -> float:
     """Sum of declared values; ``gains`` holds one gain per agent.  The
-    sum starts from 0.0, so an empty allocation's welfare is a float."""
-    return sum((declared_value(instance, allocation, i, gains[i])
-                for i in allocation.slot_agents), 0.0)
+    values are added left to right from 0.0, as the searches add them, so
+    an empty allocation's welfare is a float.  A loop, not ``sum()``,
+    which compensates float sums from Python 3.12 on."""
+    sw = 0.0
+    for i in allocation.slot_agents:
+        sw += declared_value(instance, allocation, i, gains[i])
+    return sw
 
 
 def true_welfare(instance: AuctionInstance, allocation: Allocation) -> float:
-    return sum((true_value(instance, allocation, i)
-                for i in allocation.slot_agents), 0.0)
+    """Sum of true values, added as ``declared_welfare`` adds."""
+    sw = 0.0
+    for i in allocation.slot_agents:
+        sw += true_value(instance, allocation, i)
+    return sw
 
 
 @dataclass(frozen=True)
@@ -295,7 +302,7 @@ def utilities(instance: AuctionInstance, slot_agents, display_prices,
                              display_prices):
             atype, quality = instance.agents[i]
             values[i] = lam * (quality.q(p, p_min) * atype.gain(p))
-    return tuple(v - pay for v, pay in zip(values, payments))
+    return tuple([v - pay for v, pay in zip(values, payments)])
 
 
 def truthful_gains(instance: AuctionInstance, allocation: Allocation) -> list[float]:

@@ -12,6 +12,8 @@ from .model import (
     StrategyProfile,
 )
 from .quality import (
+    QUALITY_KINDS,
+    HyperbolaQuality,
     OnlyMinQuality,
     PriceThresholdQuality,
     SmoothDecayQuality,
@@ -60,7 +62,10 @@ def _monotone(rows):
     return tuple(tuple(r) for r in rows)
 
 
-ALL_QUALITY_KINDS = ("only-min", "price-threshold", "smooth-decay", "tabulated")
+# The kinds ``_random_quality`` draws, in ``QUALITY_KINDS`` order: all but
+# psi-hyperbola, whose floor and ceiling prices it has no rule to draw.
+SAMPLED_QUALITY_KINDS = tuple(kind for kind in QUALITY_KINDS
+                              if kind != HyperbolaQuality.kind)
 
 
 def _random_quality(rng: random.Random, grid, kinds):
@@ -80,7 +85,7 @@ def _random_quality(rng: random.Random, grid, kinds):
 
 def random_instance(seed: int, *, max_agents: int = 4, max_slots: int = 3,
                     max_prices: int = 4,
-                    quality_kinds=ALL_QUALITY_KINDS) -> AuctionInstance:
+                    quality_kinds=SAMPLED_QUALITY_KINDS) -> AuctionInstance:
     """A small random instance; same seed, same instance."""
     rng = random.Random(seed)
     grid = _random_grid(rng, max_prices)

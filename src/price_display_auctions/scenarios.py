@@ -32,6 +32,9 @@ from .model import (
 from .quality import HyperbolaQuality, OnlyMinQuality, PriceThresholdQuality
 
 RATIO_TOL = 1e-6
+# Welfare and revenue scale with the prices, so value checks allow
+# VALUE_TOL times the scenario's largest grid price (``_scale``); the
+# verdicts print VALUE_TOL itself.
 VALUE_TOL = 1e-9
 
 VCG = MechanismKind.INDIRECT_VCG
@@ -81,8 +84,13 @@ def _uniform_instance(qualities, m, price_grid, costs=None):
     return AuctionInstance(agents, SlotProfile((1.0,) * m), tuple(price_grid))
 
 
-def _check_close(name, observed, expected, tol):
-    return Check(name, abs(observed - expected) <= tol,
+def _scale(scenario):
+    """The price scale that VALUE_TOL is relative to."""
+    return max(scenario.instance.price_grid)
+
+
+def _check_close(name, observed, expected, tol, scale=1.0):
+    return Check(name, abs(observed - expected) <= tol * scale,
                  f"{observed:.12g}", f"{expected:.12g} (tol {tol:g})")
 
 
@@ -148,7 +156,7 @@ def _t5_checks(scenario, direct):
     out = _reference_outcome(scenario, GSP)
     return [nash,
             Check("equilibrium welfare at most p_low + eps",
-                  out.true_welfare <= bound + VALUE_TOL,
+                  out.true_welfare <= bound + VALUE_TOL * _scale(scenario),
                   f"{out.true_welfare:.12g}", f"<= {bound:.12g}"),
             _check_ratio(scenario, direct, out)]
 
@@ -186,7 +194,8 @@ def _t7_checks(scenario, direct):
         outs[kind] = out = _reference_outcome(scenario, kind)
         checks.append(_check_close(
             f"equilibrium welfare under {kind.value}", out.true_welfare,
-            scenario.expected["equilibrium_sw"], VALUE_TOL))
+            scenario.expected["equilibrium_sw"], VALUE_TOL,
+            _scale(scenario)))
     return checks + [_check_ratio(scenario, direct, outs[VCG])]
 
 
@@ -226,7 +235,8 @@ def _t9_checks(scenario, direct):
     out = _reference_outcome(scenario, VCG)
     return checks + [
         _check_close("equilibrium welfare", out.true_welfare,
-                     scenario.expected["equilibrium_sw"], VALUE_TOL),
+                     scenario.expected["equilibrium_sw"], VALUE_TOL,
+                     _scale(scenario)),
         _check_ratio(scenario, direct, out)]
 
 
@@ -272,8 +282,10 @@ def _zero_revenue_checks(scenario, direct, per_kind):
     """T10 and T12: direct revenue, then per kind in ``spaces`` a Nash
     reference and equilibria with zero revenue (named per kind in T10), and
     in T10's VCG space equal prices."""
+    scale = _scale(scenario)
     checks = [_check_close("direct mechanism revenue", direct.revenue,
-                           scenario.expected["direct_revenue"], VALUE_TOL)]
+                           scenario.expected["direct_revenue"], VALUE_TOL,
+                           scale)]
     for kind in scenario.spaces:
         eqs, outs = _equilibria_and_outcomes(
             scenario.instance, kind, scenario.spaces[kind],
@@ -285,7 +297,7 @@ def _zero_revenue_checks(scenario, direct, per_kind):
                             f"{len(eqs)} found", ">= 1"))
         worst = max((abs(o.revenue) for o in outs), default=0.0)
         checks.append(Check(f"{every} equilibrium has zero revenue",
-                            worst <= VALUE_TOL,
+                            worst <= VALUE_TOL * scale,
                             f"max |revenue| {worst:.3g}", "0"))
         if kind is VCG:
             mismatched = [eq for eq in eqs if eq[0].price != eq[1].price]
@@ -294,7 +306,7 @@ def _zero_revenue_checks(scenario, direct, per_kind):
                 not mismatched, f"{len(mismatched)} unequal-price",
                 "0 unequal-price"))
     checks.append(Check("revenue stability ratio is infinite",
-                        direct.revenue > VALUE_TOL, "+inf", "+inf"))
+                        direct.revenue > VALUE_TOL * scale, "+inf", "+inf"))
     return checks
 
 
@@ -364,7 +376,7 @@ def reproduce(scenario: Scenario) -> VerdictReport:
         checks.append(_check_close("optimal social welfare",
                                    direct.true_welfare,
                                    scenario.expected["optimal_sw"],
-                                   VALUE_TOL))
+                                   VALUE_TOL, _scale(scenario)))
     checks += scenario.check(scenario, direct)
     return VerdictReport(scenario.scenario_id, dict(scenario.params),
                          tuple(checks))

@@ -215,6 +215,28 @@ def test_reproduce_zero_welfare_reference_fails_cleanly(capsys, params):
     assert "welfare ratio: inf" in out
 
 
+@pytest.mark.parametrize("params,failing", [
+    (("T7", "--param", "m=2", "--param", "p_high=1e-320"),
+     ["optimal social welfare", "equilibrium welfare under indirect-vcg",
+      "equilibrium welfare under indirect-gsp"]),
+    (("T9", "--param", "p_high=1e-320"),
+     ["optimal social welfare", "equilibrium welfare"]),
+    (("T5", "--param", "p_low=1e-300", "--param", "eps=1e-302"),
+     ["optimal social welfare"]),
+])
+def test_reproduce_value_checks_scale_with_the_prices(capsys, params,
+                                                      failing):
+    # Welfare scales with the prices, and so does the value tolerance: at
+    # these scales a welfare that underflows to 0 fails its value checks,
+    # which an absolute 1e-9 would pass.  The verdict still prints the
+    # relative tolerance.
+    code, out, _ = run(capsys, "reproduce", *params)
+    assert code == 1
+    for name in failing:
+        assert f"[FAIL] {name}: 0 (expected " in out
+    assert "(tol 1e-09)" in out
+
+
 def test_reproduce_failing_verdict_exits_one(monkeypatch, capsys):
     from price_display_auctions import cli
     bad = VerdictReport("T7-poa-m", {}, (Check("made-up", False, "0", "1"),))

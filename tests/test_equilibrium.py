@@ -542,6 +542,39 @@ def test_enumeration_runs_each_collapsed_profile_once(
     assert calls == collapsed < space.size
 
 
+def test_enumeration_solves_each_pivot_once(monkeypatch):
+    # Under VCG a payer's pivot reads only the other agents' bids, so the
+    # engine solves it once per (payer, other agents' strategies) among
+    # the collapsed profiles, and only for a payer.  Solving it per
+    # profile, or the line agent's per line, would raise the count.
+    inst = random_instance(22, max_agents=3, max_slots=2, max_prices=4)
+    space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
+    reduced = [[menu[stands_for[0]] for stands_for in classes]
+               for menu, classes in zip(
+                   space.options,
+                   _menu_classes(inst, VCG, space.options, False))]
+    keys = set()
+    payers = 0
+    for combo in itertools.product(*reduced):
+        for i in run_mechanism(inst, VCG, StrategyProfile(combo)
+                               ).allocation.slot_agents:
+            keys.add((i, combo[:i] + combo[i + 1:]))
+            payers += 1
+    solve = allocation._solve_indirect
+    pivots = 0
+
+    def counted(instance, profile, table, exclude):
+        nonlocal pivots
+        pivots += bool(exclude)
+        return solve(instance, profile, table, exclude)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(allocation, "_solve_indirect", counted)
+        enumerate_pure_nash(inst, VCG, space)
+    assert inst.n == 3
+    assert pivots == len(keys) < payers // 2
+
+
 @pytest.mark.parametrize("kind,allow_zero_gain", [
     (VCG, False),
     (MechanismKind.INDIRECT_GSP, True),

@@ -42,7 +42,7 @@ from price_display_auctions.model import (
     declared_value,
     declared_welfare,
 )
-from price_display_auctions.sampling import ALL_QUALITY_KINDS, _random_quality
+from price_display_auctions.sampling import SAMPLED_QUALITY_KINDS, _random_quality
 
 
 def t10_instance():
@@ -396,7 +396,7 @@ def guarded_auctions(draw, max_agents, max_slots, max_prices):
     agents = tuple(
         (AgentType(draw(st.sampled_from((0.5, 1.0))),
                    draw(st.sampled_from((0.0, 0.25, 0.5)))),
-         _random_quality(rng, grid, ALL_QUALITY_KINDS))
+         _random_quality(rng, grid, SAMPLED_QUALITY_KINDS))
         for _ in range(n))
     order = draw(st.none() | st.permutations(range(n)))
     return AuctionInstance(agents, SlotProfile(tuple(prominences)), grid,
