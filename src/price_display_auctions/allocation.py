@@ -230,6 +230,11 @@ def _solve_indirect(instance, profile, table, exclude):
     takes the first m entries not excluded; when none of them holds the
     candidate, they are re-evaluated at their actual minimum price
     (qualities can only rise) and re-ranked.
+
+    ``exclude`` holds at most one agent, so every candidate tried takes
+    at least one entry: its row holds either m + 1 entries, at least
+    m >= 1 of them left in, or every positive weight at the candidate,
+    among them the left-in live holder's (her diagonal weight).
     """
     m = instance.m
     lams = instance.slots.prominences
@@ -242,8 +247,6 @@ def _solve_indirect(instance, profile, table, exclude):
             chosen = ranked[:m]
         else:
             chosen = [e for e in ranked if e[0] not in exclude][:m]
-        if not chosen:
-            continue
         actual = chosen[0][1]
         for _, p, _ in chosen:
             if p < actual:

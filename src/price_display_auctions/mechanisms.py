@@ -259,9 +259,10 @@ def truthful_star_profile(instance: AuctionInstance) -> StrategyProfile:
     them; the rest use their best grid price when displayed alone.  Gains
     are truthful at those prices, and the standalone price is the
     unconstrained optimizer of the diagonal value.  Where an agent's
-    diagonal is flat there, as for the piecewise-constant kinds (only-min,
-    price-threshold, tabulated) away from their kinks, the starred
-    mechanism refuses the profile: ``infer_type`` cannot recover her cost.
+    diagonal states no slope there, as for the piecewise-constant kinds
+    (only-min, price-threshold, tabulated) on their flat pieces, kinks and
+    jumps alike, the starred mechanism refuses the profile:
+    ``infer_type`` cannot recover her cost.
     """
     reported = [instance.atype(i) for i in range(instance.n)]
     result = direct_allocate(instance, reported)

@@ -12,12 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import (
-    AuctionError,
-    InferenceError,
-    InstanceFormatError,
-    QualityDomainError,
-)
+from .errors import AuctionError, InstanceFormatError, QualityDomainError
 
 # How far a table cell or an audited value may break monotonicity before
 # it counts as a violation: steps this small are rounding noise.
@@ -67,12 +62,9 @@ class QualityModel:
         return diagonal
 
     def diagonal_derivative(self, p: float) -> float:
-        """Derivative of p -> q(p, p) by central difference (step 1e-6);
-        subclasses give it in closed form away from their kinks."""
-        h = 1e-6
-        if p - h < 0:
-            raise InferenceError(f"cannot differentiate diagonal at p={p}")
-        return (self.q(p + h, p + h) - self.q(p - h, p - h)) / (2.0 * h)
+        """Slope of p -> q(p, p) as the model states it; 0.0 (none) on a
+        flat piece, at a kink or at a jump, where no cost can be inferred."""
+        return 0.0
 
     def standalone_price(self, alpha: float, cost: float) -> float:
         """Price maximizing alpha * q(p, p) * (p - cost) over p >= 0.
@@ -121,12 +113,6 @@ class OnlyMinQuality(QualityModel):
     def _evaluate(self, p, p_min):
         return self.level if p <= self.cap and p == p_min else 0.0
 
-    def diagonal_derivative(self, p):
-        # Piecewise constant away from the cap.
-        if p == self.cap:
-            return super().diagonal_derivative(p)
-        return 0.0
-
 
 @dataclass(frozen=True)
 class PriceThresholdQuality(QualityModel):
@@ -142,11 +128,6 @@ class PriceThresholdQuality(QualityModel):
 
     def _evaluate(self, p, p_min):
         return self.level if p <= self.threshold else 0.0
-
-    def diagonal_derivative(self, p):
-        if p == self.threshold:
-            return super().diagonal_derivative(p)
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -202,9 +183,7 @@ class HyperbolaQuality(QualityModel):
     def diagonal_derivative(self, p):
         if self.low < p < self.high:
             return self.psi_derivative(p)
-        if p < self.low:
-            return 0.0
-        return super().diagonal_derivative(p)
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -213,7 +192,8 @@ class SmoothDecayQuality(QualityModel):
 
     q = clip(intercept - price_slope * p - gap_slope * (p - p_min), 0, 1).
     The diagonal is intercept - price_slope * p, so the diagonal
-    derivative is -price_slope wherever the clip is inactive.
+    derivative is -price_slope wherever the clip is inactive, and at
+    p = 0, the edge of the domain, as a one-sided slope.
     """
 
     price_slope: float
@@ -233,12 +213,9 @@ class SmoothDecayQuality(QualityModel):
         return min(1.0, max(0.0, raw))
 
     def diagonal_derivative(self, p):
-        raw = self.intercept - self.price_slope * p
-        if 0.0 < raw < 1.0:
+        if p == 0.0 or 0.0 < self.intercept - self.price_slope * p < 1.0:
             return -self.price_slope
-        if raw == self.intercept < 1.0:
-            return -self.price_slope
-        return super().diagonal_derivative(p)
+        return 0.0
 
     def standalone_price(self, alpha, cost):
         if self.price_slope == 0.0:

@@ -21,7 +21,7 @@ from .quality import (
 )
 
 
-def _random_grid(rng: random.Random, max_points: int = 5):
+def _random_grid(rng: random.Random, max_points: int):
     k = rng.randint(2, max_points)
     points = sorted({round(rng.uniform(0.1, 2.0), 3) for _ in range(k)})
     while len(points) < 2:
@@ -29,7 +29,7 @@ def _random_grid(rng: random.Random, max_points: int = 5):
     return tuple(points)
 
 
-def _random_slots(rng: random.Random, max_slots: int = 3) -> SlotProfile:
+def _random_slots(rng: random.Random, max_slots: int) -> SlotProfile:
     m = rng.randint(1, max_slots)
     lams = sorted((rng.uniform(0.2, 1.0) for _ in range(m)), reverse=True)
     return SlotProfile(tuple(lams))

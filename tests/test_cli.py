@@ -26,7 +26,7 @@ from price_display_auctions import (
     smooth_instance,
 )
 from price_display_auctions.cli import main
-from price_display_auctions.scenarios import VerdictReport, Check
+from price_display_auctions.scenarios import VerdictReport, Check, build
 
 
 @pytest.fixture
@@ -63,6 +63,31 @@ def test_allocate_direct_oracle_agrees(instance_file, capsys):
     assert a["schema_version"] == 1
 
 
+def test_allocate_indirect_oracle_agrees(instance_file, capsys):
+    code, fast, _ = run(capsys, "allocate", instance_file, "--json")
+    code2, slow, _ = run(capsys, "allocate", instance_file, "--oracle",
+                         "--json")
+    assert code == code2 == 0
+    a, b = json.loads(fast), json.loads(slow)
+    assert (a["mode"], b["mode"], b["oracle"]) == ("indirect", "indirect", True)
+    assert a["declared_welfare"] == pytest.approx(b["declared_welfare"],
+                                                  abs=1e-9)
+
+
+@pytest.mark.parametrize("flags", [(), ("--mode", "direct"), ("--oracle",)],
+                         ids=["indirect", "direct", "oracle"])
+def test_allocate_refuses_an_overflowing_welfare(tmp_path, capsys, flags):
+    # Two finite bids whose welfare sums past the float maximum.
+    agents = ((AgentType(1.0, 0.0), OnlyMinQuality()),) * 2
+    inst = AuctionInstance(agents, SlotProfile((1.0, 1.0)), (1e308,))
+    path = tmp_path / "overflow.json"
+    save_instance(path, inst, profile((1e308, 1e308), (1e308, 1e308)))
+    code, out, err = run(capsys, "allocate", str(path), *flags)
+    assert code == 2
+    assert "result is not finite" in err
+    assert out == ""
+
+
 def test_pay_all_mechanisms(instance_file, capsys):
     for mech in ("direct-vcg", "indirect-vcg", "indirect-gsp"):
         code, out, _ = run(capsys, "pay", instance_file, "--mechanism", mech,
@@ -75,10 +100,11 @@ def test_pay_all_mechanisms(instance_file, capsys):
 
 def _hyperbola_instance():
     """Three psi-hyperbola agents: their standalone prices come from the
-    generic search, not from a closed form."""
+    generic search, not from a closed form, and lie strictly between the
+    hyperbola's jumps (1.02, 1.11 and 1.21)."""
     agents = tuple((AgentType(alpha, cost),
                     HyperbolaQuality(low=1.0, high=2.5, delta=0.1))
-                   for alpha, cost in ((0.9, 0.1), (0.7, 0.2), (0.5, 0.0)))
+                   for alpha, cost in ((0.9, 0.1), (0.7, 0.2), (0.5, 0.3)))
     return AuctionInstance(agents, SlotProfile((1.0, 0.6)),
                            (1.0, 1.5, 2.0, 2.5))
 
@@ -112,6 +138,19 @@ def test_pay_star_refuses_a_flat_standalone_price(tmp_path, capsys):
     assert "agent 0: the price-threshold quality is flat at its standalone " \
            "price 1.4999" in err
     assert "Traceback" not in err
+    assert out == ""
+
+
+def test_pay_star_refuses_t10s_kinks(tmp_path, capsys):
+    # T10's agents sit at a kink (only-min's cap) and a jump (the
+    # hyperbola's low price): neither diagonal states a slope there.
+    path = tmp_path / "t10.json"
+    save_instance(path, build("T10").instance)
+    code, out, err = run(capsys, "pay", str(path),
+                         "--mechanism", "indirect-vcg-star")
+    assert code == 2
+    assert "agent 0: the only-min quality is flat at its standalone " \
+           "price 2.5" in err
     assert out == ""
 
 
@@ -186,6 +225,7 @@ def test_reproduce_bad_param(capsys):
     ("T10", "interior_points=1.5", "must be an integer"),
     ("T10", "interior_points=-5", "interior_points >= 0"),
     ("T7", "m=101", "m <= 100"),
+    ("T5", "eps=nan", "eps must be a finite number"),
 ])
 def test_reproduce_bad_param_value_exits_two(capsys, scenario, param, message):
     code, out, err = run(capsys, "reproduce", scenario, "--param", param)

@@ -139,6 +139,19 @@ def test_report_infinite_revenue_ratio():
     assert math.isinf(report.pos_rev)
 
 
+def test_report_ratios_are_one_when_nothing_can_be_earned():
+    # Both costs exceed every grid price: the benchmarks and every
+    # equilibrium earn nothing, and 0 / 0 reads as no loss.
+    agents = ((AgentType(1.0, 5.0), OnlyMinQuality()),) * 2
+    inst = AuctionInstance(agents, SlotProfile((1.0,)), (1.0, 2.0))
+    space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
+    report = efficiency_report(inst, VCG, space)
+    assert len(report.equilibria) == 4
+    assert (report.benchmark_sw, report.benchmark_rev) == (0.0, 0.0)
+    assert (report.poa_sw, report.pos_sw, report.poa_rev,
+            report.pos_rev) == (1.0, 1.0, 1.0, 1.0)
+
+
 def test_singleton_space_is_trivially_nash():
     inst = second_price_instance()
     space = StrategySpace(((Strategy(2.0, 2.0),), (Strategy(2.0, 1.5),)))

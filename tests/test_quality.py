@@ -9,6 +9,7 @@ from price_display_auctions import (
     AgentType,
     AuctionError,
     AuctionInstance,
+    AuditViolation,
     HyperbolaQuality,
     InferenceError,
     OnlyMinQuality,
@@ -20,6 +21,7 @@ from price_display_auctions import (
     TabulatedQuality,
     audit_quality,
     indirect_allocate,
+    infer_type,
     probe_grid,
     profile,
 )
@@ -146,33 +148,49 @@ def test_generic_standalone_price_reaches_the_kink(model, kink):
     assert value(p_star) >= max(value(p) for p in presample)
 
 
-def test_finite_difference_fallback():
-    q = PriceThresholdQuality(threshold=1.0)
-    # Analytic away from the threshold, finite difference elsewhere is
-    # exercised through a model that never reports a derivative.
-    class Opaque(SmoothDecayQuality):
-        def diagonal_derivative(self, p):
-            return QualityModel.diagonal_derivative(self, p)
-    op = Opaque(price_slope=0.3, intercept=0.9)
-    assert abs(op.diagonal_derivative(1.0) + 0.3) <= 1e-6
-    assert q.diagonal_derivative(0.5) == 0.0
-    # The central difference needs p - 1e-6 >= 0.
-    with pytest.raises(InferenceError):
-        op.diagonal_derivative(0.0)
+def test_a_model_that_states_no_slope_is_refused():
+    # A model's diagonal slope is what it states, never estimated from q:
+    # a custom model with a sloped diagonal that does not override
+    # diagonal_derivative states none, and its cost is not inferred.
+    class Linear(QualityModel):
+        kind = "linear"
+
+        def _evaluate(self, p, p_min):
+            return max(0.0, 0.9 - 0.3 * p)
+
+    model = Linear()
+    assert model.q(1.0, 1.0) != model.q(1.1, 1.1)
+    assert model.diagonal_derivative(1.0) == 0.0
+    with pytest.raises(InferenceError, match="the linear quality is flat at "
+                       "its standalone price 1.0"):
+        infer_type(model, (0.5, 2.0, 1.0))
+    assert PriceThresholdQuality(threshold=1.0).diagonal_derivative(0.5) == 0.0
+    # Smooth decay states a one-sided slope at p = 0, where the clip at 1
+    # binds from the left.
+    smooth = SmoothDecayQuality(price_slope=0.3)
+    assert smooth.q(0.0, 0.0) == 1.0
+    assert smooth.diagonal_derivative(0.0) == -0.3
 
 
-def test_kinks_take_the_finite_difference():
+def test_kinks_and_jumps_state_no_slope():
+    # At a kink or a jump the first-order condition identifies no cost, so
+    # the diagonal states no slope there and inference refuses.
     hyperbola = HyperbolaQuality(low=1.0, high=2.5, delta=0.1)
+    table = TabulatedQuality(prices=(1.0, 3.0), min_prices=(1.0,),
+                             values=((0.9,), (0.0,)))
     kinks = [(OnlyMinQuality(cap=2.0), 2.0),
              (PriceThresholdQuality(threshold=1.5), 1.5),
              (hyperbola, 1.0), (hyperbola, 2.5),
-             # The clip binds at 0 (raw -0.3) and at 1 (no slope).
-             (SmoothDecayQuality(price_slope=0.3, intercept=0.9), 4.0),
+             (table, 3.0),
+             # The clip binds at 0 (raw exactly 0 at p = 2) and at 1 (no
+             # slope).
+             (SmoothDecayQuality(price_slope=0.5), 2.0),
              (SmoothDecayQuality(price_slope=0.0), 1.0)]
     for model, p in kinks:
-        d = model.diagonal_derivative(p)
-        assert math.isfinite(d), (model, p)
-        assert d == QualityModel.diagonal_derivative(model, p), (model, p)
+        assert model.diagonal_derivative(p) == 0.0, (model, p)
+        with pytest.raises(InferenceError, match="is flat at its standalone "
+                           "price"):
+            infer_type(model, (0.5, p + 1.0, p))
 
 
 def test_tabulated_lookup_and_clamping():
@@ -261,6 +279,28 @@ def test_audit_range_violation():
             return 1.5
     violations = audit_quality(TooEager(0.1), probe_grid([1.0, 2.0]))
     assert any(v.constraint == "range" for v in violations)
+
+
+def test_audit_monotonicity_violations():
+    # Computed models are checked on the probe grid: one whose clicks rise
+    # with its own price, one whose clicks fall with the minimum price.
+    class RisesWithPrice(QualityModel):
+        def _evaluate(self, p, p_min):
+            return min(1.0, 0.2 * p)
+
+    class FallsWithMinPrice(QualityModel):
+        def _evaluate(self, p, p_min):
+            return max(0.0, 0.9 - 0.2 * p_min)
+
+    probes = probe_grid([1, 2, 3])
+    rises = audit_quality(RisesWithPrice(), probes)
+    assert rises[0] == AuditViolation(
+        "price-monotone", "q(2.0, 1.0) = 0.4 > q(1.0, 1.0) = 0.2")
+    assert {v.constraint for v in rises} == {"price-monotone"}
+    falls = audit_quality(FallsWithMinPrice(), probes)
+    assert falls[0] == AuditViolation(
+        "min-price-monotone", "q(2.0, 2.0) = 0.5 < q(2.0, 1.0) = 0.7")
+    assert {v.constraint for v in falls} == {"min-price-monotone"}
 
 
 @given(st.floats(0.01, 3.0), st.floats(0.01, 3.0),
