@@ -39,8 +39,8 @@ class DirectAllocationResult:
 
 
 def _ranked(instance, entries):
-    """Sort (agent, price, weight) triples for slot filling: descending
-    weight, instance tie-break on near-ties."""
+    """Sort entries, (agent, price, weight, ...) tuples, for slot filling:
+    descending weight, instance tie-break on near-ties."""
     return sorted(entries, key=lambda e: (-e[2], instance.rank(e[0])))
 
 
@@ -49,14 +49,14 @@ def _weighted_sw(instance, entries):
     left to right from 0.0, ``declared_welfare``'s arithmetic.  A loop,
     not ``sum()``, which compensates float sums from Python 3.12 on."""
     sw = 0.0
-    for lam, (_, _, w) in zip(instance.slots.prominences, entries):
-        sw += lam * w
+    for lam, entry in zip(instance.slots.prominences, entries):
+        sw += lam * entry[2]
     return sw
 
 
 def _allocation_from(entries):
-    return Allocation(tuple(a for a, _, _ in entries),
-                      tuple(p for _, p, _ in entries))
+    return Allocation(tuple([e[0] for e in entries]),
+                      tuple([e[1] for e in entries]))
 
 
 def _threshold_top(scan, keep, score):
@@ -64,7 +64,7 @@ def _threshold_top(scan, keep, score):
 
     ``scan`` holds tuples in ascending order whose first field is an
     agent's negated bound, and ``score`` maps one to that agent's entry
-    (w, -rank, agent, price), w at most the bound, or to None.  The scan
+    (w, -rank, agent, price, q), w at most the bound, or to None.  The scan
     stops once it holds ``keep`` entries and the next bound is strictly
     below the keep-th weight (Fagin, Lotem and Naor's threshold
     algorithm); an equal bound may still tie and win on rank.
@@ -92,10 +92,10 @@ def _score_bids(instance, bids):
     order: the agents who submitted exactly it with a positive diagonal
     weight q(p, p) * gain, the bids that could be shown at it.
     ``scored`` holds, in ascending order, (-bound, rank, agent, price,
-    gain, q, diagonal weight) per bid with a positive bound peak * gain
-    (see ``QualityModel.peak``), the largest weight it can take at any
-    candidate; a bid with a gain <= 0 is not evaluated at all.  That is
-    one quality evaluation per positive bid.
+    gain, q, diagonal quality q(p, p)) per bid with a positive bound
+    peak * gain (see ``QualityModel.peak``), the largest weight it can
+    take at any candidate; a bid with a gain <= 0 is not evaluated at
+    all.  That is one quality evaluation per positive bid.
     """
     holders: dict = {}
     scored = []
@@ -110,9 +110,10 @@ def _score_bids(instance, bids):
             bound = quality.peak(p, diagonal) * gain
             if bound > 0.0:
                 scored.append((-bound, instance.rank(i), i, p, gain,
-                               quality.q, diagonal * gain))
+                               quality.q, diagonal))
     # (-bound, rank) and (w, -rank) are unique per agent; the kept
-    # (w, -rank, agent, price) in descending order are in _ranked's order.
+    # (w, -rank, agent, price, q) in descending order are in _ranked's
+    # order.
     scored.sort()
     return holders, scored
 
@@ -121,9 +122,9 @@ def _table_rows(instance, holders, scored, cands):
     """Per candidate minimum in ``cands``: (cand, live holders, ranked
     entries), from ``_score_bids``' ``holders`` and ``scored``.
 
-    A candidate's entries are the (agent, price, weight) triples of the
-    scored bids priced at or above it with a positive weight
-    q(price, cand) * gain, the first keep = m + 1 in ``_ranked`` order.
+    A candidate's entries are the (agent, price, weight, q) of the scored
+    bids priced at or above it with a positive weight q * gain, where q
+    is q(price, cand), the first keep = m + 1 in ``_ranked`` order.
     Each candidate scans the bids in descending bound order until
     ``_threshold_top`` stops; when at most ``keep`` bids are scored
     nothing can be pruned, and all are.
@@ -136,21 +137,23 @@ def _table_rows(instance, holders, scored, cands):
             top = []
             for _, rank, i, p, gain, q, d in scored:
                 if p >= cand:
-                    w = d if p == cand else q(p, cand) * gain
+                    v = d if p == cand else q(p, cand)
+                    w = v * gain
                     if w > 0.0:
-                        top.append((w, -rank, i, p))
+                        top.append((w, -rank, i, p, v))
             top.sort(reverse=True)
         else:
             def score(item, cand=cand):
                 _, rank, i, p, gain, q, d = item
                 if p >= cand:
-                    w = d if p == cand else q(p, cand) * gain
+                    v = d if p == cand else q(p, cand)
+                    w = v * gain
                     if w > 0.0:
-                        return (w, -rank, i, p)
+                        return (w, -rank, i, p, v)
                 return None
             top = _threshold_top(scored, keep, score)
         table.append((cand, holders.get(cand, []),
-                      [(i, p, w) for w, _, i, p in top]))
+                      [(i, p, w, v) for w, _, i, p, v in top]))
     return table
 
 
@@ -175,17 +178,17 @@ def _indirect_table(instance, profile):
 
 
 def _score_bid(instance, agent, strategy, cands):
-    """One bid scored for ``_merge_bid``: (agent, price, live, weights).
+    """One bid scored for ``_merge_bid``: (agent, price, live, entries).
 
     ``live`` says whether the bid could be shown at its own price, and
-    ``weights`` maps each of ``cands`` (which should hold the price) at
-    which it has a positive weight q(price, cand) * gain to that weight,
-    as ``_table_rows`` scores it.
+    ``entries`` maps each of ``cands`` (which should hold the price) at
+    which it has a positive weight q(price, cand) * gain to its entry
+    (agent, price, weight, q), as ``_table_rows`` scores it.
     """
     holders, scored = _score_bids(instance, [(agent, strategy)])
-    weights = {cand: ranked[0][2] for cand, _, ranked
+    entries = {cand: ranked[0] for cand, _, ranked
                in _table_rows(instance, holders, scored, cands) if ranked}
-    return agent, strategy.price, bool(holders[strategy.price]), weights
+    return agent, strategy.price, bool(holders[strategy.price]), entries
 
 
 def _merge_bid(instance, rows, bid):
@@ -194,29 +197,29 @@ def _merge_bid(instance, rows, bid):
 
     ``rows`` are the other bids' ``_table_rows`` at the profile's
     candidates, the prices they hold and the bid's, in ascending order.
-    The bid joins its own price's live holders when it is live, and each
-    row's ranked entries where ``_ranked`` puts it, if among the first
-    m + 1.  Both sides' rows are exact, so each merged row equals the
-    profile's own; the merge takes O(|C| m) steps and no quality
-    evaluation.
+    The bid joins its own price's live holders when it is live, and its
+    scored entry joins each row's ranked entries, as it is, where
+    ``_ranked`` puts it, if among the first m + 1.  Both sides' rows are
+    exact, so each merged row equals the profile's own; the merge takes
+    O(|C| m) steps and no quality evaluation.
     """
-    agent, price, live, weights = bid
+    agent, price, live, entries = bid
     keep = instance.m + 1
     rank = instance.rank(agent)
     table = []
     for cand, holders, ranked in rows:
         if live and cand == price:
             holders = sorted([*holders, agent])
-        w = weights.get(cand)
-        if w is not None:
-            for k, (i, _, v) in enumerate(ranked):
+        entry = entries.get(cand)
+        if entry is not None:
+            w = entry[2]
+            for k, (i, _, v, _) in enumerate(ranked):
                 if w > v or (w == v and rank < instance.rank(i)):
                     break
             else:
                 k = len(ranked)
             if k < keep:
-                ranked = [*ranked[:k], (agent, price, w),
-                          *ranked[k:keep - 1]]
+                ranked = [*ranked[:k], entry, *ranked[k:keep - 1]]
         table.append((cand, holders, ranked))
     return table
 
@@ -229,7 +232,8 @@ def _solve_indirect(instance, profile, table, exclude):
     could be shown, in ascending order, and the first best wins.  Each
     takes the first m entries not excluded; when none of them holds the
     candidate, they are re-evaluated at their actual minimum price
-    (qualities can only rise) and re-ranked.
+    (qualities can only rise), each with the new q it carries, and
+    re-ranked.  So every entry returned carries q(price, page minimum).
 
     ``exclude`` holds at most one agent, so every candidate tried takes
     at least one entry: its row holds either m + 1 entries, at least
@@ -248,16 +252,18 @@ def _solve_indirect(instance, profile, table, exclude):
         else:
             chosen = [e for e in ranked if e[0] not in exclude][:m]
         actual = chosen[0][1]
-        for _, p, _ in chosen:
+        for _, p, _, _ in chosen:
             if p < actual:
                 actual = p
         if actual != cand:
-            chosen = _ranked(instance, [
-                (i, p, instance.quality(i).q(p, actual) * profile[i].gain)
-                for i, p, _ in chosen])
+            rescored = []
+            for i, p, _, _ in chosen:
+                q = instance.quality(i).q(p, actual)
+                rescored.append((i, p, q * profile[i].gain, q))
+            chosen = _ranked(instance, rescored)
         # _weighted_sw's sum, inlined: this is the engine's hottest loop.
         sw = 0.0
-        for lam, (_, _, w) in zip(lams, chosen):
+        for lam, (_, _, w, _) in zip(lams, chosen):
             sw += lam * w
         if sw > best_sw + WELFARE_TOL:
             best_sw = sw
@@ -296,11 +302,12 @@ def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
     pivots), the declared welfare of the indirect optimum without her.
 
     The optimum comes as its welfare and its slot-ordered (agent, price,
-    weight) entries, whose weight is q(price, p_min) * gain.  All solves
-    share the search's table, so each pivot adds O(|C| m) steps and at
-    most m |C| quality re-evaluations.  The welfare is the search's own
-    score, equal bit for bit to ``declared_welfare`` of the allocation it
-    picks.
+    weight, q) entries, where q is q(price, p_min) at the page minimum
+    p_min and the weight q * gain.  All solves share the search's table,
+    so each pivot adds O(|C| m) steps and at most m |C| quality
+    re-evaluations.  The welfare is the search's own score, equal bit for
+    bit to ``declared_welfare`` of the allocation it picks, and a true
+    value is lam * (q * true gain) with no quality evaluation.
     """
     return _indirect_pivots(instance, profile,
                             _indirect_table(instance, profile), None)
@@ -320,7 +327,7 @@ def _indirect_pivots(instance, profile, table, known):
     """
     sw, entries = _solve_indirect(instance, profile, table, frozenset())
     without = {}
-    for i, _, _ in entries:
+    for i, _, _, _ in entries:
         if known is None:
             without[i] = _solve_indirect(instance, profile, table,
                                          frozenset((i,)))[0]
@@ -336,16 +343,18 @@ def _indirect_pivots(instance, profile, table, known):
 
 
 def _direct_table(instance, reported):
-    """Per grid price p_hat: (p_hat, diagonal weights, ranked best entries).
+    """Per grid price p_hat: (p_hat, diagonal entries, ranked best entries).
 
-    An agent's diagonal weight is q(p_hat, p_hat) * gain(p_hat), what she
-    brings when designated to show p_hat.  Her best entry is her
-    (agent, price, weight) at the first price >= p_hat whose weight beats
-    the best so far by more than WELFARE_TOL; it depends on p_hat alone,
-    not on the designated agent or on who is excluded, so one table serves
-    every solve.  Agents with no positive weight have no entry, and only
-    the first keep = m + 1 entries in ``_ranked`` order are kept: a solve
-    excludes at most one agent, so it still finds its first m there.
+    Entries are (agent, price, weight, q), where q is q(price, p_hat) and
+    the weight q * gain(price).  An agent's diagonal entry, one per agent
+    in agent order, is hers at price p_hat, what she brings when
+    designated to show it.  Her best entry is hers at the first price
+    >= p_hat whose weight beats the best so far by more than WELFARE_TOL;
+    it depends on p_hat alone, not on the designated agent or on who is
+    excluded, so one table serves every solve.  Agents with no positive
+    weight have no entry, and only the first keep = m + 1 entries in
+    ``_ranked`` order are kept: a solve excludes at most one agent, so it
+    still finds its first m there.
 
     Qualities are non-decreasing in the minimum price, so an agent's
     weight at price grid[j] and any p_hat <= grid[j] is at most
@@ -368,7 +377,7 @@ def _direct_table(instance, reported):
         terms = []
         for p, gain in zip(grid, gains_h):
             d = quality.q(p, p)
-            diagonal.append(d * gain)
+            diagonal.append((h, p, d * gain, d))
             terms.append(quality.peak(p, d) * gain)
         # Suffix maxima; a bound <= 0 is never scanned, so start at 0.
         bound = 0.0
@@ -384,26 +393,27 @@ def _direct_table(instance, reported):
         bounds.append(bounds_h)
 
     def entry(item):
-        """Agent h's best entry at p_hat = grid[k], as (w, -rank, h, price),
-        or None."""
+        """Agent h's best entry at p_hat = grid[k], as
+        (w, -rank, h, price, q), or None."""
         _, rank, h, k = item
         best = None
         for j in range(k, len(grid)):
-            w = diagonals[h][k] if j == k else \
-                qs[h](grid[j], grid[k]) * gains[h][j]
+            v = diagonals[h][k][3] if j == k else qs[h](grid[j], grid[k])
+            w = v * gains[h][j]
             if w > 0.0 and (best is None or w > best[0] + WELFARE_TOL):
-                best = (w, -rank, h, grid[j])
+                best = (w, -rank, h, grid[j], v)
         return best
 
     table = []
     for k, p_hat in enumerate(grid):
         # (-bound, rank) and (w, -rank) are unique per agent; the kept
-        # (w, -rank, agent, price) in descending order are in _ranked's order.
+        # (w, -rank, agent, price, q) in descending order are in _ranked's
+        # order.
         scan = sorted((-b[k], ranks[h], h, k) for h, b in enumerate(bounds)
                       if b[k] > 0.0)
         top = _threshold_top(scan, keep, entry)
         table.append((p_hat, [d[k] for d in diagonals],
-                      [(h, p, w) for w, _, h, p in top]))
+                      [(h, p, w, v) for w, _, h, p, v in top]))
     return table
 
 
@@ -413,8 +423,8 @@ def _solve_direct(instance, table, exclude):
     Candidates run in ascending (p_hat, designated agent) order.  The
     designated agent i shows p_hat; the other slots go to the first m - 1
     ranked entries that are neither i nor excluded: the first m entries
-    not excluded (``top``) less i's own entry, or else less the m-th.  The
-    designated entry is inserted where ``_ranked`` would put it.
+    not excluded (``top``) less i's own entry, or else less the m-th.  Her
+    diagonal entry is inserted, as it is, where ``_ranked`` would put it.
 
     Per p_hat and dropped entry, prefix sums of lam_j * w_j and suffix
     sums of lam_{j+1} * w_j over the others give each candidate's welfare
@@ -434,10 +444,11 @@ def _solve_direct(instance, table, exclude):
     best_entries: list = []
     for p_hat, diagonal, ranked in table:
         top = [e for e in ranked if e[0] not in exclude][:m]
-        top_index = {a: k for k, (a, _, _) in enumerate(top)}
-        top_keys = [(-w, ranks[a]) for a, _, w in top]
+        top_index = {e[0]: k for k, e in enumerate(top)}
+        top_keys = [(-w, ranks[a]) for a, _, w, _ in top]
         views: dict = {}
-        for i, w_i in enumerate(diagonal):
+        for i, designated in enumerate(diagonal):
+            w_i = designated[2]
             if w_i <= 0.0 or i in exclude:
                 continue
             # Drop i's own entry, or else the m-th.
@@ -446,7 +457,7 @@ def _solve_direct(instance, table, exclude):
             if view is None:
                 others = top[:k] + top[k + 1:]
                 pre = [0.0]
-                for lam, (_, _, w) in zip(lams, others):
+                for lam, (_, _, w, _) in zip(lams, others):
                     pre.append(pre[-1] + lam * w)
                 suf = [0.0] * len(pre)
                 for j in range(len(others) - 1, -1, -1):
@@ -459,7 +470,7 @@ def _solve_direct(instance, table, exclude):
             margin = slack * est
             if est + margin <= best_sw + WELFARE_TOL:
                 continue
-            chosen = others[:pos] + [(i, p_hat, w_i)] + others[pos:]
+            chosen = others[:pos] + [designated] + others[pos:]
             sw = _weighted_sw(instance, chosen)
             if sw > best_sw + WELFARE_TOL:
                 best_sw = sw
@@ -490,19 +501,20 @@ def direct_pivots(instance: AuctionInstance, reported, pivots=None
     of the direct optimum without her.
 
     The optimum comes as its welfare and its slot-ordered (agent, price,
-    weight) entries, whose weight is q(price, p_hat) * gain(price) at the
-    designated minimum price p_hat, the allocation's own minimum.
-    ``pivots`` defaults to the agents the optimum assigns (the VCG
-    pivots).  All solves share one table, so each pivot adds
-    O(|P| (n log m + m^2)) steps, an exact O(m) sum per pair that can win
-    and no quality evaluations.  The welfare is the search's own
+    weight, q) entries, where q is q(price, p_hat) at the designated
+    minimum price p_hat, the allocation's own minimum, and the weight
+    q * gain(price).  ``pivots`` defaults to the agents the optimum
+    assigns (the VCG pivots).  All solves share one table, so each pivot
+    adds O(|P| (n log m + m^2)) steps, an exact O(m) sum per pair that
+    can win and no quality evaluations.  The welfare is the search's own
     score, equal bit for bit to ``declared_welfare`` of the allocation it
-    picks at its chosen gains.
+    picks at its chosen gains, and a true value is lam * (q * true gain)
+    with no quality evaluation.
     """
     table = _direct_table(instance, reported)
     sw, entries = _solve_direct(instance, table, frozenset())
     if pivots is None:
-        pivots = [a for a, _, _ in entries]
+        pivots = [e[0] for e in entries]
     without = {i: _solve_direct(instance, table, frozenset({i}))[0]
                for i in pivots}
     return sw, entries, without

@@ -33,13 +33,10 @@ from .model import (
     EMPTY_ALLOCATION,
     WELFARE_TOL,
     AgentType,
-    Allocation,
     AuctionInstance,
     Outcome,
     Strategy,
     StrategyProfile,
-    true_welfare,
-    utilities,
 )
 
 # Treat a diagonal derivative smaller than this as zero (inference error).
@@ -61,22 +58,39 @@ class InferredType:
 
 
 def _vcg(instance, sw, entries, without):
-    """A VCG run's (slot agents, display prices, payments, declared
-    welfare) from a pivot search: its welfare ``sw``, its slot-ordered
-    (agent, price, weight) ``entries`` and each payer's welfare
-    ``without`` her.  Payer i pays the welfare the others lose by her
-    presence, max(0, without[i] - (sw - v_hat)), where her declared value
-    v_hat is lam * her entry's weight, ``declared_value``'s arithmetic."""
+    """A VCG run's (entries, payments, declared welfare) from a pivot
+    search: its welfare ``sw``, its slot-ordered (agent, price, weight, q)
+    ``entries`` and each payer's welfare ``without`` her.  Payer i pays
+    the welfare the others lose by her presence, max(0, without[i] -
+    (sw - v_hat)), where her declared value v_hat is lam * her entry's
+    weight, ``declared_value``'s arithmetic."""
     payments = [0.0] * instance.n
-    for lam, (i, _, w) in zip(instance.slots.prominences, entries):
+    for lam, (i, _, w, _) in zip(instance.slots.prominences, entries):
         payments[i] = max(0.0, without[i] - (sw - lam * w))
-    return (tuple([i for i, _, _ in entries]),
-            tuple([p for _, p, _ in entries]), payments, sw)
+    return entries, payments, sw
 
 
-def _outcome(instance, slot_agents, display_prices, payments, sw):
-    alloc = Allocation(slot_agents, display_prices)
-    return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc))
+def _true_values(instance, entries):
+    """Each agent's true value on the page of slot-ordered ``entries``:
+    lam * (q * true gain(price)) for a displayed agent, from the q her
+    entry carries (``true_value``'s arithmetic, bit for bit, with no
+    quality evaluation), and 0.0 for the others."""
+    values = [0.0] * instance.n
+    agents = instance.agents
+    for lam, (i, p, _, q) in zip(instance.slots.prominences, entries):
+        values[i] = lam * (q * agents[i][0].gain(p))
+    return values
+
+
+def _outcome(instance, entries, payments, sw, diagnostics=()):
+    """The ``Outcome`` of a run's slot-ordered ``entries``; the true
+    welfare adds the true values in slot order, as ``true_welfare``."""
+    values = _true_values(instance, entries)
+    true_sw = 0.0
+    for entry in entries:
+        true_sw += values[entry[0]]
+    return Outcome(_allocation_from(entries), tuple(payments), sw, true_sw,
+                   diagnostics)
 
 
 def run_direct_vcg(instance: AuctionInstance, reported=None) -> Outcome:
@@ -87,7 +101,8 @@ def run_direct_vcg(instance: AuctionInstance, reported=None) -> Outcome:
     improvement her presence brings over the best allocation without her.
     The optimum and every pivot come from one shared direct search; each
     payer's entry weight is her declared value at the designated minimum
-    price, so nothing is re-scored but the true welfare.
+    price, and each displayed agent's true value is read off the quality
+    her entry carries, so nothing is re-scored.
     """
     if reported is None:
         reported = [instance.atype(i) for i in range(instance.n)]
@@ -99,69 +114,81 @@ def run_indirect_vcg(instance: AuctionInstance, profile: StrategyProfile) -> Out
     """Allocate at the submitted prices, charge pivot payments.
 
     The optimum, its declared welfare and every pivot's welfare come from
-    one shared indirect search; nothing is re-scored but the true welfare.
+    one shared indirect search, and the true values from the qualities its
+    entries carry; nothing is re-scored.
     """
     return _outcome(instance, *_vcg(instance,
                                     *indirect_pivots(instance, profile)))
 
 
 def _fill_zero_gain(instance, profile, entries):
-    """Append zero-gain agents (b == 0, positive quality) to free slots.
+    """Append zero-gain agents (b == 0, positive quality) to free slots,
+    as entries (agent, price, 0.0, q).
 
     They join at the page minimum, or on an empty page at the submitted
     price that fits the most of them (ties to the lower price), in
     tie-break order.  On an empty page a price counts only when one of
     the agents it fits holds it, as they set the page minimum; so, as in
-    the search, a bid that cannot be shown moves nothing.
+    the search, a bid that cannot be shown moves nothing.  Each extra
+    carries q at the minimum of the page as cut to the free slots.  On an
+    empty page, when the cut drops every extra that holds the chosen
+    price, that minimum is higher, and the extras are re-evaluated there.
     """
     free = instance.m - len(entries)
     if free <= 0:
         return entries
-    candidates = ([min(p for _, p, _ in entries)] if entries
+    candidates = ([min([e[1] for e in entries])] if entries
                   else sorted({s.price for s in profile.strategies}))
-    taken = {i for i, _, _ in entries}
-    extras: list = []
+    taken = {e[0] for e in entries}
+    extras, at = [], None
     for cand in candidates:
-        fit = [i for i, s in enumerate(profile.strategies)
-               if i not in taken and s.gain == 0.0 and s.price >= cand
-               and instance.quality(i).q(s.price, cand) > 0.0]
+        fit = []
+        for i, s in enumerate(profile.strategies):
+            if i not in taken and s.gain == 0.0 and s.price >= cand:
+                q = instance.quality(i).q(s.price, cand)
+                if q > 0.0:
+                    fit.append((i, s.price, 0.0, q))
         if len(fit) > len(extras) and (
-                entries or any(profile[i].price == cand for i in fit)):
-            extras = fit
-    extras.sort(key=instance.rank)
-    return entries + [(i, profile[i].price, 0.0) for i in extras[:free]]
+                entries or any(e[1] == cand for e in fit)):
+            extras, at = fit, cand
+    extras = sorted(extras, key=lambda e: instance.rank(e[0]))[:free]
+    if extras and not entries:
+        p_min = min([e[1] for e in extras])
+        if p_min != at:
+            extras = [(i, p, 0.0, instance.quality(i).q(p, p_min))
+                      for i, p, _, _ in extras]
+    return entries + extras
 
 
 def _indirect_gsp(instance, profile, table, allow_zero_gain):
-    """Indirect GSP's (slot agents, display prices, payments, declared
-    welfare), from the profile's indirect ``table``.  The next slot's
-    occupant's weighted value is her search entry's weight.  The best
-    agent left out is the first entry at the page minimum (always a
-    candidate) that is not displayed: at most m positive weights are
-    displayed and the table keeps m + 1, so she is there unless no
-    positive weight is left out (then 0.0).  ``allow_zero_gain`` fills
-    free slots with zero-gain agents."""
+    """Indirect GSP's (entries, payments, declared welfare), from the
+    profile's indirect ``table``.  The next slot's occupant's weighted
+    value is her search entry's weight.  The best agent left out is the
+    first entry at the page minimum (always a candidate) that is not
+    displayed: at most m positive weights are displayed and the table
+    keeps m + 1, so she is there unless no positive weight is left out
+    (then 0.0).  ``allow_zero_gain`` fills free slots with zero-gain
+    agents."""
     sw, entries = _solve_indirect(instance, profile, table, frozenset())
     if allow_zero_gain:
         entries = _fill_zero_gain(instance, profile, entries)
-    slot_agents = tuple([i for i, _, _ in entries])
-    display_prices = tuple([p for _, p, _ in entries])
     payments = [0.0] * instance.n
     if entries:
-        p_min = min(display_prices)
+        shown = [e[0] for e in entries]
+        p_min = min([e[1] for e in entries])
         for cand, _, ranked in table:
             if cand == p_min:
                 break
         best_left_out = 0.0
-        for i, _, w in ranked:
-            if i not in slot_agents:
+        for i, _, w, _ in ranked:
+            if i not in shown:
                 best_left_out = w
                 break
-        next_values = [w for _, _, w in entries[1:]] + [best_left_out]
-        for lam, i, value in zip(instance.slots.prominences, slot_agents,
+        next_values = [e[2] for e in entries[1:]] + [best_left_out]
+        for lam, i, value in zip(instance.slots.prominences, shown,
                                  next_values):
             payments[i] = lam * max(0.0, value)
-    return slot_agents, display_prices, payments, sw
+    return entries, payments, sw
 
 
 def run_indirect_gsp(instance: AuctionInstance, profile: StrategyProfile,
@@ -232,7 +259,6 @@ def run_indirect_vcg_star(instance: AuctionInstance,
     sw, entries = _solve_indirect(instance, profile,
                                   _indirect_table(instance, profile),
                                   frozenset())
-    alloc = _allocation_from(entries)
     *_, sw_without = direct_pivots(instance, inferred, range(instance.n))
 
     if sw < max(sw_without.values(), default=0.0) - WELFARE_TOL:
@@ -241,15 +267,14 @@ def run_indirect_vcg_star(instance: AuctionInstance,
                        tuple(diagnostics + ["fallback: no ad allocated"]))
 
     payments = [0.0] * instance.n
-    for lam, (i, _, w) in zip(instance.slots.prominences, entries):
+    for lam, (i, _, w, _) in zip(instance.slots.prominences, entries):
         v_hat = lam * w
         pi = sw_without[i] - (sw - v_hat)
         if pi < -WELFARE_TOL or pi > v_hat + WELFARE_TOL:
             diagnostics.append(
                 f"agent {i}: payment {pi} clamped into [0, declared value]")
         payments[i] = min(max(0.0, pi), max(0.0, v_hat))
-    return Outcome(alloc, tuple(payments), sw, true_welfare(instance, alloc),
-                   tuple(diagnostics))
+    return _outcome(instance, entries, payments, sw, tuple(diagnostics))
 
 
 def truthful_star_profile(instance: AuctionInstance) -> StrategyProfile:
@@ -307,7 +332,9 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
     Per line, the other agents' bids are scored once and their rows built
     at the prices they hold and at hers.  Per profile, her bid is merged
     into their rows and the mechanism's core solves the merged table for
-    the allocation and payments, so no ``Outcome`` is built.  Under VCG a
+    the entries and payments, so no ``Outcome`` is built, and each
+    displayed agent's true value is read off the quality her entry
+    carries, with no quality evaluation.  Under VCG a
     payer's pivot reads only the other agents' bids, so the walk keeps
     one memo of pivots under the others' strategies, coded as ints (her
     strategies by their index in ``strategies``): each is solved once
@@ -354,8 +381,9 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
             else:
                 out = _indirect_gsp(instance, prof, table,
                                     gsp_allow_zero_gain)
-            slot_agents, display_prices, payments, _ = out
-            yield utilities(instance, slot_agents, display_prices, payments)
+            entries, payments, _ = out
+            yield tuple([v - pay for v, pay in zip(
+                _true_values(instance, entries), payments)])
     return line
 
 

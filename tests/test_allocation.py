@@ -42,7 +42,7 @@ from price_display_auctions.allocation import (
     _table_rows,
     _weighted_sw,
 )
-from price_display_auctions.mechanisms import _fill_zero_gain
+from price_display_auctions.mechanisms import _fill_zero_gain, _indirect_gsp
 from price_display_auctions.model import (
     EMPTY_ALLOCATION,
     WELFARE_TOL,
@@ -318,13 +318,14 @@ def test_direct_pivots_default_to_assigned_agents():
     inst = _tie_heavy_instance(3)
     reported = [inst.atype(i) for i in range(inst.n)]
     _, entries, without = direct_pivots(inst, reported)
-    assert set(without) == {a for a, _, _ in entries}
+    assert set(without) == {e[0] for e in entries}
 
 
 def _reference_direct_table(instance, reported):
     """The direct table with every agent's full row scored at every p_hat
     and every best entry kept, as before the bound-ordered scan, kept
-    verbatim as an exact oracle."""
+    verbatim as an exact oracle.  Its one edit since: the diagonal holds
+    entries, and every entry carries its q(price, p_hat)."""
     grid = instance.price_grid
     gains = [[reported[h].gain(p) for p in grid] for h in range(instance.n)]
     table = []
@@ -335,11 +336,12 @@ def _reference_direct_table(instance, reported):
             q = instance.quality(h).q
             best_h = None
             for j in range(k, len(grid)):
-                w = q(grid[j], p_hat) * gains[h][j]
+                v = q(grid[j], p_hat)
+                w = v * gains[h][j]
                 if j == k:
-                    diagonal.append(w)
+                    diagonal.append((h, p_hat, w, v))
                 if w > 0.0 and (best_h is None or w > best_h[2] + WELFARE_TOL):
-                    best_h = (h, grid[j], w)
+                    best_h = (h, grid[j], w, v)
             if best_h is not None:
                 best.append(best_h)
         table.append((p_hat, diagonal, _ranked(instance, best)))
@@ -348,16 +350,17 @@ def _reference_direct_table(instance, reported):
 
 def _reference_solve_direct(instance, table, exclude):
     """The direct solve with every candidate scored exactly, as before the
-    estimate filter, kept verbatim as an exact oracle."""
+    estimate filter, kept verbatim as an exact oracle.  Its one edit
+    since: entries carry their q."""
     m = instance.m
     rank = instance.rank
     best_sw = 0.0
     best_entries: list = []
     for p_hat, diagonal, ranked in table:
         top = [e for e in ranked if e[0] not in exclude][:m]
-        top_agents = [a for a, _, _ in top]
-        top_keys = [(-w, rank(a)) for a, _, w in top]
-        for i, w_i in enumerate(diagonal):
+        top_agents = [a for a, _, _, _ in top]
+        top_keys = [(-w, rank(a)) for a, _, w, _ in top]
+        for i, (_, _, w_i, q_i) in enumerate(diagonal):
             if w_i <= 0.0 or i in exclude:
                 continue
             # Drop i's own entry, or else the m-th.
@@ -365,7 +368,7 @@ def _reference_solve_direct(instance, table, exclude):
             others = top[:k] + top[k + 1:]
             keys = top_keys[:k] + top_keys[k + 1:]
             pos = bisect_left(keys, (-w_i, rank(i)))
-            chosen = others[:pos] + [(i, p_hat, w_i)] + others[pos:]
+            chosen = others[:pos] + [(i, p_hat, w_i, q_i)] + others[pos:]
             sw = _weighted_sw(instance, chosen)
             if sw > best_sw + WELFARE_TOL:
                 best_sw = sw
@@ -440,14 +443,19 @@ def test_direct_solve_scores_estimates_at_the_tolerance_boundary():
     inst = AuctionInstance(agents, SlotProfile((1.0, 1.0, 1.0)), (1.0, 2.0))
     a = float.fromhex("0x1.526eb52fe346ap-1")
     b = float.fromhex("0x1.c764c27bc23e1p-2")
-    chosen = [(1, 2.0, 1.0), (2, 2.0, a), (3, 2.0, b)]
+    chosen = [(1, 2.0, 1.0, 0.5), (2, 2.0, a, a / 2), (3, 2.0, b, b / 2)]
     est = 1.0 + (a + b)
     exact = _weighted_sw(inst, chosen)
     assert est < exact == (1.0 + a) + b
     first = est - WELFARE_TOL
     assert first + WELFARE_TOL == est
-    table = [(1.0, [first, 0.0, 0.0, 0.0], []),
-             (2.0, [0.0, 1.0, 0.0, 0.0], chosen[1:])]
+
+    def diagonal(p_hat, weights):
+        # Every gain at price p is p, so an entry's q is w / p.
+        return [(h, p_hat, w, w / p_hat) for h, w in enumerate(weights)]
+
+    table = [(1.0, diagonal(1.0, [first, 0.0, 0.0, 0.0]), []),
+             (2.0, diagonal(2.0, [0.0, 1.0, 0.0, 0.0]), chosen[1:])]
     assert _reference_solve_direct(inst, table, frozenset()) == (exact, chosen)
     assert _solve_direct(inst, table, frozenset()) == (exact, chosen)
 
@@ -645,8 +653,8 @@ def test_indirect_matches_reference_exactly():
 def _reference_indirect_table(instance, profile, keep):
     """The indirect table with every agent scored at every candidate, as
     before the bound-ordered scan, kept verbatim as an exact oracle.  Its
-    one edit since: a candidate lists only its live holders, those with a
-    positive diagonal weight."""
+    two edits since: a candidate lists only its live holders, those with
+    a positive diagonal weight, and every entry carries its q(p, cand)."""
     strategies = profile.strategies
     bids = sorted([(strategies[i].price, i, strategies[i].gain,
                     instance.quality(i).q, instance.rank(i))
@@ -659,9 +667,10 @@ def _reference_indirect_table(instance, profile, keep):
             continue
         scored = []
         for p, i, gain, q, rank in bids[start:]:
-            w = q(p, cand) * gain
+            v = q(p, cand)
+            w = v * gain
             if w > 0.0:
-                scored.append((-w, rank, i, p, w))
+                scored.append((-w, rank, i, p, w, v))
         # (-w, rank) is unique per agent, so sorting gives _ranked's order;
         # a heap is cheaper only for long lists.
         if len(scored) > 4 * keep:
@@ -669,7 +678,7 @@ def _reference_indirect_table(instance, profile, keep):
         else:
             scored.sort()
         table.append((cand, live,
-                      [(i, p, w) for _, _, i, p, w in scored[:keep]]))
+                      [(i, p, w, v) for _, _, i, p, w, v in scored[:keep]]))
     return table
 
 
@@ -738,3 +747,74 @@ def test_gsp_last_slot_price_matches_the_rivals_scan():
             out = run_indirect_gsp(inst, prof, allow_zero_gain=allow_zero_gain)
             assert out.payments == _reference_gsp_payments(
                 inst, prof, out.allocation), (seed, allow_zero_gain)
+
+
+def _carried_q_problems(instance, entries):
+    """The entries whose carried q is not, bit for bit, their agent's
+    q(price, page minimum), the q a true value reads."""
+    if not entries:
+        return []
+    p_min = min(e[1] for e in entries)
+    return [e for e in entries
+            if e[3].hex() != instance.quality(e[0]).q(e[1], p_min).hex()]
+
+
+def _carried_q_cases():
+    yield from _indirect_cases()
+    for seed in range(100):
+        inst = random_instance(seed)
+        yield ("random", seed), inst, random_profile(inst, seed)
+
+
+def test_search_entries_carry_the_quality_at_the_page_minimum():
+    # Utilities and true welfare read each displayed agent's q off her
+    # search entry: every solve, with and without each single exclusion,
+    # and GSP's zero-gain fill must carry q(price, page minimum).
+    for seed, inst, prof in _carried_q_cases():
+        _, entries, _ = indirect_pivots(inst, prof)
+        assert not _carried_q_problems(inst, entries), seed
+        table = _indirect_table(inst, prof)
+        for i in range(inst.n):
+            _, entries = _solve_indirect(inst, prof, table, frozenset({i}))
+            assert not _carried_q_problems(inst, entries), (seed, i)
+        entries, _, _ = _indirect_gsp(inst, prof, table, True)
+        assert not _carried_q_problems(inst, entries), seed
+        reported = [inst.atype(i) for i in range(inst.n)]
+        _, entries, _ = direct_pivots(inst, reported, ())
+        assert not _carried_q_problems(inst, entries), seed
+        table = _direct_table(inst, reported)
+        for i in range(inst.n):
+            _, entries = _solve_direct(inst, table, frozenset({i}))
+            assert not _carried_q_problems(inst, entries), (seed, i)
+
+
+def test_a_re_evaluated_entry_carries_its_new_quality():
+    # At candidate 1.0 agent 0 ranks first at q(2, 1), but she alone shows
+    # 2.0, so the solve re-evaluates her at 2.0; candidate 2.0 only ties
+    # that page, and the first best wins.
+    agents = ((AgentType(1.0, 0.0), SmoothDecayQuality(0.1, 0.1, 1.0)),
+              (AgentType(1.0, 0.0), SmoothDecayQuality(0.1, 0.0, 1.0)))
+    inst = AuctionInstance(agents, SlotProfile((1.0,)), (1.0, 2.0))
+    prof = profile((2.0, 1.0), (1.0, 0.5))
+    q = agents[0][1].q
+    table = _indirect_table(inst, prof)
+    assert table[0][0] == 1.0
+    assert table[0][2][0] == (0, 2.0, q(2.0, 1.0), q(2.0, 1.0))
+    assert q(2.0, 1.0) < q(2.0, 2.0)
+    _, entries = _solve_indirect(inst, prof, table, frozenset())
+    assert entries == [(0, 2.0, q(2.0, 2.0), q(2.0, 2.0))]
+
+
+def test_the_zero_gain_fill_carries_the_quality_at_its_own_page_minimum():
+    # Both bids fit candidate 3.0, the fill's best, and the one slot goes
+    # to agent 0 by tie-break: the page shows her alone at 5.0, so she
+    # carries q(5, 5) = 0.5, not q(5, 3) = 0.1.
+    quality = SmoothDecayQuality(0.1, 0.2, 1.0)
+    inst = AuctionInstance(((AgentType(1.0, 1.0), quality),) * 2,
+                           SlotProfile((1.0,)), (3.0, 5.0))
+    prof = profile((5.0, 0.0), (3.0, 0.0))
+    assert (quality.q(5.0, 5.0), round(quality.q(5.0, 3.0), 12)) == (0.5, 0.1)
+    assert _fill_zero_gain(inst, prof, []) == [(0, 5.0, 0.0, 0.5)]
+    out = run_indirect_gsp(inst, prof, allow_zero_gain=True)
+    assert out.true_welfare == 0.5 * (5.0 - 1.0)
+    assert out.utilities(inst) == (out.true_welfare, 0.0)

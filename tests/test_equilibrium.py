@@ -344,10 +344,10 @@ def test_starred_mechanism_enumerates_menus_with_standalone_prices():
 def test_enumeration_quality_evaluations_are_pinned(count_q_calls):
     # Per line, the engine scores the other agents' bids and their rows;
     # per game, each strategy of the line agent; per profile, only the
-    # solves' re-scoring plus one true value per displayed agent.
-    # Building each profile's table, re-scoring the optimum, building an
-    # Outcome per profile or scoring GSP's last-slot rivals would raise
-    # these counts.
+    # solves' re-scoring.  A true value reads the q its search entry
+    # carries, so it costs no evaluation.  Building each profile's table,
+    # re-scoring the optimum or a true value, building an Outcome per
+    # profile or scoring GSP's last-slot rivals would raise these counts.
     inst = random_instance(22, max_agents=3, max_slots=2, max_prices=4)
     space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
     counts = []
@@ -356,7 +356,7 @@ def test_enumeration_quality_evaluations_are_pinned(count_q_calls):
             enumerate_pure_nash(inst, kind, space)
         counts.append(calls())
     assert (inst.n, inst.m, space.size) == (3, 2, 216)
-    assert counts == [189, 189]
+    assert counts == [52, 52]
 
 
 def _collapse_edge_games():

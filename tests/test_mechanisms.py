@@ -316,10 +316,10 @@ def test_outcome_welfare_is_declared_welfare_exactly():
 
 
 def test_direct_vcg_pivots_add_no_quality_evaluations(count_q_calls):
-    # The pivots reuse the optimum's search table and its welfare, and
-    # each payer's declared value (the v_hat of the payment rule) is her
-    # search entry's weight: a whole run costs direct_pivots' evaluations
-    # plus one per payer, for her true value.
+    # The pivots reuse the optimum's search table and its welfare, each
+    # payer's declared value (the v_hat of the payment rule) is her search
+    # entry's weight, and her true value reads the q her entry carries: a
+    # whole run costs direct_pivots' evaluations and no more.
     agents = tuple(
         (AgentType(1.0, 0.05 * i), SmoothDecayQuality(0.2, 0.1, 1.0))
         for i in range(8))
@@ -331,9 +331,8 @@ def test_direct_vcg_pivots_add_no_quality_evaluations(count_q_calls):
     search = calls()
     with count_q_calls() as calls:
         out = run_direct_vcg(inst)
-    k = len(out.allocation.slot_agents)
-    assert k == 3
-    assert calls() == search + k
+    assert len(out.allocation.slot_agents) == 3
+    assert calls() == search
 
 
 def _counting_instance():
@@ -345,10 +344,11 @@ def _counting_instance():
 
 
 def test_indirect_vcg_pivots_add_few_quality_evaluations(count_q_calls):
-    # The pivots reuse the optimum's search table, and the payments price
-    # from the search's own welfare and entry weights: a whole run costs
-    # indirect_pivots' evaluations plus one per payer, for her true value.
-    # Neither the optimum nor any pivot allocation is re-scored.
+    # The pivots reuse the optimum's search table, the payments price from
+    # the search's own welfare and entry weights, and each payer's true
+    # value reads the q her entry carries: a whole run costs
+    # indirect_pivots' evaluations and no more.  Neither the optimum nor
+    # any pivot allocation is re-scored.
     inst = _counting_instance()
     prof = random_profile(inst, 1)
     with count_q_calls() as calls:
@@ -356,17 +356,17 @@ def test_indirect_vcg_pivots_add_few_quality_evaluations(count_q_calls):
     search = calls()
     with count_q_calls() as calls:
         out = run_indirect_vcg(inst, prof)
-    k = len(entries)
     assert out.allocation == _allocation_from(entries)
-    assert k == 3
-    assert (search, calls()) == (47, 47 + k)
+    assert len(entries) == 3
+    assert (search, calls()) == (47, 47)
 
 
 def test_indirect_gsp_adds_few_quality_evaluations(count_q_calls):
     # GSP prices each slot from the next occupant's search weight and the
     # last slot from the best agent left out in the search's own table at
-    # the page minimum, so a run costs the search's evaluations plus one
-    # per displayed agent, for her true value.
+    # the page minimum, and each displayed agent's true value reads the q
+    # her entry carries, so a run costs the search's evaluations and no
+    # more.
     inst = _counting_instance()
     prof = random_profile(inst, 1)
     with count_q_calls() as calls:
@@ -374,10 +374,9 @@ def test_indirect_gsp_adds_few_quality_evaluations(count_q_calls):
     search = calls()
     with count_q_calls() as calls:
         out = run_indirect_gsp(inst, prof)
-    k = len(alloc.slot_agents)
     assert out.allocation == alloc
-    assert k == 3
-    assert (search, calls()) == (38, 38 + k)
+    assert len(alloc.slot_agents) == 3
+    assert (search, calls()) == (38, 38)
 
 
 @st.composite

@@ -1,0 +1,46 @@
+"""The benchmark's workloads still run correctly on this package.
+
+Each workload in ``perfbench/workloads.py`` builds its first two seed-0
+inputs, runs each op once and checks the output as a benchmark run
+does: no problem from the workload's own invariants (and its reference
+re-check, on the ops a run re-checks), and a record that matches the
+committed golden digest in ``perfbench/golden/``.  So a change that
+breaks a workload, or moves an output the benchmark pins, fails here and
+not only in a benchmark run.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+OPS = 2
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads_outputs", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_first_ops_match_the_golden_digests(name, tmp_path):
+    workload = WORKLOADS.WORKLOADS[name](0, str(tmp_path))
+    golden = json.loads((PERFBENCH / "golden" / f"{name}.json").read_text())
+    assert golden["seed"] == 0
+    pool = workload.build_pool(range(OPS))
+    for k in range(OPS):
+        result = workload.run(pool[k])
+        problems = workload.problems(pool[k], result)
+        if workload.reference_every and k % workload.reference_every == 0:
+            problems += workload.reference_problems(pool[k], result)
+        assert problems == [], (name, k)
+        assert WORKLOADS.digests_match(workload.record(pool[k], result),
+                                       golden["ops"][k]), (name, k)
