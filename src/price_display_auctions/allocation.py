@@ -62,12 +62,13 @@ def _allocation_from(entries):
 def _threshold_top(scan, keep, score):
     """The best ``keep`` entries of a bound-ordered scan, descending.
 
-    ``scan`` holds tuples in ascending order whose first field is an
-    agent's negated bound, and ``score`` maps one to that agent's entry
-    (w, -rank, agent, price, q), w at most the bound, or to None.  The scan
-    stops once it holds ``keep`` entries and the next bound is strictly
-    below the keep-th weight (Fagin, Lotem and Naor's threshold
-    algorithm); an equal bound may still tie and win on rank.
+    ``scan`` yields tuples in ascending order whose first field is an
+    agent's negated bound, so in descending bound order, and ``score``
+    maps one to that agent's entry (w, -rank, agent, price, q), w at most
+    the bound, or to None.  The scan stops once it holds ``keep`` entries
+    and the next bound is strictly below the keep-th weight (Fagin, Lotem
+    and Naor's threshold algorithm); an equal bound may still tie and win
+    on rank.  It reads one tuple past the last it scores.
     """
     top: list = []  # a min-heap whose root is the worst entry kept
     for item in scan:
@@ -91,67 +92,92 @@ def _score_bids(instance, bids):
     ``holders`` maps each submitted price to its live holders, in agent
     order: the agents who submitted exactly it with a positive diagonal
     weight q(p, p) * gain, the bids that could be shown at it.
-    ``scored`` holds, in ascending order, (-bound, rank, agent, price,
-    gain, q, diagonal quality q(p, p)) per bid with a positive bound
-    peak * gain (see ``QualityModel.peak``), the largest weight it can
-    take at any candidate; a bid with a gain <= 0 is not evaluated at
-    all.  That is one quality evaluation per positive bid.
+    ``scored`` is a heap (``heapq``) of (-bound, rank, agent, price, gain,
+    quality model, diagonal quality q(p, p)) per bid with a positive
+    bound peak * gain (see ``QualityModel.peak``), the largest weight it
+    can take at any candidate, so popping it reads the bids in descending
+    bound order.  A bid with a gain <= 0 is not evaluated at all.  That
+    is one quality evaluation per positive bid, and O(n) steps besides.
     """
+    agents = instance.agents
+    rank = instance.rank
     holders: dict = {}
     scored = []
     for i, s in bids:
         p, gain = s.price, s.gain
-        live = holders.setdefault(p, [])
+        live = holders.get(p)
+        if live is None:
+            live = holders[p] = []
         if gain > 0.0:
-            quality = instance.quality(i)
+            quality = agents[i][1]
             diagonal = quality.q(p, p)
             if diagonal * gain > 0.0:
                 live.append(i)
             bound = quality.peak(p, diagonal) * gain
             if bound > 0.0:
-                scored.append((-bound, instance.rank(i), i, p, gain,
-                               quality.q, diagonal))
-    # (-bound, rank) and (w, -rank) are unique per agent; the kept
-    # (w, -rank, agent, price, q) in descending order are in _ranked's
-    # order.
-    scored.sort()
+                scored.append((-bound, rank(i), i, p, gain, quality,
+                               diagonal))
+    # (-bound, rank) and (w, -rank) are unique per agent: the heap pops in
+    # one order, and the kept (w, -rank, agent, price, q) in descending
+    # order are in _ranked's order.
+    heapq.heapify(scored)
     return holders, scored
+
+
+def _bound_order(heap):
+    """Scans of ``heap`` in ascending order, from its first tuple, that
+    share one sorted prefix: a scan reads the prefix, then extends it by
+    popping the heap, so the heap is popped only as deep as the deepest
+    scan reads.  ``heap`` is consumed."""
+    order: list = []
+
+    def scan():
+        yield from order
+        while heap:
+            order.append(heapq.heappop(heap))
+            yield order[-1]
+    return scan
 
 
 def _table_rows(instance, holders, scored, cands):
     """Per candidate minimum in ``cands``: (cand, live holders, ranked
-    entries), from ``_score_bids``' ``holders`` and ``scored``.
+    entries), from ``_score_bids``' ``holders`` and ``scored``, which it
+    consumes.
 
     A candidate's entries are the (agent, price, weight, q) of the scored
     bids priced at or above it with a positive weight q * gain, where q
     is q(price, cand), the first keep = m + 1 in ``_ranked`` order.
-    Each candidate scans the bids in descending bound order until
-    ``_threshold_top`` stops; when at most ``keep`` bids are scored
-    nothing can be pruned, and all are.
+    Each candidate scans the bids in descending bound order, read off the
+    heap through ``_bound_order``, until ``_threshold_top`` stops; when at
+    most ``keep`` bids are scored nothing can be pruned, and all are, in
+    any order.
     """
     keep = instance.m + 1
+    # Decided once: the scans pop the heap.
+    prunable = len(scored) > keep
+    scan = _bound_order(scored)
     table = []
     for cand in cands:
-        if len(scored) <= keep:
+        if not prunable:
             # Nothing can be pruned: score every agent.
             top = []
-            for _, rank, i, p, gain, q, d in scored:
+            for _, rank, i, p, gain, quality, d in scored:
                 if p >= cand:
-                    v = d if p == cand else q(p, cand)
+                    v = d if p == cand else quality.q(p, cand)
                     w = v * gain
                     if w > 0.0:
                         top.append((w, -rank, i, p, v))
             top.sort(reverse=True)
         else:
             def score(item, cand=cand):
-                _, rank, i, p, gain, q, d = item
+                _, rank, i, p, gain, quality, d = item
                 if p >= cand:
-                    v = d if p == cand else q(p, cand)
+                    v = d if p == cand else quality.q(p, cand)
                     w = v * gain
                     if w > 0.0:
                         return (w, -rank, i, p, v)
                 return None
-            top = _threshold_top(scored, keep, score)
+            top = _threshold_top(scan(), keep, score)
         table.append((cand, holders.get(cand, []),
                       [(i, p, w, v) for w, _, i, p, v in top]))
     return table
@@ -285,7 +311,7 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile
 
     The search relies on every quality being non-decreasing in the
     minimum price: it evaluates each positive bid once on its diagonal,
-    sorts the bids by that bound, and per candidate (|C| distinct
+    heaps the bids by that bound, and per candidate (|C| distinct
     submitted prices) scores bids in bound order only until none left can
     enter the best m + 1.  That is n + O(|C| m) quality evaluations when
     weights stay near their bounds and O(n |C|) at worst, then O(|C| m)

@@ -276,7 +276,12 @@ class Outcome:
 
     @property
     def revenue(self) -> float:
-        return sum(self.payments)
+        """Sum of the payments, added left to right from 0.0 as
+        ``declared_welfare`` adds, so the same on every Python version."""
+        total = 0.0
+        for payment in self.payments:
+            total += payment
+        return total
 
     def utility(self, instance: AuctionInstance, agent: int) -> float:
         return self.utilities(instance)[agent]

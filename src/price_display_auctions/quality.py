@@ -55,9 +55,12 @@ class QualityModel:
 
         A model non-decreasing in ``p_min`` peaks on its diagonal, so the
         base class returns ``diagonal``; the computed kinds meet this
-        exactly in floating point.  The indirect search bounds an agent's
-        weight at every candidate minimum by it, so a model whose ``q``
-        can exceed its peak breaks that search.
+        exactly in floating point, and so does a table none of whose rows
+        dips.  A table with a row that dips within its monotonicity slack
+        returns the largest cell of p's row up to p's own column.  The
+        indirect search bounds an agent's weight at every candidate
+        minimum by it, so a model whose ``q`` can exceed its peak breaks
+        that search.
         """
         return diagonal
 
@@ -210,7 +213,11 @@ class SmoothDecayQuality(QualityModel):
 
     def _evaluate(self, p, p_min):
         raw = self.intercept - self.price_slope * p - self.gap_slope * (p - p_min)
-        return min(1.0, max(0.0, raw))
+        # min(1.0, max(0.0, raw)), bit for bit (-0.0 and NaN give 0.0),
+        # with no builtin call.
+        if raw > 0.0:
+            return raw if raw < 1.0 else 1.0
+        return 0.0
 
     def diagonal_derivative(self, p):
         if p == 0.0 or 0.0 < self.intercept - self.price_slope * p < 1.0:
@@ -262,9 +269,13 @@ class TabulatedQuality(QualityModel):
         # The model's assumptions, cell by cell: values in [0, 1],
         # non-increasing down a column (price) and non-decreasing along a
         # row (minimum price).  The error names its field, "values", so the
-        # instance loader can report it at that JSON path.
+        # instance loader can report it at that JSON path.  A row may dip
+        # by up to _MONOTONE_SLACK; ``_dips`` records whether one does.
+        dips = False
         for i, row in enumerate(self.values):
             for j, v in enumerate(row):
+                if j and v < row[j - 1]:
+                    dips = True
                 if not 0.0 <= v <= 1.0:
                     bad = (f"range: cell [{i}][{j}] (p={self.prices[i]}, "
                            f"p_min={self.min_prices[j]}) = {v}")
@@ -277,6 +288,8 @@ class TabulatedQuality(QualityModel):
                 else:
                     continue
                 raise InstanceFormatError("values", f"table violates {bad}")
+        # Not a field: out of equality, repr and the file format.
+        object.__setattr__(self, "_dips", dips)
 
     def _cell(self, p, p_min):
         i = max(bisect_right(self.prices, p) - 1, 0)
@@ -284,12 +297,17 @@ class TabulatedQuality(QualityModel):
         return i, j
 
     def _evaluate(self, p, p_min):
-        i, j = self._cell(p, p_min)
-        return self.values[i][j]
+        # _cell's lookup, inlined and clamped with no max(): every
+        # table q() call runs it.
+        i = bisect_right(self.prices, p) - 1
+        j = bisect_right(self.min_prices, p_min) - 1
+        return self.values[i if i > 0 else 0][j if j > 0 else 0]
 
     def peak(self, p, diagonal):
-        # A row may dip by up to _MONOTONE_SLACK, so the largest cell
-        # up to p's own column can exceed the diagonal.
+        if not self._dips:
+            return diagonal
+        # A row dips within _MONOTONE_SLACK, so the largest cell up to
+        # p's own column can exceed the diagonal.
         i, j = self._cell(p, p)
         return max(self.values[i][:j + 1])
 

@@ -28,9 +28,11 @@ from price_display_auctions import (
     random_profile,
     run_indirect_gsp,
 )
+from price_display_auctions import allocation
 from price_display_auctions.allocation import (
     DirectAllocationResult,
     _allocation_from,
+    _bound_order,
     _direct_table,
     _indirect_table,
     _merge_bid,
@@ -704,19 +706,80 @@ def test_merged_table_equals_the_profiles_own_table():
                 _indirect_table(inst, prof), (seed, agent)
 
 
-def test_indirect_table_stops_early_on_a_large_page(count_q_calls):
+def test_table_scans_read_the_sorted_bids_lazily(monkeypatch):
+    # The table pops its heap of scored bids only as deep as a scan reads;
+    # every candidate's scan must still see a prefix of the sorted bids,
+    # and the rows must equal those read off the fully sorted list.
+    threshold_top = allocation._threshold_top
+    scans = []
+
+    def recording(scan, keep, score):
+        read = []
+
+        def reading():
+            for item in scan:
+                read.append(item)
+                yield item
+        scans.append(read)
+        return threshold_top(reading(), keep, score)
+
+    stopped_early = 0
+    for seed, inst, prof in _indirect_cases():
+        held, scored = _score_bids(inst, enumerate(prof.strategies))
+        ordered = sorted(scored)
+        cands = sorted(held)
+        scans.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(allocation, "_threshold_top", recording)
+            rows = _table_rows(inst, held, scored, cands)
+        for read in scans:
+            assert read == ordered[:len(read)], seed
+            stopped_early += len(read) < len(ordered)
+        assert rows == _table_rows(inst, held, list(ordered), cands), seed
+    assert stopped_early
+
+
+def test_table_pops_only_as_deep_as_its_deepest_scan(count_heap_pops):
+    for seed, inst, prof in _indirect_cases():
+        held, scored = _score_bids(inst, enumerate(prof.strategies))
+        cands = sorted(held)
+        depths = []
+        for cand in cands:
+            with count_heap_pops() as pops:
+                _table_rows(inst, held, list(scored), [cand])
+            depths.append(pops())
+        with count_heap_pops() as pops:
+            _table_rows(inst, held, list(scored), cands[::-1])
+        assert pops() == max(depths), seed
+    # A shallow scan after a deeper one reads the shared prefix and pops
+    # nothing more.
+    heap = [(k * 7 % 10, k) for k in range(10)]
+    heapq.heapify(heap)
+    scan = _bound_order(heap)
+    with count_heap_pops() as pops:
+        deep = [item for _, item in zip(range(6), scan())]
+        shallow = [item for _, item in zip(range(3), scan())]
+    assert pops() == 6 and len(heap) == 4
+    assert deep == sorted(deep) and shallow == deep[:3]
+
+
+def test_indirect_table_stops_early_on_a_large_page(count_q_calls,
+                                                    count_heap_pops):
     # A seeded page of 261 bids at m = 5 and 8 distinct prices: the table
     # scores each of the 212 positive bids on its diagonal, then 44 more
     # over all candidates.  Scoring every bid at every candidate takes
-    # 1,242 evaluations.
+    # 1,242 evaluations.  Of the 165 bids with a positive bound, the
+    # deepest scan reads 78 off the heap.
     inst = random_instance(2, max_agents=300, max_slots=5, max_prices=8)
     prof = random_profile(inst, 2)
     prices = {s.price for s in prof.strategies}
     assert (inst.n, inst.m, len(prices)) == (261, 5, 8)
     assert sum(s.gain > 0.0 for s in prof.strategies) == 212
-    with count_q_calls() as calls:
+    assert len(_score_bids(inst, enumerate(prof.strategies))[1]) == 165
+    with count_q_calls() as calls, count_heap_pops() as pops:
         _indirect_table(inst, prof)
     assert calls() == 212 + 44
+    assert pops() == 78
 
 
 def _reference_gsp_payments(instance, profile, allocation):

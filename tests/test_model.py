@@ -18,6 +18,9 @@ from price_display_auctions import (
     declared_value,
     declared_welfare,
     profile,
+    random_instance,
+    random_profile,
+    run_indirect_gsp,
     true_value,
     true_welfare,
     truthful_gains,
@@ -177,6 +180,17 @@ def test_outcome_accessors():
     assert out.utility(inst, 0) == pytest.approx(1.0 - 0.3)
     assert out.utility(inst, 1) == 0.0
     assert out.utilities(inst) == (pytest.approx(0.7), 0.0)
+
+
+def test_revenue_adds_left_to_right_on_every_python():
+    # These GSP payments (random_instance and random_profile, seed 294)
+    # add to ...948 left to right, and to ...9477 under the compensated
+    # float sum() of Python 3.12 on.
+    inst = random_instance(294)
+    out = run_indirect_gsp(inst, random_profile(inst, 294))
+    assert out.payments == (0.0, 0.0155988365821558, 0.05974419647083889,
+                            0.3122316566415001)
+    assert out.revenue == 0.3875746896944948
 
 
 @pytest.mark.parametrize("payments, sw, true_sw", [

@@ -1,6 +1,8 @@
 """Quality model behavior: domains, shapes, derivatives, audits."""
 
 import math
+from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +26,11 @@ from price_display_auctions import (
     infer_type,
     probe_grid,
     profile,
+)
+from price_display_auctions.sampling import _monotone
+from price_display_auctions.serialization import (
+    quality_from_dict,
+    quality_to_dict,
 )
 
 
@@ -313,6 +320,87 @@ def test_smooth_decay_monotonicity(p1, p2, pm1, pm2):
     assert q.q(hi_p, pm) <= q.q(lo_p, pm) + 1e-12
     pm_lo, pm_hi = min(lo_m, hi_p), min(hi_m, hi_p)
     assert q.q(hi_p, pm_lo) <= q.q(hi_p, pm_hi) + 1e-12
+
+
+def _clipped(raw):
+    """The smooth-decay clip as first written, with builtin calls."""
+    return min(1.0, max(0.0, raw))
+
+
+_CLIP_EDGES = [x for edge in (-0.0, 0.0, 1.0)
+               for x in (math.nextafter(edge, -math.inf), edge,
+                         math.nextafter(edge, math.inf))]
+
+
+@given(st.one_of(st.sampled_from(_CLIP_EDGES), st.floats()))
+def test_smooth_decay_clip_is_the_builtin_clip_bit_for_bit(raw):
+    # With both slopes 0, the kernel's raw value is the intercept itself,
+    # -0.0 included: x - 0.0 - 0.0 is x.
+    model = SimpleNamespace(intercept=raw, price_slope=0.0, gap_slope=0.0)
+    got = SmoothDecayQuality._evaluate(model, 0.0, 0.0)
+    assert got.hex() == _clipped(raw).hex()
+
+
+@given(st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+       st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 5.0),
+       st.floats(0.0, 5.0))
+def test_smooth_decay_q_is_the_builtin_clip_bit_for_bit(
+        price_slope, gap_slope, intercept, p1, p2):
+    q = SmoothDecayQuality(price_slope, gap_slope, intercept)
+    p_min, p = sorted((p1, p2))
+    raw = intercept - price_slope * p - gap_slope * (p - p_min)
+    assert q.q(p, p_min).hex() == _clipped(raw).hex()
+
+
+@st.composite
+def _tables(draw):
+    """A monotone table on half-integer grids; half of them perturbed
+    cell by cell within the constructor's slack, so that rows may dip."""
+    prices = sorted(draw(st.sets(st.integers(0, 8), min_size=1, max_size=4)))
+    mins = sorted(draw(st.sets(st.integers(0, 8), min_size=1, max_size=4)))
+    cell = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0))
+    rows = [[draw(cell) for _ in mins] for _ in prices]
+    values = _monotone(rows)
+    if draw(st.booleans()):
+        nudge = st.sampled_from((-4e-13, 0.0, 4e-13))
+        values = tuple(tuple(min(1.0, max(0.0, v + draw(nudge))) for v in row)
+                       for row in values)
+    return TabulatedQuality(tuple(x / 2 for x in prices),
+                            tuple(x / 2 for x in mins), values)
+
+
+@given(_tables(), st.integers(-1, 9))
+def test_table_peak_is_the_diagonal_unless_a_row_dips(table, half):
+    p = half / 2
+    diagonal = table.q(p, p)
+    row_max = max(table.q(p, pm) for pm in (*table.min_prices, p) if pm <= p)
+    dips = any(b < a for row in table.values for a, b in zip(row, row[1:]))
+    assert table._dips == dips
+    if not dips:
+        assert table.peak(p, diagonal) == diagonal == row_max
+    else:
+        assert table.peak(p, diagonal) == row_max
+
+
+def test_table_dip_flag_is_not_part_of_the_model():
+    # The flag is derived from the cells: it stays out of equality, repr
+    # and the file format, and a round trip derives it again.
+    flat = TabulatedQuality((1.0, 2.0), (1.0, 2.0), ((1.0, 1.0), (0.5, 0.5)))
+    dip = TabulatedQuality((1.0, 2.0), (1.0, 2.0),
+                           ((1.0, 1.0), (0.5, 0.5 - 5e-13)))
+    for table, dips in ((flat, False), (dip, True)):
+        assert table._dips is dips
+        assert "_dips" not in {f.name for f in fields(table)}
+        assert "_dips" not in repr(table)
+        data = quality_to_dict(table)
+        assert "_dips" not in data
+        back = quality_from_dict(data)
+        assert back == table and back._dips is dips
+        assert repr(back) == repr(table)
+        flipped = TabulatedQuality(table.prices, table.min_prices,
+                                   table.values)
+        object.__setattr__(flipped, "_dips", not dips)
+        assert flipped == table and hash(flipped) == hash(table)
 
 
 @given(st.floats(1.0, 2.5), st.floats(1.0, 2.5))
