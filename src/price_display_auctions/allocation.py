@@ -86,121 +86,235 @@ def _threshold_top(scan, keep, score):
 
 
 def _score_bids(instance, bids):
-    """Score (agent, strategy) ``bids`` for ``_table_rows``: (holders,
-    scored).
+    """Bucket (agent, strategy) ``bids`` by price for ``_table_rows``:
+    (buckets, gains), with no quality evaluation.
 
-    ``holders`` maps each submitted price to its live holders, in agent
-    order: the agents who submitted exactly it with a positive diagonal
-    weight q(p, p) * gain, the bids that could be shown at it.
-    ``scored`` is a heap (``heapq``) of (-bound, rank, agent, price, gain,
-    quality model, diagonal quality q(p, p)) per bid with a positive
-    bound peak * gain (see ``QualityModel.peak``), the largest weight it
-    can take at any candidate, so popping it reads the bids in descending
-    bound order.  A bid with a gain <= 0 is not evaluated at all.  That
-    is one quality evaluation per positive bid, and O(n) steps besides.
+    ``buckets`` maps each submitted price to the agents who submitted it
+    with a positive gain, in agent order, and ``gains`` maps each of them
+    to her gain.  A price bid only with gains <= 0 maps to no agent: such
+    a bid is never scored, and its price is a candidate whose row serves
+    GSP's page-minimum lookup alone.
     """
-    agents = instance.agents
-    rank = instance.rank
-    holders: dict = {}
-    scored = []
+    buckets: dict = {}
+    gains = {}
     for i, s in bids:
-        p, gain = s.price, s.gain
-        live = holders.get(p)
-        if live is None:
-            live = holders[p] = []
+        ids = buckets.get(s.price)
+        if ids is None:
+            ids = buckets[s.price] = []
+        gain = s.gain
         if gain > 0.0:
-            quality = agents[i][1]
-            diagonal = quality.q(p, p)
-            if diagonal * gain > 0.0:
-                live.append(i)
-            bound = quality.peak(p, diagonal) * gain
-            if bound > 0.0:
-                scored.append((-bound, rank(i), i, p, gain, quality,
-                               diagonal))
-    # (-bound, rank) and (w, -rank) are unique per agent: the heap pops in
-    # one order, and the kept (w, -rank, agent, price, q) in descending
-    # order are in _ranked's order.
-    heapq.heapify(scored)
-    return holders, scored
+            ids.append(i)
+            gains[i] = gain
+    return buckets, gains
 
 
-def _bound_order(heap):
-    """Scans of ``heap`` in ascending order, from its first tuple, that
-    share one sorted prefix: a scan reads the prefix, then extends it by
-    popping the heap, so the heap is popped only as deep as the deepest
-    scan reads.  ``heap`` is consumed."""
-    order: list = []
+def _table_rows(instance, buckets, gains, cands):
+    """Per candidate minimum in ``cands``: (cand, holders, ranked entries),
+    from ``_score_bids``' ``buckets`` and ``gains``.
 
-    def scan():
-        yield from order
-        while heap:
-            order.append(heapq.heappop(heap))
-            yield order[-1]
-    return scan
+    A candidate's entries are the (agent, price, weight, q) of the bids
+    priced at or above it with a positive weight q * gain, where q is
+    q(price, cand), the first keep = m + 1 in ``_ranked`` order.  Its
+    holders are the first two of its live holders in agent order: the
+    agents who bid exactly it with a positive diagonal weight
+    q(p, p) * gain, the bids that could be shown at it.  A solve excludes
+    at most one agent, so two tell it whether one is left.
 
-
-def _table_rows(instance, holders, scored, cands):
-    """Per candidate minimum in ``cands``: (cand, live holders, ranked
-    entries), from ``_score_bids``' ``holders`` and ``scored``, which it
-    consumes.
-
-    A candidate's entries are the (agent, price, weight, q) of the scored
-    bids priced at or above it with a positive weight q * gain, where q
-    is q(price, cand), the first keep = m + 1 in ``_ranked`` order.
-    Each candidate scans the bids in descending bound order, read off the
-    heap through ``_bound_order``, until ``_threshold_top`` stops; when at
-    most ``keep`` bids are scored nothing can be pruned, and all are, in
-    any order.
+    A bid's bound, peak * gain (see ``QualityModel.peak``), is the largest
+    weight it can take at any candidate, and its gain bounds that in turn,
+    as qualities lie in [0, 1].  With at most ``keep`` positive gains per
+    price on average, every diagonal is evaluated, and each candidate
+    scans the bids sorted by bound until ``_threshold_top`` stops, or
+    scores them all when at most ``keep`` have a positive bound, as
+    nothing can be pruned.  With more, each price's bucket yields its
+    bids in descending (bound, -rank) order through an exact prefix that
+    every candidate shares: it holds the bids sorted by gain and
+    evaluates a bid's diagonal, then its peak, only once its gain
+    reaches the best bound pending in the bucket.
+    Each candidate merges the buckets priced at or above it by their
+    best bound, reading a bucket while its next bound reaches every other
+    bucket's, until the threshold algorithm (Fagin, Lotem and Naor)
+    stops: it holds ``keep`` entries and no bucket's bound reaches the
+    keep-th weight; an equal bound may still tie and win on rank.  A bid
+    whose gain is below the threshold, or below another bucket's bound
+    while the scan reads there, is not evaluated.  So the scans read the
+    bids in the one descending bound order of all of them, and evaluate
+    no quality that the scan of every bid sorted by bound would not.
     """
     keep = instance.m + 1
-    # Decided once: the scans pop the heap.
-    prunable = len(scored) > keep
-    scan = _bound_order(scored)
+    agents = instance.agents
+    rank = instance.rank
     table = []
+    if len(gains) <= keep * len(buckets):
+        # Few bids per price: a lazy scan would read nearly every bucket
+        # whole, at a higher cost per bid, so evaluate every diagonal.
+        holders = {}
+        scored = []
+        for p, ids in buckets.items():
+            live = holders[p] = []
+            for i in ids:
+                quality = agents[i][1]
+                gain = gains[i]
+                d = quality.q(p, p)
+                if d * gain > 0.0 and len(live) < 2:
+                    live.append(i)
+                bound = quality.peak(p, d) * gain
+                if bound > 0.0:
+                    scored.append((-bound, rank(i), i, p, gain, quality, d))
+        prunable = len(scored) > keep
+        if prunable:
+            scored.sort()
+        for cand in cands:
+            if not prunable:
+                top = []
+                for _, r, i, p, gain, quality, d in scored:
+                    if p >= cand:
+                        v = d if p == cand else quality.q(p, cand)
+                        w = v * gain
+                        if w > 0.0:
+                            top.append((w, -r, i, p, v))
+                top.sort(reverse=True)
+            else:
+                def score(item, cand=cand):
+                    _, r, i, p, gain, quality, d = item
+                    if p >= cand:
+                        v = d if p == cand else quality.q(p, cand)
+                        w = v * gain
+                        if w > 0.0:
+                            return (w, -r, i, p, v)
+                    return None
+                top = _threshold_top(scored, keep, score)
+            table.append((cand, holders.get(cand, []),
+                          [(i, p, w, v) for w, _, i, p, v in top]))
+        return table
+    # The holders first, in agent order; their diagonals are kept for
+    # the buckets.
+    diagonals = {}
+    holders = {}
+    for p, ids in buckets.items():
+        live = holders[p] = []
+        for i in ids:
+            d = diagonals[i] = agents[i][1].q(p, p)
+            if d * gains[i] > 0.0:
+                live.append(i)
+                if len(live) == 2:
+                    break
+    # Per price with a positive gain, ascending: (price, exact prefix of
+    # (-bound, rank, agent, price, gain, quality model, diagonal) tuples,
+    # heap of the bids evaluated but not yet in it, bids not evaluated in
+    # ascending gain).  (-bound, rank) and (w, -rank) are unique per agent:
+    # a bucket yields one order, and the kept (w, -rank, agent, price, q)
+    # in descending order are in _ranked's order.
+    states = [(p, [], [], sorted(ids, key=gains.__getitem__))
+              for p, ids in sorted(buckets.items()) if ids]
+    starts = [state[0] for state in states]
+    heappush, heappop, heapreplace = (heapq.heappush, heapq.heappop,
+                                      heapq.heapreplace)
     for cand in cands:
-        if not prunable:
-            # Nothing can be pruned: score every agent.
-            top = []
-            for _, rank, i, p, gain, quality, d in scored:
-                if p >= cand:
-                    v = d if p == cand else quality.q(p, cand)
-                    w = v * gain
-                    if w > 0.0:
-                        top.append((w, -rank, i, p, v))
-            top.sort(reverse=True)
-        else:
-            def score(item, cand=cand):
-                _, rank, i, p, gain, quality, d = item
-                if p >= cand:
-                    v = d if p == cand else quality.q(p, cand)
-                    w = v * gain
-                    if w > 0.0:
-                        return (w, -rank, i, p, v)
-                return None
-            top = _threshold_top(scan(), keep, score)
+        top: list = []  # a min-heap whose root is the worst entry kept
+        worst = 0.0  # its weight, once it holds keep entries
+        # The buckets priced at or above cand, as (-upper bound, bucket,
+        # index of its next bid in the prefix): the root's is the best.
+        heads = []
+        for b in range(bisect_left(starts, cand), len(states)):
+            _, order, pending, queue = states[b]
+            if order:
+                heads.append((order[0][0], b, 0))
+                continue
+            u = -pending[0][0] if pending else 0.0
+            if queue and gains[queue[-1]] > u:
+                u = gains[queue[-1]]
+            heads.append((-u, b, 0))
+        heapq.heapify(heads)
+        while heads:
+            key, b, k = heads[0]
+            if -key < worst:
+                break
+            # The best bound of the other buckets, at the root's children.
+            nxt = 0.0
+            if len(heads) > 1:
+                nxt = -heads[1][0]
+                if len(heads) > 2 and -heads[2][0] > nxt:
+                    nxt = -heads[2][0]
+            p, order, pending, queue = states[b]
+            while True:
+                # Read this bucket while its bids reach both the threshold
+                # and the other buckets' best bound.
+                floor = worst if worst > nxt else nxt
+                if k < len(order):
+                    item = order[k]
+                    if -item[0] < floor:
+                        heapreplace(heads, (item[0], b, k))
+                        break
+                else:
+                    # Extend the prefix: evaluate the bids whose gain
+                    # reaches the floor and the best bound pending.
+                    while queue:
+                        i = queue[-1]
+                        gain = gains[i]
+                        if gain < floor or (pending
+                                            and gain < -pending[0][0]):
+                            break
+                        queue.pop()
+                        quality = agents[i][1]
+                        d = diagonals.get(i)
+                        if d is None:
+                            d = quality.q(p, p)
+                        bound = quality.peak(p, d) * gain
+                        if bound > 0.0:
+                            heappush(pending, (-bound, rank(i), i, p, gain,
+                                               quality, d))
+                    if not pending or (queue and gains[queue[-1]]
+                                       >= -pending[0][0]):
+                        # No exact bound reaches the floor: at most the
+                        # next gain, or the bucket is spent.
+                        if queue:
+                            heapreplace(heads, (-gains[queue[-1]], b, k))
+                        else:
+                            heappop(heads)
+                        break
+                    if -pending[0][0] < floor:
+                        heapreplace(heads, (pending[0][0], b, k))
+                        break
+                    item = heappop(pending)
+                    order.append(item)
+                k += 1
+                _, r, i, _, gain, quality, d = item
+                v = d if p == cand else quality.q(p, cand)
+                w = v * gain
+                if w > 0.0:
+                    entry = (w, -r, i, p, v)
+                    if len(top) < keep:
+                        heappush(top, entry)
+                        if len(top) == keep:
+                            worst = top[0][0]
+                    elif entry > top[0]:
+                        heapreplace(top, entry)
+                        worst = top[0][0]
+        top.sort(reverse=True)
         table.append((cand, holders.get(cand, []),
                       [(i, p, w, v) for w, _, i, p, v in top]))
     return table
 
 
 def _indirect_table(instance, profile):
-    """Per candidate minimum: (cand, live holders, ranked entries).
+    """Per candidate minimum: (cand, holders, ranked entries).
 
     The candidates are the distinct submitted prices, in ascending order,
-    and the rows are ``_table_rows``' over every bid ``_score_bids``
-    scored.  A candidate held only by bids that cannot be shown has no
-    live holder, and its row serves GSP's page-minimum lookup alone.  A
-    solve that excludes one agent still finds its first m entries in a
-    row; and as at most m entries are displayed, so does the best agent
-    left out at the page minimum.
+    and the rows are ``_table_rows``' over every bid.  A candidate held
+    only by bids that cannot be shown has no live holder, and its row
+    serves GSP's page-minimum lookup alone.  A solve that excludes one
+    agent still finds its first m entries in a row; and as at most m
+    entries are displayed, so does the best agent left out at the page
+    minimum.
 
-    Qualities are non-decreasing in the minimum price, so an agent's
-    weight at any candidate is at most her bound, and the bound-ordered
-    scan of each row is exact.  An agent with a bound <= 0 is never
-    scored.
+    Qualities lie in [0, 1] and are non-decreasing in the minimum price,
+    so an agent's weight at any candidate is at most her bound, and her
+    bound at most her gain: the bound-ordered scan of each row is exact.
+    A bid with a gain <= 0 is never evaluated.
     """
-    holders, scored = _score_bids(instance, enumerate(profile.strategies))
-    return _table_rows(instance, holders, scored, sorted(holders))
+    buckets, gains = _score_bids(instance, enumerate(profile.strategies))
+    return _table_rows(instance, buckets, gains, sorted(buckets))
 
 
 def _score_bid(instance, agent, strategy, cands):
@@ -211,10 +325,15 @@ def _score_bid(instance, agent, strategy, cands):
     which it has a positive weight q(price, cand) * gain to its entry
     (agent, price, weight, q), as ``_table_rows`` scores it.
     """
-    holders, scored = _score_bids(instance, [(agent, strategy)])
-    entries = {cand: ranked[0] for cand, _, ranked
-               in _table_rows(instance, holders, scored, cands) if ranked}
-    return agent, strategy.price, bool(holders[strategy.price]), entries
+    entries = {}
+    live = False
+    for cand, held, ranked in _table_rows(
+            instance, *_score_bids(instance, [(agent, strategy)]), cands):
+        if ranked:
+            entries[cand] = ranked[0]
+        if held:  # her own price's row, where she is live
+            live = True
+    return agent, strategy.price, live, entries
 
 
 def _merge_bid(instance, rows, bid):
@@ -223,11 +342,12 @@ def _merge_bid(instance, rows, bid):
 
     ``rows`` are the other bids' ``_table_rows`` at the profile's
     candidates, the prices they hold and the bid's, in ascending order.
-    The bid joins its own price's live holders when it is live, and its
-    scored entry joins each row's ranked entries, as it is, where
-    ``_ranked`` puts it, if among the first m + 1.  Both sides' rows are
-    exact, so each merged row equals the profile's own; the merge takes
-    O(|C| m) steps and no quality evaluation.
+    The bid joins its own price's holders when it is live, which keep
+    the first two in agent order.  Its scored entry joins each row's
+    ranked entries, as it is, where ``_ranked`` puts it, if among the
+    first m + 1.  Both sides' rows are exact, so each merged row equals
+    the profile's own; the merge takes O(|C| m) steps and no quality
+    evaluation.
     """
     agent, price, live, entries = bid
     keep = instance.m + 1
@@ -235,7 +355,7 @@ def _merge_bid(instance, rows, bid):
     table = []
     for cand, holders, ranked in rows:
         if live and cand == price:
-            holders = sorted([*holders, agent])
+            holders = sorted([*holders, agent])[:2]
         entry = entries.get(cand)
         if entry is not None:
             w = entry[2]
@@ -309,13 +429,18 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile
     moves nothing: the optimum and every pivot are the same whichever such
     bid an agent submits.
 
-    The search relies on every quality being non-decreasing in the
-    minimum price: it evaluates each positive bid once on its diagonal,
-    heaps the bids by that bound, and per candidate (|C| distinct
-    submitted prices) scores bids in bound order only until none left can
-    enter the best m + 1.  That is n + O(|C| m) quality evaluations when
-    weights stay near their bounds and O(n |C|) at worst, then O(|C| m)
-    steps and at most m |C| re-evaluations.
+    The search relies on every quality lying in [0, 1] and being
+    non-decreasing in the minimum price.  It buckets the bids by price,
+    each bucket sorted by gain, which bounds every weight a bid can take.
+    Per candidate (|C| distinct submitted prices) it reads the bids in
+    descending bound order only until none left can enter the best m + 1.
+    On a page with more than m + 1 positive gains per price on average it
+    evaluates a bid's diagonal only when its gain can still reach the
+    row, plus the first two live holders of each price; on others, every
+    diagonal.  That is O(n log n) steps, a few evaluations per bid that
+    can enter a row and O(|C| m) more when weights stay near their
+    bounds, and O(n |C|) at worst; then O(|C| m) steps and at most m |C|
+    re-evaluations.
     """
     return _allocation_from(_solve_indirect(
         instance, profile, _indirect_table(instance, profile),

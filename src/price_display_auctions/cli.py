@@ -66,9 +66,10 @@ def _parse_params(pairs):
 def _emit(args, command, payload, text_lines):
     # Serialized in both modes so that a non-finite result (a float
     # overflow) is refused, not printed; intended infinities are strings.
+    # Text mode only checks, with the compact encoder, which runs in C.
     try:
-        text = json.dumps(envelope(command, payload), indent=2,
-                          allow_nan=False)
+        text = json.dumps(envelope(command, payload),
+                          indent=2 if args.json else None, allow_nan=False)
     except ValueError:
         raise AuctionError(f"{command}: result is not finite "
                            f"(float overflow)") from None

@@ -361,9 +361,9 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
                                 for s in head])
             tail_codes = tuple([codes.setdefault(s, len(codes))
                                 for s in tail])
-        held, scored = _score_bids(instance, [
+        held, gains = _score_bids(instance, [
             (i, s) for i, s in enumerate(start.strategies) if i != agent])
-        theirs = _table_rows(instance, held, scored,
+        theirs = _table_rows(instance, held, gains,
                              sorted(prices.union(held)))
         at = {row[0]: row for row in theirs}
         rows = {p: [at[cand] for cand in sorted({*held, p})] for p in prices}

@@ -167,7 +167,9 @@ class HyperbolaQuality(QualityModel):
             return self.delta
         a = 1.0 - (1.0 + self.delta) / 2.0
         b = (1.0 + self.delta) / 2.0 * self.high - self.low
-        return (1.0 + self.delta) * (self.high - self.low) / (a * p + b) - 1.0
+        v = (1.0 + self.delta) * (self.high - self.low) / (a * p + b) - 1.0
+        # A few ulps above ``low`` the formula can round above 1.
+        return 1.0 if v > 1.0 else v
 
     def psi_derivative(self, p: float) -> float:
         a = 1.0 - (1.0 + self.delta) / 2.0

@@ -1,6 +1,5 @@
 """Shared test helpers."""
 
-import heapq
 from contextlib import contextmanager
 
 import pytest
@@ -36,33 +35,3 @@ def count_q_calls():
     """The ``q()`` call counter, as a context manager:
     ``with count_q_calls() as calls: ...; calls()``."""
     return _counting_q_calls
-
-
-@contextmanager
-def _counting_heap_pops():
-    """Count ``heapq.heappop`` calls made inside the block.
-
-    Yields a reader of the running count.  The indirect table pops its
-    bound-ordered bids through the ``heapq`` module, where the wrapper is
-    installed and restored on exit, also when the block raises.
-    """
-    original = heapq.heappop
-    pops = 0
-
-    def counted(heap):
-        nonlocal pops
-        pops += 1
-        return original(heap)
-
-    heapq.heappop = counted
-    try:
-        yield lambda: pops
-    finally:
-        heapq.heappop = original
-
-
-@pytest.fixture
-def count_heap_pops():
-    """The ``heappop`` call counter, as a context manager:
-    ``with count_heap_pops() as pops: ...; pops()``."""
-    return _counting_heap_pops

@@ -6,13 +6,17 @@ import random
 from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from price_display_auctions import (
+    QUALITY_KINDS,
     AgentType,
     AuctionInstance,
     GuardExceededError,
+    HyperbolaQuality,
     OnlyMinQuality,
     PriceThresholdQuality,
+    QualityModel,
     SlotProfile,
     SmoothDecayQuality,
     Strategy,
@@ -28,11 +32,9 @@ from price_display_auctions import (
     random_profile,
     run_indirect_gsp,
 )
-from price_display_auctions import allocation
 from price_display_auctions.allocation import (
     DirectAllocationResult,
     _allocation_from,
-    _bound_order,
     _direct_table,
     _indirect_table,
     _merge_bid,
@@ -684,10 +686,76 @@ def _reference_indirect_table(instance, profile, keep):
     return table
 
 
+def _reference_rows(instance, profile):
+    """``_reference_indirect_table`` with each candidate's live holders cut
+    to the first two, all that a solve excluding one agent reads."""
+    return [(cand, live[:2], ranked) for cand, live, ranked
+            in _reference_indirect_table(instance, profile, instance.m + 1)]
+
+
 def test_indirect_table_matches_full_scoring():
     for seed, inst, prof in _indirect_cases():
-        assert _indirect_table(inst, prof) == \
-            _reference_indirect_table(inst, prof, inst.m + 1), seed
+        assert _indirect_table(inst, prof) == _reference_rows(inst, prof), seed
+
+
+_LEVELS = (0.25, 0.5, 1.0)
+
+
+@st.composite
+def _pages(draw):
+    """A page of round bids on at most four grid prices, so that weights
+    tie: every quality kind, tables whose rows may dip within the slack,
+    gains <= 0 beside the positive ones, an optional shuffled tie-break,
+    and often exactly keep or keep + 1 positive bids, the sizes on either
+    side of pruning."""
+    grid = tuple(sorted(draw(st.sets(st.sampled_from(
+        (1.0, 1.5, 2.0, 3.0, 4.0)), min_size=1, max_size=4))))
+    m = draw(st.integers(1, 3))
+    positive = draw(st.sampled_from((m + 1, m + 2)) | st.integers(0, 12))
+    gains = [draw(st.sampled_from((0.25, 0.5, 1.0, 2.0)))
+             for _ in range(positive)]
+    gains += draw(st.lists(st.sampled_from((0.0, -0.5)),
+                           min_size=0 if gains else 1, max_size=4))
+    gains = draw(st.permutations(gains))
+    level = st.sampled_from(_LEVELS)
+    agents = []
+    for _ in gains:
+        kind = draw(st.sampled_from(sorted(QUALITY_KINDS)))
+        if kind == "only-min":
+            quality = OnlyMinQuality(draw(st.sampled_from(grid + (math.inf,))),
+                                     draw(level))
+        elif kind == "price-threshold":
+            quality = PriceThresholdQuality(draw(st.sampled_from(grid)),
+                                            draw(level))
+        elif kind == "psi-hyperbola":
+            low = draw(st.sampled_from(grid))
+            high = draw(st.sampled_from((2.5, 3.0))) * low
+            quality = HyperbolaQuality(
+                low, high, draw(st.sampled_from((0.2, 0.3))) * low / high)
+        elif kind == "smooth-decay":
+            slope = st.sampled_from((0.0, 0.1, 0.25))
+            quality = SmoothDecayQuality(draw(slope), draw(slope), draw(level))
+        else:
+            values = _monotone([[draw(st.sampled_from((0.0,) + _LEVELS))
+                                 for _ in grid] for _ in grid])
+            if draw(st.booleans()):
+                nudge = st.sampled_from((-4e-13, 0.0, 4e-13))
+                values = tuple(tuple(min(1.0, max(0.0, v + draw(nudge)))
+                                     for v in row) for row in values)
+            quality = TabulatedQuality(grid, grid, values)
+        agents.append((AgentType(1.0, 0.0), quality))
+    order = draw(st.none() | st.permutations(range(len(agents))))
+    inst = AuctionInstance(tuple(agents), SlotProfile((1.0,) * m), grid,
+                           None if order is None else tuple(order))
+    return inst, StrategyProfile(tuple(
+        Strategy(draw(st.sampled_from(grid)), gain) for gain in gains))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_pages())
+def test_indirect_table_matches_full_scoring_property(page):
+    inst, prof = page
+    assert _indirect_table(inst, prof) == _reference_rows(inst, prof)
 
 
 def test_merged_table_equals_the_profiles_own_table():
@@ -696,90 +764,63 @@ def test_merged_table_equals_the_profiles_own_table():
     # candidates (here every grid price too).
     for seed, inst, prof in _indirect_cases():
         for agent in range(0, inst.n, max(1, inst.n // 4)):
-            held, scored = _score_bids(inst, [
+            buckets, gains = _score_bids(inst, [
                 (i, s) for i, s in enumerate(prof.strategies) if i != agent])
             price = prof[agent].price
-            rows = _table_rows(inst, held, scored, sorted({*held, price}))
+            rows = _table_rows(inst, buckets, gains,
+                               sorted({*buckets, price}))
             bid = _score_bid(inst, agent, prof[agent],
-                             sorted({*held, *inst.price_grid, price}))
+                             sorted({*buckets, *inst.price_grid, price}))
             assert _merge_bid(inst, rows, bid) == \
                 _indirect_table(inst, prof), (seed, agent)
 
 
-def test_table_scans_read_the_sorted_bids_lazily(monkeypatch):
-    # The table pops its heap of scored bids only as deep as a scan reads;
-    # every candidate's scan must still see a prefix of the sorted bids,
-    # and the rows must equal those read off the fully sorted list.
-    threshold_top = allocation._threshold_top
-    scans = []
+def test_table_evaluates_a_bid_only_when_its_gain_can_reach_a_row(
+        monkeypatch):
+    # One slot, so each row keeps two entries.  Agents 0 to 4 bid 1.0
+    # with gains 1, 2, 5, 3 and 4 at quality 1, so their bounds are their
+    # gains.  The holders at 1.0 are the first two live bids in agent
+    # order, agents 0 and 1.  Candidate 1.0's scan evaluates agents 2 and
+    # 4 (gains 5 and 4) and stops at agent 3's gain 3, below the second
+    # weight 4, so her quality is never evaluated.  Agent 5 bids 2.0 with
+    # gain 0.5: the holder walk evaluates her diagonal, the threshold 4
+    # skips her bucket at candidate 1.0, and candidate 2.0 reuses it.
+    models = [PriceThresholdQuality(2.0) for _ in range(6)]
+    inst = AuctionInstance(tuple((AgentType(1.0, 0.0), q) for q in models),
+                           SlotProfile((1.0,)), (1.0, 2.0))
+    prof = profile(*[(1.0, g) for g in (1.0, 2.0, 5.0, 3.0, 4.0)],
+                   (2.0, 0.5))
+    calls = []
+    q = QualityModel.q
 
-    def recording(scan, keep, score):
-        read = []
+    def recording(self, p, p_min):
+        calls.append(([m is self for m in models].index(True), p, p_min))
+        return q(self, p, p_min)
 
-        def reading():
-            for item in scan:
-                read.append(item)
-                yield item
-        scans.append(read)
-        return threshold_top(reading(), keep, score)
-
-    stopped_early = 0
-    for seed, inst, prof in _indirect_cases():
-        held, scored = _score_bids(inst, enumerate(prof.strategies))
-        ordered = sorted(scored)
-        cands = sorted(held)
-        scans.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(allocation, "_threshold_top", recording)
-            rows = _table_rows(inst, held, scored, cands)
-        for read in scans:
-            assert read == ordered[:len(read)], seed
-            stopped_early += len(read) < len(ordered)
-        assert rows == _table_rows(inst, held, list(ordered), cands), seed
-    assert stopped_early
-
-
-def test_table_pops_only_as_deep_as_its_deepest_scan(count_heap_pops):
-    for seed, inst, prof in _indirect_cases():
-        held, scored = _score_bids(inst, enumerate(prof.strategies))
-        cands = sorted(held)
-        depths = []
-        for cand in cands:
-            with count_heap_pops() as pops:
-                _table_rows(inst, held, list(scored), [cand])
-            depths.append(pops())
-        with count_heap_pops() as pops:
-            _table_rows(inst, held, list(scored), cands[::-1])
-        assert pops() == max(depths), seed
-    # A shallow scan after a deeper one reads the shared prefix and pops
-    # nothing more.
-    heap = [(k * 7 % 10, k) for k in range(10)]
-    heapq.heapify(heap)
-    scan = _bound_order(heap)
-    with count_heap_pops() as pops:
-        deep = [item for _, item in zip(range(6), scan())]
-        shallow = [item for _, item in zip(range(3), scan())]
-    assert pops() == 6 and len(heap) == 4
-    assert deep == sorted(deep) and shallow == deep[:3]
+    with monkeypatch.context() as patch:
+        patch.setattr(QualityModel, "q", recording)
+        table = _indirect_table(inst, prof)
+    assert sorted(calls) == [(0, 1.0, 1.0), (1, 1.0, 1.0), (2, 1.0, 1.0),
+                             (4, 1.0, 1.0), (5, 2.0, 2.0)]
+    assert [(cand, holders) for cand, holders, _ in table] == \
+        [(1.0, [0, 1]), (2.0, [5])]
+    assert table == _reference_rows(inst, prof)
 
 
-def test_indirect_table_stops_early_on_a_large_page(count_q_calls,
-                                                    count_heap_pops):
-    # A seeded page of 261 bids at m = 5 and 8 distinct prices: the table
-    # scores each of the 212 positive bids on its diagonal, then 44 more
-    # over all candidates.  Scoring every bid at every candidate takes
-    # 1,242 evaluations.  Of the 165 bids with a positive bound, the
-    # deepest scan reads 78 off the heap.
+def test_indirect_table_stops_early_on_a_large_page(count_q_calls):
+    # A seeded page of 261 bids at m = 5 and 8 distinct prices, 212 of
+    # them with a positive gain.  The table evaluates 123 of their
+    # diagonals, then 44 more qualities over all candidates.  Scoring
+    # every positive bid on its diagonal first took 212 + 44, and every
+    # bid at every candidate 1,242.
     inst = random_instance(2, max_agents=300, max_slots=5, max_prices=8)
     prof = random_profile(inst, 2)
     prices = {s.price for s in prof.strategies}
     assert (inst.n, inst.m, len(prices)) == (261, 5, 8)
     assert sum(s.gain > 0.0 for s in prof.strategies) == 212
-    assert len(_score_bids(inst, enumerate(prof.strategies))[1]) == 165
-    with count_q_calls() as calls, count_heap_pops() as pops:
+    with count_q_calls() as calls:
         _indirect_table(inst, prof)
-    assert calls() == 212 + 44
-    assert pops() == 78
+    assert calls() == 123 + 44
 
 
 def _reference_gsp_payments(instance, profile, allocation):

@@ -5,9 +5,10 @@ from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from price_display_auctions import (
+    QUALITY_KINDS,
     AgentType,
     AuctionError,
     AuctionInstance,
@@ -409,6 +410,71 @@ def test_hyperbola_diagonal_monotone(p1, p2):
     lo, hi = sorted((p1, p2))
     assert q.q(hi, hi) <= q.q(lo, lo) + 1e-12
     assert 0.0 <= q.q(lo, lo) <= 1.0
+
+
+# Its closed form rounds to 1.0000000000000004 one ulp above ``low``.
+_ROUNDS_ABOVE_ONE = HyperbolaQuality(low=2.082824945586993,
+                                     high=9.01696566173779,
+                                     delta=0.08796628849701582)
+
+
+def _ulps_around(*points):
+    return [x for point in points
+            for x in (math.nextafter(point, -math.inf), point,
+                      math.nextafter(point, math.inf))]
+
+
+@st.composite
+def _models_and_prices(draw):
+    """A model of any kind with float parameters, and prices
+    p >= p_min; the hyperbola's p is often within an ulp of ``low`` or
+    ``high``."""
+    kind = draw(st.sampled_from(sorted(QUALITY_KINDS)))
+    price = st.floats(0.0, 100.0)
+    level = st.floats(0.0, 1.0, exclude_min=True)
+    if kind == "only-min":
+        model = OnlyMinQuality(draw(price | st.just(math.inf)), draw(level))
+    elif kind == "price-threshold":
+        model = PriceThresholdQuality(draw(price), draw(level))
+    elif kind == "psi-hyperbola":
+        low = draw(st.floats(1.0, 10.0))
+        high = draw(st.floats(2.0 * low, 100.0, exclude_min=True))
+        model = HyperbolaQuality(low, high, draw(st.floats(
+            0.0, low / high, exclude_min=True, exclude_max=True)))
+        price = st.sampled_from(_ulps_around(low, high)) | price
+    elif kind == "smooth-decay":
+        slope = st.floats(0.0, 10.0)
+        model = SmoothDecayQuality(draw(slope), draw(slope), draw(level))
+    else:
+        model = draw(_tables())
+    p = draw(price)
+    return model, p, draw(st.just(p) | st.floats(0.0, p))
+
+
+@given(_models_and_prices())
+@example((_ROUNDS_ABOVE_ONE, math.nextafter(_ROUNDS_ABOVE_ONE.low, math.inf),
+          math.nextafter(_ROUNDS_ABOVE_ONE.low, math.inf)))
+def test_every_kind_stays_in_the_unit_interval(case):
+    # The indirect search bounds a bid's weight at every candidate by its
+    # gain, which holds only for qualities in [0, 1].
+    model, p, p_min = case
+    assert 0.0 <= model.q(p, p_min) <= 1.0
+
+
+def test_hyperbola_is_clamped_only_above_one():
+    # Just above low the closed form can round above 1, which the audit
+    # reports as a range violation; psi is clamped there, and every value
+    # below 1 keeps its bits.
+    q = _ROUNDS_ABOVE_ONE
+    a = 1.0 - (1.0 + q.delta) / 2.0
+    b = (1.0 + q.delta) / 2.0 * q.high - q.low
+    p = q.low
+    for _ in range(50):
+        p = math.nextafter(p, math.inf)
+        formula = (1.0 + q.delta) * (q.high - q.low) / (a * p + b) - 1.0
+        assert q.psi(p) == (1.0 if formula > 1.0 else formula)
+    assert q.q(2.0828249455869936, 2.0828249455869936) == 1.0
+    assert audit_quality(q, [(x, x) for x in _ulps_around(q.low)]) == ()
 
 
 def test_infinite_cap_survives_math():
