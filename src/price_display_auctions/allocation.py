@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .model import (
     Allocation,
     AuctionInstance,
     StrategyProfile,
+    require_one_per_agent,
 )
 
 BRUTE_FORCE_MAX_AGENTS = 6
@@ -121,12 +123,14 @@ def _table_rows(instance, buckets, gains, cands):
     at most one agent, so two tell it whether one is left.
 
     A bid's bound, peak * gain (see ``QualityModel.peak``), is the largest
-    weight it can take at any candidate, and its gain bounds that in turn,
-    as qualities lie in [0, 1].  With at most ``keep`` positive gains per
-    price on average, every diagonal is evaluated, and each candidate
-    scans the bids sorted by bound until ``_threshold_top`` stops, or
-    scores them all when at most ``keep`` have a positive bound, as
-    nothing can be pruned.  With more, each price's bucket yields its
+    weight it can take at any candidate, and its gain bounds that in turn
+    when its quality lies in [0, 1], as every model of ``QUALITY_KINDS``'
+    does.  With at most ``keep`` positive gains per price on average, or
+    when some agent's model is not exactly one of those kinds, every
+    diagonal is evaluated, and each candidate scans the bids sorted by
+    bound until ``_threshold_top`` stops, or scores them all when at most
+    ``keep`` have a positive bound, as nothing can be pruned.  That scan
+    needs no [0, 1] range.  Otherwise, each price's bucket yields its
     bids in descending (bound, -rank) order through an exact prefix that
     every candidate shares: it holds the bids sorted by gain and
     evaluates a bid's diagonal, then its peak, only once its gain
@@ -145,9 +149,10 @@ def _table_rows(instance, buckets, gains, cands):
     agents = instance.agents
     rank = instance.rank
     table = []
-    if len(gains) <= keep * len(buckets):
-        # Few bids per price: a lazy scan would read nearly every bucket
-        # whole, at a higher cost per bid, so evaluate every diagonal.
+    if len(gains) <= keep * len(buckets) or not instance._unit_qualities:
+        # Few bids per price, where a lazy scan would read nearly every
+        # bucket whole at a higher cost per bid, or a custom model, whose
+        # gain need not bound its weight: evaluate every diagonal.
         holders = {}
         scored = []
         for p, ids in buckets.items():
@@ -308,10 +313,11 @@ def _indirect_table(instance, profile):
     entries are displayed, so does the best agent left out at the page
     minimum.
 
-    Qualities lie in [0, 1] and are non-decreasing in the minimum price,
-    so an agent's weight at any candidate is at most her bound, and her
-    bound at most her gain: the bound-ordered scan of each row is exact.
-    A bid with a gain <= 0 is never evaluated.
+    Qualities are non-decreasing in the minimum price, so an agent's
+    weight at any candidate is at most her bound, and the bound-ordered
+    scan of each row is exact; a gain bounds the bound only for the
+    [0, 1] models that ``_table_rows`` reads lazily.  A bid with a gain
+    <= 0 is never evaluated.
     """
     buckets, gains = _score_bids(instance, enumerate(profile.strategies))
     return _table_rows(instance, buckets, gains, sorted(buckets))
@@ -429,12 +435,13 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile
     moves nothing: the optimum and every pivot are the same whichever such
     bid an agent submits.
 
-    The search relies on every quality lying in [0, 1] and being
-    non-decreasing in the minimum price.  It buckets the bids by price,
-    each bucket sorted by gain, which bounds every weight a bid can take.
-    Per candidate (|C| distinct submitted prices) it reads the bids in
-    descending bound order only until none left can enter the best m + 1.
-    On a page with more than m + 1 positive gains per price on average it
+    The search relies on every quality being non-decreasing in the
+    minimum price.  Per candidate (|C| distinct submitted prices) it
+    reads the bids in descending bound order only until none left can
+    enter the best m + 1.  On a page with more than m + 1 positive gains
+    per price on average, whose agents all use the built-in quality
+    kinds (values in [0, 1]), it buckets the bids by price, each bucket
+    sorted by gain, which bounds every weight a bid can take, and
     evaluates a bid's diagonal only when its gain can still reach the
     row, plus the first two live holders of each price; on others, every
     diagonal.  That is O(n log n) steps, a few evaluations per bid that
@@ -442,6 +449,7 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile
     bounds, and O(n |C|) at worst; then O(|C| m) steps and at most m |C|
     re-evaluations.
     """
+    require_one_per_agent(instance, profile, "the profile")
     return _allocation_from(_solve_indirect(
         instance, profile, _indirect_table(instance, profile),
         frozenset())[1])
@@ -460,6 +468,7 @@ def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
     bit to ``declared_welfare`` of the allocation it picks, and a true
     value is lam * (q * true gain) with no quality evaluation.
     """
+    require_one_per_agent(instance, profile, "the profile")
     return _indirect_pivots(instance, profile,
                             _indirect_table(instance, profile), None)
 
@@ -568,39 +577,100 @@ def _direct_table(instance, reported):
     return table
 
 
-def _solve_direct(instance, table, exclude):
+def _row_bounds(instance, table):
+    """Per row of a direct ``table``, a welfare that no candidate of the
+    row exceeds under any single exclusion, or inf.
+
+    The bound is the left-to-right sum of lam_j * w_j over the row's
+    first m ranked weights.  It holds when every positive diagonal weight
+    is at most its agent's cap: her ranked entry's weight or, when she
+    has none, the m-th ranked weight (0.0 if the row ranks fewer than
+    m).  ``_direct_table`` builds only such rows: a diagonal is at most
+    its agent's best entry, and a best entry left out of the m + 1 kept
+    is at most the m-th.  A row that breaks this is bounded by inf.
+    Then a candidate's slot-ordered weights are at most those m weights
+    one by one, as its other entries are ranked entries that are not the
+    designated agent's, and her weight is at most her cap.  Rounding is
+    monotone and every term is non-negative, so the candidate's
+    left-to-right sum is at most the bound, bit for bit, with no margin.
+    """
+    m = instance.m
+    lams = instance.slots.prominences
+    bounds = []
+    for _, diagonal, ranked in table:
+        caps = {e[0]: e[2] for e in ranked}
+        floor = ranked[m - 1][2] if len(ranked) >= m else 0.0
+        bound = 0.0
+        for lam, e in zip(lams, ranked):
+            bound += lam * e[2]
+        for h, _, w, _ in diagonal:
+            if w > caps.get(h, floor):
+                bound = math.inf
+                break
+        bounds.append(bound)
+    return bounds
+
+
+def _solve_direct(instance, table, exclude, bounds=None):
     """Best (welfare, entries) over the table without ``exclude``.
 
     Candidates run in ascending (p_hat, designated agent) order.  The
     designated agent i shows p_hat; the other slots go to the first m - 1
     ranked entries that are neither i nor excluded: the first m entries
-    not excluded (``top``) less i's own entry, or else less the m-th.  Her
-    diagonal entry is inserted, as it is, where ``_ranked`` would put it.
+    not excluded (``top``) less i's own entry, or else less the m-th, the
+    row's shared view.  Her diagonal entry is inserted, as it is, where
+    ``_ranked`` would put it.  A candidate wins when its welfare beats
+    the bar, the best so far plus WELFARE_TOL, which never falls.
 
-    Per p_hat and dropped entry, prefix sums of lam_j * w_j and suffix
-    sums of lam_{j+1} * w_j over the others give each candidate's welfare
-    as an O(1) estimate.  It adds the same m or fewer non-negative
-    products as ``_weighted_sw`` in another order, so the two differ by
-    about 2 (m - 1) 2^-53 times the estimate at most.  A candidate is
-    skipped when its estimate plus a margin of 4 (m + 2) 2^-53 times it
-    still cannot beat the best by more than WELFARE_TOL; every other
-    candidate is scored exactly.  A NaN estimate is never skipped, and an
-    infinite one only once the best is infinite, which no sum can beat.
+    A row whose ``_row_bounds`` bound (computed here when ``bounds`` is
+    None) does not beat the bar is skipped whole, before its views are
+    built.  Per view of L entries, prefix sums pre of lam_j * w_j, the
+    left-to-right partial sums of ``_weighted_sw``, and suffix sums of
+    lam_{j+1} * w_j price each candidate in O(1):
+
+    * A weight w strictly below the view's last, low, goes last, and
+      pre[L] + lam_L * w is its exact welfare.  It is non-decreasing in
+      w, as rounding is monotone.  So once a shared-view candidate of
+      weight w_f < low fails the bar, every later agent of the row whose
+      weight is at most w_f fails it too, and is rejected by one
+      comparison.  That holds for a top agent as well: her view drops an
+      entry at least as heavy as the m-th, so her slot-ordered weights
+      are at most the shared candidate's at w_f one by one, and so is
+      her left-to-right sum.  w_f starts at 0.0 in each row.
+    * Otherwise the estimate, from the view's sort keys and suffix sums
+      (built once per view that needs them), adds the same m or fewer
+      non-negative products as ``_weighted_sw`` in another order, so the
+      two differ by about 2 (m - 1) 2^-53 times the estimate at most.  A
+      candidate is skipped when its estimate plus a margin of
+      4 (m + 2) 2^-53 times it still cannot beat the bar; every other
+      one is summed exactly as pre[pos] + lam_pos * w, then the tail
+      terms in slot order, the bits of ``_weighted_sw``.
+
+    A NaN estimate or sum never wins, and an infinite one only while
+    the bar is finite.  Only the winner's entries are built.
     """
     m = instance.m
     lams = instance.slots.prominences
     ranks = [instance.rank(i) for i in range(instance.n)]
+    if bounds is None:
+        bounds = _row_bounds(instance, table)
     slack = 4 * (m + 2) * 2.0 ** -53
     best_sw = 0.0
-    best_entries: list = []
-    for p_hat, diagonal, ranked in table:
-        top = [e for e in ranked if e[0] not in exclude][:m]
+    bar = best_sw + WELFARE_TOL
+    best = None
+    for (_, diagonal, ranked), bound in zip(table, bounds):
+        if bound <= bar:
+            continue
+        if exclude:
+            top = [e for e in ranked if e[0] not in exclude][:m]
+        else:
+            top = ranked[:m]
         top_index = {e[0]: k for k, e in enumerate(top)}
-        top_keys = [(-w, ranks[a]) for a, _, w, _ in top]
         views: dict = {}
+        w_f = 0.0
         for i, designated in enumerate(diagonal):
             w_i = designated[2]
-            if w_i <= 0.0 or i in exclude:
+            if w_i <= w_f or i in exclude:
                 continue
             # Drop i's own entry, or else the m-th.
             k = top_index.get(i, m - 1)
@@ -610,23 +680,39 @@ def _solve_direct(instance, table, exclude):
                 pre = [0.0]
                 for lam, (_, _, w, _) in zip(lams, others):
                     pre.append(pre[-1] + lam * w)
-                suf = [0.0] * len(pre)
-                for j in range(len(others) - 1, -1, -1):
-                    suf[j] = lams[j + 1] * others[j][2] + suf[j + 1]
-                view = views[k] = (others, top_keys[:k] + top_keys[k + 1:],
-                                   pre, suf)
-            others, keys, pre, suf = view
-            pos = bisect_left(keys, (-w_i, ranks[i]))
-            est = pre[pos] + lams[pos] * w_i + suf[pos]
-            margin = slack * est
-            if est + margin <= best_sw + WELFARE_TOL:
-                continue
-            chosen = others[:pos] + [designated] + others[pos:]
-            sw = _weighted_sw(instance, chosen)
-            if sw > best_sw + WELFARE_TOL:
+                # Sort keys and suffix sums come third, when first needed.
+                view = views[k] = [others, pre, None]
+            others, pre, tail = view
+            pos = len(others)
+            if not pos or w_i < others[-1][2]:
+                sw = pre[pos] + lams[pos] * w_i
+                if sw <= bar:
+                    if k == m - 1:
+                        w_f = w_i
+                    continue
+            else:
+                if tail is None:
+                    suf = [0.0] * len(pre)
+                    for j in range(len(others) - 1, -1, -1):
+                        suf[j] = lams[j + 1] * others[j][2] + suf[j + 1]
+                    tail = view[2] = ([(-w, ranks[a])
+                                       for a, _, w, _ in others], suf)
+                keys, suf = tail
+                pos = bisect_left(keys, (-w_i, ranks[i]))
+                est = pre[pos] + lams[pos] * w_i + suf[pos]
+                if est + slack * est <= bar:
+                    continue
+                sw = pre[pos] + lams[pos] * w_i
+                for j in range(pos, len(others)):
+                    sw += lams[j + 1] * others[j][2]
+            if sw > bar:
                 best_sw = sw
-                best_entries = chosen
-    return best_sw, best_entries
+                bar = best_sw + WELFARE_TOL
+                best = others, pos, designated
+    if best is None:
+        return best_sw, []
+    others, pos, designated = best
+    return best_sw, others[:pos] + [designated] + others[pos:]
 
 
 def direct_allocate(instance: AuctionInstance, reported
@@ -639,8 +725,11 @@ def direct_allocate(instance: AuctionInstance, reported
     slots are filled greedily.  Each agent's diagonal is scored once per
     grid price, and her best price per candidate only while she can still
     enter the best m + 1 there: n |P| quality evaluations plus the rows of
-    those contenders, O(n |P|^2) at worst.  Each pair's welfare is then
-    estimated in O(1), and summed exactly only when it can win.
+    those contenders, O(n |P|^2) at worst.  A candidate minimum whose
+    best m weights cannot beat the best so far is skipped whole; within
+    one, a designated agent no heavier than one who already failed is
+    rejected by one comparison, and each other pair's welfare is
+    estimated in O(1) and summed exactly only when it can win.
     """
     sw, entries, _ = direct_pivots(instance, reported, ())
     return DirectAllocationResult(_allocation_from(entries), sw)
@@ -655,18 +744,23 @@ def direct_pivots(instance: AuctionInstance, reported, pivots=None
     weight, q) entries, where q is q(price, p_hat) at the designated
     minimum price p_hat, the allocation's own minimum, and the weight
     q * gain(price).  ``pivots`` defaults to the agents the optimum
-    assigns (the VCG pivots).  All solves share one table, so each pivot
-    adds O(|P| (n log m + m^2)) steps, an exact O(m) sum per pair that
-    can win and no quality evaluations.  The welfare is the search's own
-    score, equal bit for bit to ``declared_welfare`` of the allocation it
-    picks at its chosen gains, and a true value is lam * (q * true gain)
-    with no quality evaluation.
+    assigns (the VCG pivots).  All solves share one table and its row
+    bounds, so each pivot adds no quality evaluation and at most
+    O(|P| (n log m + m^2)) steps: a row is skipped whole, or takes one
+    comparison per designated agent no heavier than a failed one, an
+    O(1) estimate (after an O(log m) search when she does not go last)
+    for each other, and an exact O(m) sum for each pair that can win.  Only the winner's entries are built.  The welfare is
+    the search's own score, equal bit for bit to ``declared_welfare`` of
+    the allocation it picks at its chosen gains, and a true value is
+    lam * (q * true gain) with no quality evaluation.
     """
+    require_one_per_agent(instance, reported, "the report list")
     table = _direct_table(instance, reported)
-    sw, entries = _solve_direct(instance, table, frozenset())
+    bounds = _row_bounds(instance, table)
+    sw, entries = _solve_direct(instance, table, frozenset(), bounds)
     if pivots is None:
         pivots = [e[0] for e in entries]
-    without = {i: _solve_direct(instance, table, frozenset({i}))[0]
+    without = {i: _solve_direct(instance, table, frozenset({i}), bounds)[0]
                for i in pivots}
     return sw, entries, without
 
@@ -713,6 +807,7 @@ def brute_force_allocate(instance: AuctionInstance, arg, mode: str,
     m = instance.m
 
     if mode == "indirect":
+        require_one_per_agent(instance, arg, "the profile")
         _check_guard(len(agents), m)
         prices = {i: arg[i].price for i in agents}
         gains = {i: arg[i].gain for i in agents}
@@ -724,6 +819,7 @@ def brute_force_allocate(instance: AuctionInstance, arg, mode: str,
         return _canonical(instance, best, prices, gains)
 
     if mode == "direct":
+        require_one_per_agent(instance, arg, "the report list")
         _check_guard(len(agents), m, len(instance.price_grid))
         best_sw, best, best_prices = 0.0, (), {}
         for assignment in _assignments(agents, m):

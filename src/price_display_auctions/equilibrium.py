@@ -22,7 +22,13 @@ from .mechanisms import (
     run_direct_vcg,
     run_mechanism,
 )
-from .model import AuctionInstance, Outcome, Strategy, StrategyProfile
+from .model import (
+    AuctionInstance,
+    Outcome,
+    Strategy,
+    StrategyProfile,
+    require_one_per_agent,
+)
 
 # An agent must gain strictly more than this to count as an improving
 # deviation; keeps floating-point welfare ties from manufacturing
@@ -97,6 +103,8 @@ def is_nash(instance: AuctionInstance, kind: MechanismKind,
     agent, and the profile itself is run once, on the first line walked.
     """
     _refuse_types(kind)
+    require_one_per_agent(instance, space.options, "the strategy space")
+    require_one_per_agent(instance, profile, "the profile")
     menus = _menu_classes(instance, kind, space.options, gsp_allow_zero_gain)
     base = None
     for i, (options, classes) in enumerate(zip(space.options, menus)):
@@ -142,7 +150,16 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
     profiles of the whole game, no run is made and
     ``GuardExceededError`` is raised.
     """
+    return [_profile_at(space, index) for index, _ in _nash_indices(
+        instance, kind, space, gsp_allow_zero_gain)]
+
+
+def _nash_indices(instance, kind, space, gsp_allow_zero_gain):
+    """``enumerate_pure_nash``'s profiles as sorted (index, class) pairs:
+    the profile's menu indices, and the number of the collapsed
+    equilibrium it stands for."""
     _refuse_types(kind)
+    require_one_per_agent(instance, space.options, "the strategy space")
     if space.size > ENUMERATION_GUARD:
         raise GuardExceededError(f"joint strategy space has {space.size} "
                                  f"profiles (guard {ENUMERATION_GUARD})")
@@ -171,21 +188,34 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
                     if best > u + NASH_TOL:
                         nash[first + k * stride] = 0
     found = []
-    for stands_for, ok in zip(itertools.product(*menus), nash):
-        if ok:
-            found.extend(itertools.product(*stands_for))
+    for c, stands_for in enumerate(itertools.compress(
+            itertools.product(*menus), nash)):
+        found.extend((index, c) for index in itertools.product(*stands_for))
     found.sort()
-    return [StrategyProfile(tuple(options[k] for options, k
-                                  in zip(space.options, index)))
-            for index in found]
+    return found
+
+
+def _profile_at(space, index):
+    return StrategyProfile(tuple(options[k] for options, k
+                                 in zip(space.options, index)))
 
 
 def _equilibria_and_outcomes(instance, kind, space, gsp_allow_zero_gain):
-    eqs = enumerate_pure_nash(instance, kind, space,
-                              gsp_allow_zero_gain=gsp_allow_zero_gain)
-    return eqs, [run_mechanism(instance, kind, eq,
-                               gsp_allow_zero_gain=gsp_allow_zero_gain)
-                 for eq in eqs]
+    """``enumerate_pure_nash``'s profiles and each one's ``Outcome``.  The
+    profiles of one collapsed equilibrium differ only in non-participating
+    bids, which move no outcome, so the mechanism runs once per collapsed
+    equilibrium, on its first listed profile, and the others share it."""
+    eqs, outcomes, runs = [], [], {}
+    for index, c in _nash_indices(instance, kind, space,
+                                  gsp_allow_zero_gain):
+        eq = _profile_at(space, index)
+        outcome = runs.get(c)
+        if outcome is None:
+            outcome = runs[c] = run_mechanism(
+                instance, kind, eq, gsp_allow_zero_gain=gsp_allow_zero_gain)
+        eqs.append(eq)
+        outcomes.append(outcome)
+    return eqs, outcomes
 
 
 @dataclass(frozen=True)
@@ -220,7 +250,8 @@ def efficiency_report(instance: AuctionInstance, kind: MechanismKind,
     PoA divides the benchmark by the worst equilibrium objective, PoS by
     the best; no equilibria (or a zero equilibrium objective against a
     positive benchmark) reports +inf.  The mechanism runs once more per
-    equilibrium, for its ``Outcome``.
+    collapsed equilibrium (see ``enumerate_pure_nash``), for the
+    ``Outcome`` that all the profiles it stands for share.
     """
     equilibria, outcomes = _equilibria_and_outcomes(
         instance, kind, space, gsp_allow_zero_gain)

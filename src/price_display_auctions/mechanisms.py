@@ -37,6 +37,7 @@ from .model import (
     Outcome,
     Strategy,
     StrategyProfile,
+    require_one_per_agent,
 )
 
 # Treat a diagonal derivative smaller than this as zero (inference error).
@@ -204,6 +205,7 @@ def run_indirect_gsp(instance: AuctionInstance, profile: StrategyProfile,
     declared welfare and the occupants' weighted values are the search's
     own scores.
     """
+    require_one_per_agent(instance, profile, "the profile")
     return _outcome(instance, *_indirect_gsp(
         instance, profile, _indirect_table(instance, profile),
         allow_zero_gain))
@@ -241,6 +243,7 @@ def run_indirect_vcg_star(instance: AuctionInstance,
     allocated and all payments are zero (the individual-rationality
     fallback).
     """
+    require_one_per_agent(instance, profile, "the profile")
     diagnostics = []
     inferred = []
     for i in range(instance.n):

@@ -12,12 +12,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import AuctionError, InstanceFormatError
-from .quality import QualityModel
+from .quality import QUALITY_KINDS, QualityModel
 
 # Absolute tolerance used whenever two welfare values are compared while
 # selecting an argmax; ties within this band fall through to the
 # deterministic tie-break rule.
 WELFARE_TOL = 1e-9
+
+# The built-in quality models, whose values lie in [0, 1].
+_UNIT_KINDS = frozenset(QUALITY_KINDS.values())
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,13 @@ class AuctionInstance:
         """The inverse of ``tie_break``: each agent's position in it."""
         return {agent: pos for pos, agent in enumerate(self.tie_break)}
 
+    @cached_property
+    def _unit_qualities(self) -> bool:
+        """Whether every agent's quality model is exactly one of
+        ``QUALITY_KINDS``, whose values lie in [0, 1] by construction; a
+        custom model's need not."""
+        return {type(quality) for _, quality in self.agents} <= _UNIT_KINDS
+
 
 @dataclass(frozen=True)
 class Strategy:
@@ -161,6 +171,15 @@ class StrategyProfile:
         strategies = list(self.strategies)
         strategies[agent] = strategy
         return StrategyProfile(tuple(strategies))
+
+
+def require_one_per_agent(instance: AuctionInstance, items, what: str) -> None:
+    """Raise ``AuctionError`` unless ``items`` (a strategy profile, a list
+    of reported types or a strategy space's menus) has one entry per
+    agent of ``instance``."""
+    if len(items) != instance.n:
+        raise AuctionError(f"{what} has length {len(items)}, but the "
+                           f"instance has {instance.n} agents")
 
 
 def profile(*pairs) -> StrategyProfile:

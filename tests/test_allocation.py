@@ -39,6 +39,7 @@ from price_display_auctions.allocation import (
     _indirect_table,
     _merge_bid,
     _ranked,
+    _row_bounds,
     _score_bid,
     _score_bids,
     _solve_direct,
@@ -106,6 +107,25 @@ def test_indirect_empty_when_nothing_positive():
     inst = two_agent_instance()
     alloc = indirect_allocate(inst, profile((1.0, 0.0), (2.0, 0.0)))
     assert alloc.slot_agents == ()
+
+
+def test_a_quality_above_one_gets_the_oracle_allocation():
+    # Four bids at one price, more than m + 1 per price: a scan that
+    # bounded each weight by its gain would stop after agent 0 (3.0)
+    # and miss agent 3, whose custom quality of 1.5 weighs 1.5 * 2.1.
+    class AboveOne(QualityModel):
+        kind = "above-one"
+
+        def _evaluate(self, p, p_min):
+            return 1.5
+
+    agents = ((AgentType(1.0, 0.0), PriceThresholdQuality(10.0)),) * 3 + (
+        (AgentType(1.0, 0.0), AboveOne()),)
+    inst = AuctionInstance(agents, SlotProfile((1.0,)), (1.0,))
+    prof = profile((1.0, 3.0), (1.0, 2.5), (1.0, 2.4), (1.0, 2.1))
+    oracle = brute_force_allocate(inst, prof, "indirect")
+    assert oracle.slot_agents == (3,)
+    assert indirect_allocate(inst, prof) == oracle
 
 
 def test_exclusion():
@@ -464,6 +484,30 @@ def test_direct_solve_scores_estimates_at_the_tolerance_boundary():
     assert _solve_direct(inst, table, frozenset()) == (exact, chosen)
 
 
+def test_direct_solve_keeps_a_row_whose_bound_is_just_above_the_bar():
+    # At p_hat 2.0 the designated agent 1 and agents 2 and 3 are the
+    # row's best three, so its bound, their left-to-right sum, equals
+    # that page's welfare.  The first row's page puts the bar one ulp
+    # below it.  The bound needs no margin, and a bound lowered by any
+    # would skip the row and keep the first page.
+    agents = ((AgentType(1.0, 0.0), PriceThresholdQuality(2.0)),) * 4
+    inst = AuctionInstance(agents, SlotProfile((1.0, 1.0, 1.0)), (1.0, 2.0))
+    a = float.fromhex("0x1.526eb52fe346ap-1")
+    b = float.fromhex("0x1.c764c27bc23e1p-2")
+    chosen = [(1, 2.0, 1.0, 0.5), (2, 2.0, a, a / 2), (3, 2.0, b, b / 2)]
+    exact = _weighted_sw(inst, chosen)
+    first = float.fromhex("0x1.0d8845994b57ep+1")
+    assert first + WELFARE_TOL == math.nextafter(exact, 0.0)
+    table = [(1.0, [(0, 1.0, first, first)] + [(h, 1.0, 0.0, 0.0)
+                                               for h in (1, 2, 3)],
+              [(0, 1.0, first, first)]),
+             (2.0, [(0, 2.0, 0.0, 0.0), chosen[0], (2, 2.0, 0.0, 0.0),
+                    (3, 2.0, 0.0, 0.0)], chosen)]
+    assert _row_bounds(inst, table) == [first, exact]
+    assert _reference_solve_direct(inst, table, frozenset()) == (exact, chosen)
+    assert _solve_direct(inst, table, frozenset()) == (exact, chosen)
+
+
 def test_direct_solve_on_an_infinite_estimate():
     # Two agents whose values are each a finite 1.7e308 and one rival
     # with a finite value far below: the optimum's welfare, and so its
@@ -479,6 +523,60 @@ def test_direct_solve_on_an_infinite_estimate():
     for exclude in [frozenset()] + [frozenset({i}) for i in range(inst.n)]:
         assert _solve_direct(inst, table, exclude) == \
             _reference_solve_direct(inst, expected, exclude), exclude
+
+
+# Weights that tie, that sit WELFARE_TOL apart, and the two of the
+# tolerance-boundary test above, whose sums round differently by order.
+_DIRECT_WEIGHTS = (0.25, 0.5, 0.5 + WELFARE_TOL, 1.0 - WELFARE_TOL, 1.0,
+                   1.0 + WELFARE_TOL, float.fromhex("0x1.526eb52fe346ap-1"),
+                   float.fromhex("0x1.c764c27bc23e1p-2"))
+
+
+@st.composite
+def _direct_solve_tables(draw):
+    """An instance and a hand-built direct table: m = 1 to 4 prominences
+    that tie or are 0, a shuffled tie-break, and per row every agent's
+    best weight (or none) and a diagonal weight, both from
+    ``_DIRECT_WEIGHTS``.  So weights tie, equal a view's last weight, and
+    top agents are often lighter on their diagonal than an agent who
+    fails.  Mostly each diagonal is at most its best entry, as in
+    ``_direct_table``; otherwise it is drawn freely, which the row bounds
+    must survive."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 4))
+    lams = sorted(draw(st.lists(st.sampled_from((0.0, 0.5, 1.0)),
+                                min_size=m, max_size=m)), reverse=True)
+    grid = (1.0, 2.0, 3.0)[:draw(st.integers(1, 3))]
+    order = draw(st.permutations(range(n)))
+    inst = AuctionInstance(
+        ((AgentType(1.0, 0.0), PriceThresholdQuality(4.0)),) * n,
+        SlotProfile(tuple(lams)), grid, tuple(order))
+    consistent = draw(st.integers(0, 4)) > 0
+    weight = st.sampled_from((0.0,) + _DIRECT_WEIGHTS)
+    table = []
+    for p_hat in grid:
+        best, diagonal = [], []
+        for h in range(n):
+            w = draw(weight)
+            if consistent:
+                d = draw(st.sampled_from(
+                    [0.0] + [x for x in _DIRECT_WEIGHTS if x <= w]))
+            else:
+                d = draw(weight)
+            if w > 0.0:
+                best.append((h, 3.0, w, w / 3.0))
+            diagonal.append((h, p_hat, d, d / p_hat))
+        table.append((p_hat, diagonal, _ranked(inst, best)[:m + 1]))
+    return inst, table
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(_direct_solve_tables())
+def test_direct_solve_matches_the_exact_scoring_property(case):
+    inst, table = case
+    for exclude in [frozenset()] + [frozenset({i}) for i in range(inst.n)]:
+        assert _solve_direct(inst, table, exclude) == \
+            _reference_solve_direct(inst, table, exclude), exclude
 
 
 def test_direct_table_stops_early(count_q_calls):

@@ -359,6 +359,36 @@ def test_enumeration_quality_evaluations_are_pinned(count_q_calls):
     assert counts == [52, 52]
 
 
+def test_efficiency_report_runs_once_per_collapsed_equilibrium(monkeypatch):
+    # Six VCG equilibria, which differ only in which zero-gain bid (a
+    # non-participant) some agent submits, collapse to three: the report
+    # runs the mechanism once for each and lists every equilibrium with
+    # its class's outcome.
+    inst = random_instance(22, max_agents=3, max_slots=2, max_prices=4)
+    space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[2])
+        return run_mechanism(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "run_mechanism", counted)
+    report = efficiency_report(inst, VCG, space)
+    menus = _menu_classes(inst, VCG, space.options, False)
+
+    def collapsed(eq):
+        return tuple(next(k for k, stands_for in enumerate(classes)
+                          if options.index(s) in stands_for)
+                     for s, options, classes
+                     in zip(eq.strategies, space.options, menus))
+
+    classes = {collapsed(eq) for eq in report.equilibria}
+    assert (len(report.equilibria), len(classes)) == (6, 3)
+    assert sorted(map(collapsed, runs)) == sorted(classes)
+    for eq, outcome in zip(report.equilibria, report.outcomes):
+        assert outcome == run_mechanism(inst, VCG, eq)
+
+
 def _collapse_edge_games():
     """Hand-built games at the edges of the engine's collapse of
     non-participating strategies: (name, instance, space, kind, zero fill).

@@ -10,17 +10,32 @@ from price_display_auctions import (
     AuctionError,
     AuctionInstance,
     EMPTY_ALLOCATION,
+    MechanismKind,
     OnlyMinQuality,
     Outcome,
     PriceThresholdQuality,
     SlotProfile,
     Strategy,
+    StrategyProfile,
+    StrategySpace,
+    brute_force_allocate,
     declared_value,
     declared_welfare,
+    direct_allocate,
+    direct_pivots,
+    efficiency_report,
+    enumerate_pure_nash,
+    indirect_allocate,
+    indirect_pivots,
+    is_nash,
     profile,
     random_instance,
     random_profile,
+    run_direct_vcg,
     run_indirect_gsp,
+    run_indirect_vcg,
+    run_indirect_vcg_star,
+    run_mechanism,
     true_value,
     true_welfare,
     truthful_gains,
@@ -215,3 +230,56 @@ def test_truthful_gains():
     gains = truthful_gains(inst, alloc)
     assert gains[0] == 0.0
     assert gains[1] == pytest.approx(0.5 * 1.8)
+
+
+def _one_per_agent_calls():
+    """Every public entry point that takes a profile, a report list or a
+    strategy space: call(instance, profile, reports, space), by name."""
+    vcg, gsp, star, direct = (MechanismKind.INDIRECT_VCG,
+                              MechanismKind.INDIRECT_GSP,
+                              MechanismKind.INDIRECT_VCG_STAR,
+                              MechanismKind.DIRECT_VCG)
+    calls = [
+        ("indirect_allocate", lambda i, p, r, s: indirect_allocate(i, p)),
+        ("indirect_pivots", lambda i, p, r, s: indirect_pivots(i, p)),
+        ("direct_allocate", lambda i, p, r, s: direct_allocate(i, r)),
+        ("direct_pivots", lambda i, p, r, s: direct_pivots(i, r)),
+        ("brute_force indirect",
+         lambda i, p, r, s: brute_force_allocate(i, p, "indirect")),
+        ("brute_force direct",
+         lambda i, p, r, s: brute_force_allocate(i, r, "direct")),
+        ("run_direct_vcg", lambda i, p, r, s: run_direct_vcg(i, r)),
+        ("run_indirect_vcg", lambda i, p, r, s: run_indirect_vcg(i, p)),
+        ("run_indirect_gsp", lambda i, p, r, s: run_indirect_gsp(i, p)),
+        ("run_indirect_vcg_star",
+         lambda i, p, r, s: run_indirect_vcg_star(i, p)),
+        *[(f"run_mechanism {kind.value}",
+           lambda i, p, r, s, kind=kind: run_mechanism(
+               i, kind, r if kind is direct else p))
+          for kind in (vcg, gsp, star, direct)],
+        ("is_nash profile", lambda i, p, r, s: is_nash(
+            i, vcg, StrategySpace.build(i), p)),
+        ("is_nash space", lambda i, p, r, s: is_nash(
+            i, vcg, s, random_profile(i, 0))),
+        ("enumerate_pure_nash",
+         lambda i, p, r, s: enumerate_pure_nash(i, gsp, s)),
+        ("efficiency_report",
+         lambda i, p, r, s: efficiency_report(i, vcg, s)),
+    ]
+    return [pytest.param(call, id=name) for name, call in calls]
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("call", _one_per_agent_calls())
+def test_every_entry_point_refuses_a_profile_of_the_wrong_length(call, size):
+    # Two agents; too few entries used to drop the last agent silently or
+    # raise IndexError, and extra ones were ignored or raised IndexError.
+    inst = make_instance()
+    strategies = random_profile(inst, 0).strategies
+    prof = StrategyProfile((strategies * 2)[:size])
+    reports = [inst.atype(0), inst.atype(1), inst.atype(0)][:size]
+    menus = StrategySpace.build(inst).options
+    space = StrategySpace((menus * 2)[:size])
+    with pytest.raises(AuctionError, match=f"has length {size}, but the "
+                       f"instance has 2 agents"):
+        call(inst, prof, reports, space)
