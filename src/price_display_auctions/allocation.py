@@ -3,10 +3,13 @@ pivot variant for VCG, and the brute-force oracle that checks them.
 
 The indirect search fixes submitted prices and only chooses the
 assignment; the direct search additionally chooses a display price per
-agent from the finite price grid.  Both resolve near-ties (within
-WELFARE_TOL) with a deterministic rule: candidates are enumerated in
-ascending (p_min, designated agent) order and the first best wins, and
-agents sort by descending weighted value with the instance tie-break.
+agent from the finite price grid.  Both are deterministic.  Candidates
+are enumerated in ascending (p_min, designated agent) order, and a later
+one replaces the best so far only when it beats it by more than
+WELFARE_TOL; the direct search picks an agent's best price per candidate
+by the same rule.  Those are the only near-ties resolved.  Within a
+page, agents sort by descending weighted value, and the instance
+tie-break decides exact weight ties only.
 """
 
 from __future__ import annotations
@@ -42,18 +45,9 @@ class DirectAllocationResult:
 
 def _ranked(instance, entries):
     """Sort entries, (agent, price, weight, ...) tuples, for slot filling:
-    descending weight, instance tie-break on near-ties."""
+    descending weight, then the instance tie-break on exact weight ties.
+    No tolerance applies: a weight ahead by any margin goes first."""
     return sorted(entries, key=lambda e: (-e[2], instance.rank(e[0])))
-
-
-def _weighted_sw(instance, entries):
-    """Declared welfare of slot-ordered entries: lam * (q * gain) added
-    left to right from 0.0, ``declared_welfare``'s arithmetic.  A loop,
-    not ``sum()``, which compensates float sums from Python 3.12 on."""
-    sw = 0.0
-    for lam, entry in zip(instance.slots.prominences, entries):
-        sw += lam * entry[2]
-    return sw
 
 
 def _allocation_from(entries):
@@ -87,32 +81,17 @@ def _threshold_top(scan, keep, score):
     return top
 
 
-def _score_bids(instance, bids):
-    """Bucket (agent, strategy) ``bids`` by price for ``_table_rows``:
-    (buckets, gains), with no quality evaluation.
+def _indirect_table(instance, bids, extra=()):
+    """Per candidate minimum: (cand, holders, ranked entries), over the
+    (agent, strategy) ``bids``.
 
-    ``buckets`` maps each submitted price to the agents who submitted it
-    with a positive gain, in agent order, and ``gains`` maps each of them
-    to her gain.  A price bid only with gains <= 0 maps to no agent: such
-    a bid is never scored, and its price is a candidate whose row serves
-    GSP's page-minimum lookup alone.
-    """
-    buckets: dict = {}
-    gains = {}
-    for i, s in bids:
-        ids = buckets.get(s.price)
-        if ids is None:
-            ids = buckets[s.price] = []
-        gain = s.gain
-        if gain > 0.0:
-            ids.append(i)
-            gains[i] = gain
-    return buckets, gains
-
-
-def _table_rows(instance, buckets, gains, cands):
-    """Per candidate minimum in ``cands``: (cand, holders, ranked entries),
-    from ``_score_bids``' ``buckets`` and ``gains``.
+    The candidates are the distinct prices of ``bids`` and of ``extra``,
+    in ascending order.  The bids are first bucketed by price, with no
+    quality evaluation: each price maps to the agents who bid it with a
+    positive gain, in agent order.  A bid with a gain <= 0 is never
+    evaluated.  A candidate held only by bids that cannot be shown, or by
+    no bid, has no live holder, and its row serves GSP's page-minimum
+    lookup alone.
 
     A candidate's entries are the (agent, price, weight, q) of the bids
     priced at or above it with a positive weight q * gain, where q is
@@ -120,7 +99,12 @@ def _table_rows(instance, buckets, gains, cands):
     holders are the first two of its live holders in agent order: the
     agents who bid exactly it with a positive diagonal weight
     q(p, p) * gain, the bids that could be shown at it.  A solve excludes
-    at most one agent, so two tell it whether one is left.
+    at most one agent, so two tell it whether one is left, and it still
+    finds its first m entries in a row; and as at most m entries are
+    displayed, so does the best agent left out at the page minimum.
+    Qualities are non-decreasing in the minimum price, so an agent's
+    weight at any candidate is at most her bound, and the bound-ordered
+    scan of each row is exact.
 
     A bid's bound, peak * gain (see ``QualityModel.peak``), is the largest
     weight it can take at any candidate, and its gain bounds that in turn
@@ -145,6 +129,17 @@ def _table_rows(instance, buckets, gains, cands):
     bids in the one descending bound order of all of them, and evaluate
     no quality that the scan of every bid sorted by bound would not.
     """
+    buckets: dict = {}
+    gains = {}
+    for i, s in bids:
+        ids = buckets.get(s.price)
+        if ids is None:
+            ids = buckets[s.price] = []
+        gain = s.gain
+        if gain > 0.0:
+            ids.append(i)
+            gains[i] = gain
+    cands = sorted({*extra, *buckets})
     keep = instance.m + 1
     agents = instance.agents
     rank = instance.rank
@@ -302,39 +297,18 @@ def _table_rows(instance, buckets, gains, cands):
     return table
 
 
-def _indirect_table(instance, profile):
-    """Per candidate minimum: (cand, holders, ranked entries).
-
-    The candidates are the distinct submitted prices, in ascending order,
-    and the rows are ``_table_rows``' over every bid.  A candidate held
-    only by bids that cannot be shown has no live holder, and its row
-    serves GSP's page-minimum lookup alone.  A solve that excludes one
-    agent still finds its first m entries in a row; and as at most m
-    entries are displayed, so does the best agent left out at the page
-    minimum.
-
-    Qualities are non-decreasing in the minimum price, so an agent's
-    weight at any candidate is at most her bound, and the bound-ordered
-    scan of each row is exact; a gain bounds the bound only for the
-    [0, 1] models that ``_table_rows`` reads lazily.  A bid with a gain
-    <= 0 is never evaluated.
-    """
-    buckets, gains = _score_bids(instance, enumerate(profile.strategies))
-    return _table_rows(instance, buckets, gains, sorted(buckets))
-
-
 def _score_bid(instance, agent, strategy, cands):
     """One bid scored for ``_merge_bid``: (agent, price, live, entries).
 
     ``live`` says whether the bid could be shown at its own price, and
-    ``entries`` maps each of ``cands`` (which should hold the price) at
+    ``entries`` maps each candidate, one of ``cands`` or that price, at
     which it has a positive weight q(price, cand) * gain to its entry
-    (agent, price, weight, q), as ``_table_rows`` scores it.
+    (agent, price, weight, q), as ``_indirect_table`` scores it.
     """
     entries = {}
     live = False
-    for cand, held, ranked in _table_rows(
-            instance, *_score_bids(instance, [(agent, strategy)]), cands):
+    for cand, held, ranked in _indirect_table(
+            instance, [(agent, strategy)], cands):
         if ranked:
             entries[cand] = ranked[0]
         if held:  # her own price's row, where she is live
@@ -346,14 +320,14 @@ def _merge_bid(instance, rows, bid):
     """``_indirect_table`` of a profile, from the rows of all its bids but
     one and that bid as ``_score_bid`` scored it.
 
-    ``rows`` are the other bids' ``_table_rows`` at the profile's
-    candidates, the prices they hold and the bid's, in ascending order.
-    The bid joins its own price's holders when it is live, which keep
-    the first two in agent order.  Its scored entry joins each row's
-    ranked entries, as it is, where ``_ranked`` puts it, if among the
-    first m + 1.  Both sides' rows are exact, so each merged row equals
-    the profile's own; the merge takes O(|C| m) steps and no quality
-    evaluation.
+    ``rows`` are the ``_indirect_table`` of the other bids at the
+    profile's candidates, the prices they hold and the bid's, in
+    ascending order.  The bid joins its own price's holders when it is
+    live, which keep the first two in agent order.  Its scored entry
+    joins each row's ranked entries, as it is, where ``_ranked`` puts it,
+    if among the first m + 1.  Both sides' rows are exact, so each merged
+    row equals the profile's own; the merge takes O(|C| m) steps and no
+    quality evaluation.
     """
     agent, price, live, entries = bid
     keep = instance.m + 1
@@ -413,7 +387,8 @@ def _solve_indirect(instance, profile, table, exclude):
                 q = instance.quality(i).q(p, actual)
                 rescored.append((i, p, q * profile[i].gain, q))
             chosen = _ranked(instance, rescored)
-        # _weighted_sw's sum, inlined: this is the engine's hottest loop.
+        # declared_welfare's left-to-right sum, inlined: this is the
+        # engine's hottest loop.
         sw = 0.0
         for lam, (_, _, w, _) in zip(lams, chosen):
             sw += lam * w
@@ -451,7 +426,8 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile
     """
     require_one_per_agent(instance, profile, "the profile")
     return _allocation_from(_solve_indirect(
-        instance, profile, _indirect_table(instance, profile),
+        instance, profile,
+        _indirect_table(instance, enumerate(profile.strategies)),
         frozenset())[1])
 
 
@@ -469,8 +445,9 @@ def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
     value is lam * (q * true gain) with no quality evaluation.
     """
     require_one_per_agent(instance, profile, "the profile")
-    return _indirect_pivots(instance, profile,
-                            _indirect_table(instance, profile), None)
+    return _indirect_pivots(
+        instance, profile,
+        _indirect_table(instance, enumerate(profile.strategies)), None)
 
 
 def _indirect_pivots(instance, profile, table, known):
@@ -611,7 +588,7 @@ def _row_bounds(instance, table):
     return bounds
 
 
-def _solve_direct(instance, table, exclude, bounds=None):
+def _solve_direct(instance, table, exclude, bounds):
     """Best (welfare, entries) over the table without ``exclude``.
 
     Candidates run in ascending (p_hat, designated agent) order.  The
@@ -622,10 +599,10 @@ def _solve_direct(instance, table, exclude, bounds=None):
     ``_ranked`` would put it.  A candidate wins when its welfare beats
     the bar, the best so far plus WELFARE_TOL, which never falls.
 
-    A row whose ``_row_bounds`` bound (computed here when ``bounds`` is
-    None) does not beat the bar is skipped whole, before its views are
-    built.  Per view of L entries, prefix sums pre of lam_j * w_j, the
-    left-to-right partial sums of ``_weighted_sw``, and suffix sums of
+    A row whose ``_row_bounds`` bound does not beat the bar is skipped
+    whole, before its views are built.  Per view of L entries, prefix
+    sums pre of lam_j * w_j, the left-to-right partial sums of
+    ``declared_welfare``'s arithmetic, and suffix sums of
     lam_{j+1} * w_j price each candidate in O(1):
 
     * A weight w strictly below the view's last, low, goes last, and
@@ -639,12 +616,12 @@ def _solve_direct(instance, table, exclude, bounds=None):
       her left-to-right sum.  w_f starts at 0.0 in each row.
     * Otherwise the estimate, from the view's sort keys and suffix sums
       (built once per view that needs them), adds the same m or fewer
-      non-negative products as ``_weighted_sw`` in another order, so the
-      two differ by about 2 (m - 1) 2^-53 times the estimate at most.  A
-      candidate is skipped when its estimate plus a margin of
+      non-negative products as that left-to-right sum in another order,
+      so the two differ by about 2 (m - 1) 2^-53 times the estimate at
+      most.  A candidate is skipped when its estimate plus a margin of
       4 (m + 2) 2^-53 times it still cannot beat the bar; every other
       one is summed exactly as pre[pos] + lam_pos * w, then the tail
-      terms in slot order, the bits of ``_weighted_sw``.
+      terms in slot order, the bits of ``declared_welfare``.
 
     A NaN estimate or sum never wins, and an infinite one only while
     the bar is finite.  Only the winner's entries are built.
@@ -652,8 +629,6 @@ def _solve_direct(instance, table, exclude, bounds=None):
     m = instance.m
     lams = instance.slots.prominences
     ranks = [instance.rank(i) for i in range(instance.n)]
-    if bounds is None:
-        bounds = _row_bounds(instance, table)
     slack = 4 * (m + 2) * 2.0 ** -53
     best_sw = 0.0
     bar = best_sw + WELFARE_TOL

@@ -21,9 +21,7 @@ from .allocation import (
     _indirect_table,
     _merge_bid,
     _score_bid,
-    _score_bids,
     _solve_indirect,
-    _table_rows,
     direct_allocate,
     direct_pivots,
     indirect_pivots,
@@ -207,7 +205,8 @@ def run_indirect_gsp(instance: AuctionInstance, profile: StrategyProfile,
     """
     require_one_per_agent(instance, profile, "the profile")
     return _outcome(instance, *_indirect_gsp(
-        instance, profile, _indirect_table(instance, profile),
+        instance, profile,
+        _indirect_table(instance, enumerate(profile.strategies)),
         allow_zero_gain))
 
 
@@ -259,9 +258,10 @@ def run_indirect_vcg_star(instance: AuctionInstance,
             diagnostics.append(f"agent {i}: inferred alpha clamped into [0, 1]")
         inferred.append(AgentType(it.alpha_hat, max(0.0, it.c_hat)))
 
-    sw, entries = _solve_indirect(instance, profile,
-                                  _indirect_table(instance, profile),
-                                  frozenset())
+    sw, entries = _solve_indirect(
+        instance, profile,
+        _indirect_table(instance, enumerate(profile.strategies)),
+        frozenset())
     *_, sw_without = direct_pivots(instance, inferred, range(instance.n))
 
     if sw < max(sw_without.values(), default=0.0) - WELFARE_TOL:
@@ -364,17 +364,16 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
                                 for s in head])
             tail_codes = tuple([codes.setdefault(s, len(codes))
                                 for s in tail])
-        held, gains = _score_bids(instance, [
-            (i, s) for i, s in enumerate(start.strategies) if i != agent])
-        theirs = _table_rows(instance, held, gains,
-                             sorted(prices.union(held)))
-        at = {row[0]: row for row in theirs}
+        others = [(i, s) for i, s in enumerate(start.strategies)
+                  if i != agent]
+        held = {s.price for _, s in others}
+        at = {row[0]: row
+              for row in _indirect_table(instance, others, prices)}
         rows = {p: [at[cand] for cand in sorted({*held, p})] for p in prices}
         for k, s in enumerate(strategies):
             bid = bids[k]
             if bid is None:
-                bid = bids[k] = _score_bid(instance, agent, s,
-                                           sorted(cands | {s.price}))
+                bid = bids[k] = _score_bid(instance, agent, s, cands)
             prof = StrategyProfile((*head, s, *tail))
             table = _merge_bid(instance, rows[s.price], bid)
             if vcg:

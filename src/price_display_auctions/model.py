@@ -306,27 +306,21 @@ class Outcome:
         return self.utilities(instance)[agent]
 
     def utilities(self, instance: AuctionInstance) -> tuple[float, ...]:
+        """Each agent's true value less her payment.
+
+        A displayed agent's true value is lam * (q(p, p_min) * true
+        gain(p)), ``true_value``'s arithmetic; an agent not displayed has
+        value 0.
+        """
         alloc = self.allocation
-        return utilities(instance, alloc.slot_agents, alloc.display_prices,
-                         self.payments)
-
-
-def utilities(instance: AuctionInstance, slot_agents, display_prices,
-              payments) -> tuple[float, ...]:
-    """Each agent's true value less her payment.
-
-    ``slot_agents[j]`` shows ``display_prices[j]`` in slot j+1.  A
-    displayed agent's true value is lam * (q(p, p_min) * true gain(p)),
-    ``true_value``'s arithmetic; an agent not displayed has value 0.
-    """
-    values = [0.0] * instance.n
-    if display_prices:
-        p_min = min(display_prices)
-        for lam, i, p in zip(instance.slots.prominences, slot_agents,
-                             display_prices):
-            atype, quality = instance.agents[i]
-            values[i] = lam * (quality.q(p, p_min) * atype.gain(p))
-    return tuple([v - pay for v, pay in zip(values, payments)])
+        values = [0.0] * instance.n
+        if alloc.display_prices:
+            p_min = min(alloc.display_prices)
+            for lam, i, p in zip(instance.slots.prominences,
+                                 alloc.slot_agents, alloc.display_prices):
+                atype, quality = instance.agents[i]
+                values[i] = lam * (quality.q(p, p_min) * atype.gain(p))
+        return tuple([v - pay for v, pay in zip(values, self.payments)])
 
 
 def truthful_gains(instance: AuctionInstance, allocation: Allocation) -> list[float]:

@@ -41,11 +41,8 @@ from price_display_auctions.allocation import (
     _ranked,
     _row_bounds,
     _score_bid,
-    _score_bids,
     _solve_direct,
     _solve_indirect,
-    _table_rows,
-    _weighted_sw,
 )
 from price_display_auctions.mechanisms import _fill_zero_gain, _indirect_gsp
 from price_display_auctions.model import (
@@ -131,7 +128,7 @@ def test_a_quality_above_one_gets_the_oracle_allocation():
 def test_exclusion():
     inst = two_agent_instance()
     prof = profile((1.0, 0.5), (2.0, 0.9))
-    table = _indirect_table(inst, prof)
+    table = _indirect_table(inst, enumerate(prof.strategies))
     sw, entries = _solve_indirect(inst, prof, table, frozenset({1}))
     expected = _reference_indirect_allocate(inst, prof, exclude=frozenset({1}))
     assert _allocation_from(entries) == expected
@@ -238,6 +235,16 @@ def test_indirect_evaluation_count_scales_quadratically(count_q_calls):
         assert calls() <= 5 * n * n
 
 
+def _weighted_sw(instance, entries):
+    """Declared welfare of slot-ordered entries: lam * (q * gain) added
+    left to right from 0.0, ``declared_welfare``'s arithmetic.  A loop,
+    not ``sum()``, which compensates float sums from Python 3.12 on."""
+    sw = 0.0
+    for lam, entry in zip(instance.slots.prominences, entries):
+        sw += lam * entry[2]
+    return sw
+
+
 def _reference_direct_allocate(instance, reported, *, exclude=frozenset()):
     """The original O(n^2 |P|^2) direct search, kept verbatim as an exact
     oracle: every agent's best price is recomputed per (p_hat, designated)
@@ -314,7 +321,8 @@ def test_direct_matches_reference_exactly():
         for i in range(inst.n):
             expected = _reference_direct_allocate(inst, reported,
                                                   exclude=frozenset({i}))
-            sw, entries = _solve_direct(inst, table, frozenset({i}))
+            sw, entries = _solve_direct(inst, table, frozenset({i}),
+                                        _row_bounds(inst, table))
             assert _allocation_from(entries) == expected.allocation, (seed, i)
             assert sw == expected.declared_welfare, (seed, i)
             assert without[i] == declared_welfare(
@@ -451,7 +459,8 @@ def test_direct_solve_matches_the_exact_scoring():
         table = _direct_table(inst, reported)
         expected = _reference_direct_table(inst, reported)
         for exclude in [frozenset()] + [frozenset({i}) for i in range(inst.n)]:
-            assert _solve_direct(inst, table, exclude) == \
+            assert _solve_direct(inst, table, exclude,
+                                 _row_bounds(inst, table)) == \
                 _reference_solve_direct(inst, expected, exclude), \
                 (seed, exclude)
 
@@ -481,7 +490,8 @@ def test_direct_solve_scores_estimates_at_the_tolerance_boundary():
     table = [(1.0, diagonal(1.0, [first, 0.0, 0.0, 0.0]), []),
              (2.0, diagonal(2.0, [0.0, 1.0, 0.0, 0.0]), chosen[1:])]
     assert _reference_solve_direct(inst, table, frozenset()) == (exact, chosen)
-    assert _solve_direct(inst, table, frozenset()) == (exact, chosen)
+    assert _solve_direct(inst, table, frozenset(),
+                         _row_bounds(inst, table)) == (exact, chosen)
 
 
 def test_direct_solve_keeps_a_row_whose_bound_is_just_above_the_bar():
@@ -505,7 +515,8 @@ def test_direct_solve_keeps_a_row_whose_bound_is_just_above_the_bar():
                     (3, 2.0, 0.0, 0.0)], chosen)]
     assert _row_bounds(inst, table) == [first, exact]
     assert _reference_solve_direct(inst, table, frozenset()) == (exact, chosen)
-    assert _solve_direct(inst, table, frozenset()) == (exact, chosen)
+    assert _solve_direct(inst, table, frozenset(),
+                         _row_bounds(inst, table)) == (exact, chosen)
 
 
 def test_direct_solve_on_an_infinite_estimate():
@@ -521,7 +532,8 @@ def test_direct_solve_on_an_infinite_estimate():
     expected = _reference_direct_table(inst, reported)
     assert _reference_solve_direct(inst, expected, frozenset())[0] == math.inf
     for exclude in [frozenset()] + [frozenset({i}) for i in range(inst.n)]:
-        assert _solve_direct(inst, table, exclude) == \
+        assert _solve_direct(inst, table, exclude,
+                             _row_bounds(inst, table)) == \
             _reference_solve_direct(inst, expected, exclude), exclude
 
 
@@ -575,7 +587,8 @@ def _direct_solve_tables(draw):
 def test_direct_solve_matches_the_exact_scoring_property(case):
     inst, table = case
     for exclude in [frozenset()] + [frozenset({i}) for i in range(inst.n)]:
-        assert _solve_direct(inst, table, exclude) == \
+        assert _solve_direct(inst, table, exclude,
+                             _row_bounds(inst, table)) == \
             _reference_solve_direct(inst, table, exclude), exclude
 
 
@@ -741,7 +754,7 @@ def test_indirect_matches_reference_exactly():
         assert run_indirect_gsp(inst, prof, allow_zero_gain=True).allocation \
             == _allocation_from(_fill_zero_gain(inst, prof, entries)), seed
         assert set(without) == set(alloc.slot_agents)
-        table = _indirect_table(inst, prof)
+        table = _indirect_table(inst, enumerate(prof.strategies))
         for i in range(inst.n):
             expected = _reference_indirect_allocate(inst, prof,
                                                     exclude=frozenset({i}))
@@ -793,7 +806,8 @@ def _reference_rows(instance, profile):
 
 def test_indirect_table_matches_full_scoring():
     for seed, inst, prof in _indirect_cases():
-        assert _indirect_table(inst, prof) == _reference_rows(inst, prof), seed
+        assert _indirect_table(inst, enumerate(prof.strategies)) == \
+            _reference_rows(inst, prof), seed
 
 
 _LEVELS = (0.25, 0.5, 1.0)
@@ -853,7 +867,8 @@ def _pages(draw):
 @given(_pages())
 def test_indirect_table_matches_full_scoring_property(page):
     inst, prof = page
-    assert _indirect_table(inst, prof) == _reference_rows(inst, prof)
+    assert _indirect_table(inst, enumerate(prof.strategies)) == \
+        _reference_rows(inst, prof)
 
 
 def test_merged_table_equals_the_profiles_own_table():
@@ -862,15 +877,36 @@ def test_merged_table_equals_the_profiles_own_table():
     # candidates (here every grid price too).
     for seed, inst, prof in _indirect_cases():
         for agent in range(0, inst.n, max(1, inst.n // 4)):
-            buckets, gains = _score_bids(inst, [
-                (i, s) for i, s in enumerate(prof.strategies) if i != agent])
+            others = [(i, s) for i, s in enumerate(prof.strategies)
+                      if i != agent]
+            held = {s.price for _, s in others}
             price = prof[agent].price
-            rows = _table_rows(inst, buckets, gains,
-                               sorted({*buckets, price}))
+            rows = _indirect_table(inst, others, [price])
             bid = _score_bid(inst, agent, prof[agent],
-                             sorted({*buckets, *inst.price_grid, price}))
-            assert _merge_bid(inst, rows, bid) == \
-                _indirect_table(inst, prof), (seed, agent)
+                             {*held, *inst.price_grid})
+            own = _indirect_table(inst, enumerate(prof.strategies))
+            assert _merge_bid(inst, rows, bid) == own, (seed, agent)
+            # The other bids' rows at every grid price too, cut to the
+            # profile's candidates as the engine's lines cut them.
+            at = {row[0]: row for row in _indirect_table(
+                inst, others, (*inst.price_grid, price))}
+            rows = [at[cand] for cand in sorted({*held, price})]
+            assert _merge_bid(inst, rows, bid) == own, (seed, agent)
+
+
+def test_a_scored_bid_gets_a_row_at_its_own_price():
+    # The candidates given lack the bid's own price 2.0: the bid is still
+    # live there and scored there, as well as at 1.0.
+    quality = SmoothDecayQuality(0.1, 0.1, 1.0)
+    inst = AuctionInstance(((AgentType(1.0, 0.0), quality),) * 2,
+                           SlotProfile((1.0,)), (1.0, 2.0))
+    agent, price, live, entries = _score_bid(inst, 1, Strategy(2.0, 1.5),
+                                             {1.0})
+    assert (agent, price, live) == (1, 2.0, True)
+    assert entries == {
+        1.0: (1, 2.0, quality.q(2.0, 1.0) * 1.5, quality.q(2.0, 1.0)),
+        2.0: (1, 2.0, quality.q(2.0, 2.0) * 1.5, quality.q(2.0, 2.0)),
+    }
 
 
 def test_table_evaluates_a_bid_only_when_its_gain_can_reach_a_row(
@@ -897,7 +933,7 @@ def test_table_evaluates_a_bid_only_when_its_gain_can_reach_a_row(
 
     with monkeypatch.context() as patch:
         patch.setattr(QualityModel, "q", recording)
-        table = _indirect_table(inst, prof)
+        table = _indirect_table(inst, enumerate(prof.strategies))
     assert sorted(calls) == [(0, 1.0, 1.0), (1, 1.0, 1.0), (2, 1.0, 1.0),
                              (4, 1.0, 1.0), (5, 2.0, 2.0)]
     assert [(cand, holders) for cand, holders, _ in table] == \
@@ -917,7 +953,7 @@ def test_indirect_table_stops_early_on_a_large_page(count_q_calls):
     assert (inst.n, inst.m, len(prices)) == (261, 5, 8)
     assert sum(s.gain > 0.0 for s in prof.strategies) == 212
     with count_q_calls() as calls:
-        _indirect_table(inst, prof)
+        _indirect_table(inst, enumerate(prof.strategies))
     assert calls() == 123 + 44
 
 
@@ -975,7 +1011,7 @@ def test_search_entries_carry_the_quality_at_the_page_minimum():
     for seed, inst, prof in _carried_q_cases():
         _, entries, _ = indirect_pivots(inst, prof)
         assert not _carried_q_problems(inst, entries), seed
-        table = _indirect_table(inst, prof)
+        table = _indirect_table(inst, enumerate(prof.strategies))
         for i in range(inst.n):
             _, entries = _solve_indirect(inst, prof, table, frozenset({i}))
             assert not _carried_q_problems(inst, entries), (seed, i)
@@ -986,7 +1022,8 @@ def test_search_entries_carry_the_quality_at_the_page_minimum():
         assert not _carried_q_problems(inst, entries), seed
         table = _direct_table(inst, reported)
         for i in range(inst.n):
-            _, entries = _solve_direct(inst, table, frozenset({i}))
+            _, entries = _solve_direct(inst, table, frozenset({i}),
+                                       _row_bounds(inst, table))
             assert not _carried_q_problems(inst, entries), (seed, i)
 
 
@@ -999,7 +1036,7 @@ def test_a_re_evaluated_entry_carries_its_new_quality():
     inst = AuctionInstance(agents, SlotProfile((1.0,)), (1.0, 2.0))
     prof = profile((2.0, 1.0), (1.0, 0.5))
     q = agents[0][1].q
-    table = _indirect_table(inst, prof)
+    table = _indirect_table(inst, enumerate(prof.strategies))
     assert table[0][0] == 1.0
     assert table[0][2][0] == (0, 2.0, q(2.0, 1.0), q(2.0, 1.0))
     assert q(2.0, 1.0) < q(2.0, 2.0)

@@ -7,7 +7,9 @@ included, is relative or names a standard-library module, and
 import cannot creep back unnoticed.  No function rebinds a module
 global, so every object the package builds is safe to share across
 threads.  A private name crosses one layer of the stack at most: it is
-imported only from the module directly below the importer.
+imported only from the module directly below the importer.  Every
+private function or class is used by the package itself, so none is
+kept for the tests alone.
 """
 
 import ast
@@ -36,16 +38,56 @@ def _absolute_imports(path):
             yield node.module
 
 
+def _is_private(name):
+    return name.startswith("_") and not (
+        name.startswith("__") and name.endswith("__"))
+
+
 def _private_imports(path):
     """(module, name) of every private name, dunders aside, that the file
     at ``path`` imports from the package."""
     for node in _nodes(path):
         if isinstance(node, ast.ImportFrom) and node.level:
             for alias in node.names:
-                if alias.name.startswith("_") and not (
-                        alias.name.startswith("__")
-                        and alias.name.endswith("__")):
+                if _is_private(alias.name):
                     yield node.module, alias.name
+
+
+def _private_definitions(path):
+    """(name, line) of every private ``def`` or ``class``, dunders aside,
+    at the module level or in a class body of the file at ``path``."""
+    bodies = [ast.parse(path.read_text(), str(path)).body]
+    while bodies:
+        for node in bodies.pop():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if _is_private(node.name):
+                    yield node.name, node.lineno
+                if isinstance(node, ast.ClassDef):
+                    bodies.append(node.body)
+
+
+def _referenced_names(path):
+    """Every name the code of the file at ``path`` reads, as a name, an
+    attribute or an import; docstrings and comments are not code."""
+    for node in _nodes(path):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_definition_is_used_by_the_package():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    used = {name for path in sources for name in _referenced_names(path)}
+    unused = [(path.name, name, line) for path in sources
+              for name, line in _private_definitions(path)
+              if name not in used]
+    assert not unused
 
 
 def test_private_names_come_only_from_the_layer_below():

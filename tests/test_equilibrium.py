@@ -632,17 +632,17 @@ def test_enumeration_scores_bids_once_per_line(
     space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
     *heads, last = [len(classes) for classes in
                     _menu_classes(inst, kind, space.options, allow_zero_gain)]
-    score = allocation._score_bids
+    build = allocation._indirect_table
     scored = []
 
-    def counted(instance, bids):
+    def counted(instance, bids, extra=()):
         bids = list(bids)
         scored.append(len(bids))
-        return score(instance, bids)
+        return build(instance, bids, extra)
 
     with monkeypatch.context() as patch:
-        patch.setattr(allocation, "_score_bids", counted)
-        patch.setattr(mechanisms, "_score_bids", counted)
+        patch.setattr(allocation, "_indirect_table", counted)
+        patch.setattr(mechanisms, "_indirect_table", counted)
         enumerate_pure_nash(inst, kind, space,
                             gsp_allow_zero_gain=allow_zero_gain)
     assert sorted(scored) == [1] * last + [inst.n - 1] * math.prod(heads)
