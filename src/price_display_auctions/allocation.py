@@ -3,20 +3,20 @@ pivot variant for VCG, and the brute-force oracle that checks them.
 
 The indirect search fixes submitted prices and only chooses the
 assignment; the direct search additionally chooses a display price per
-agent from the finite price grid.  Both are deterministic.  Candidates
-are enumerated in ascending (p_min, designated agent) order, and a later
-one replaces the best so far only when it beats it by more than
-WELFARE_TOL; the direct search picks an agent's best price per candidate
-by the same rule.  Those are the only near-ties resolved.  Within a
-page, agents sort by descending weighted value, and the instance
-tie-break decides exact weight ties only.
+agent from the finite price grid.  Both are deterministic, and both
+solve their table by one row rule (``_solve_rows``): candidate minimum
+prices are tried in ascending order, and a later one replaces the best
+so far only when it beats it by more than WELFARE_TOL; the direct search
+picks an agent's best price per candidate by the same rule.  Those are
+the only near-ties resolved.  Within a page, agents sort by descending
+weighted value, and the instance tie-break decides exact weight ties
+only.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -350,21 +350,27 @@ def _merge_bid(instance, rows, bid):
     return table
 
 
-def _solve_indirect(instance, profile, table, exclude):
-    """Best (welfare, entries) over the table without ``exclude``.
+def _solve_rows(instance, table, exclude, gain, bids):
+    """Best (welfare, entries) over a search table's rows without
+    ``exclude``: the row solve of both searches.
 
-    A candidate whose live holders are all excluded, or that has none, is
-    skipped: the candidates tried are the prices at which a bid left in
-    could be shown, in ascending order, and the first best wins.  Each
-    takes the first m entries not excluded; when none of them holds the
-    candidate, they are re-evaluated at their actual minimum price
-    (qualities can only rise), each with the new q it carries, and
-    re-ranked.  So every entry returned carries q(price, page minimum).
+    Rows are (cand, holders, ranked), in ascending candidate order.  A row
+    whose holders are all excluded, or that has none, is skipped, and the
+    first best of the others wins.  Each takes the first m entries not
+    excluded; when none of them is priced at the candidate, they are
+    re-evaluated at their actual minimum price (qualities can only rise),
+    agent i's at price p with weight q(p, actual) * gain(bids, i, p) and
+    the new q it carries, and re-ranked.  So every entry returned carries
+    q(price, page minimum).  The two searches differ only there:
+    ``_bid_gain`` with a profile's strategies as ``bids``, and
+    ``_report_gain`` with the reported types.
 
-    ``exclude`` holds at most one agent, so every candidate tried takes
-    at least one entry: its row holds either m + 1 entries, at least
-    m >= 1 of them left in, or every positive weight at the candidate,
-    among them the left-in live holder's (her diagonal weight).
+    ``exclude`` holds at most one agent, so every row tried takes at least
+    one entry.  An indirect row's holders are the agents live at its
+    candidate: the row holds either m + 1 entries, at least m >= 1 of them
+    left in, or every positive weight at the candidate, among them the
+    left-in live holder's (her diagonal weight).  A direct row's holders
+    are its ranked agents, so it is skipped exactly when none is left.
     """
     m = instance.m
     lams = instance.slots.prominences
@@ -385,7 +391,7 @@ def _solve_indirect(instance, profile, table, exclude):
             rescored = []
             for i, p, _, _ in chosen:
                 q = instance.quality(i).q(p, actual)
-                rescored.append((i, p, q * profile[i].gain, q))
+                rescored.append((i, p, q * gain(bids, i, p), q))
             chosen = _ranked(instance, rescored)
         # declared_welfare's left-to-right sum, inlined: this is the
         # engine's hottest loop.
@@ -396,6 +402,12 @@ def _solve_indirect(instance, profile, table, exclude):
             best_sw = sw
             best_entries = chosen
     return best_sw, best_entries
+
+
+def _bid_gain(strategies, i, p):
+    """Agent i's gain at price p in an indirect table: her bid's, at any
+    price."""
+    return strategies[i].gain
 
 
 def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile
@@ -425,10 +437,9 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile
     re-evaluations.
     """
     require_one_per_agent(instance, profile, "the profile")
-    return _allocation_from(_solve_indirect(
-        instance, profile,
-        _indirect_table(instance, enumerate(profile.strategies)),
-        frozenset())[1])
+    return _allocation_from(_solve_rows(
+        instance, _indirect_table(instance, enumerate(profile.strategies)),
+        frozenset(), _bid_gain, profile.strategies)[1])
 
 
 def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
@@ -462,36 +473,37 @@ def _indirect_pivots(instance, profile, table, known):
     others' strategies: it is stored under their codes and solved only
     on a miss, bit for bit what a fresh solve gives.
     """
-    sw, entries = _solve_indirect(instance, profile, table, frozenset())
+    bids = profile.strategies
+    sw, entries = _solve_rows(instance, table, frozenset(), _bid_gain, bids)
     without = {}
     for i, _, _, _ in entries:
         if known is None:
-            without[i] = _solve_indirect(instance, profile, table,
-                                         frozenset((i,)))[0]
+            without[i] = _solve_rows(instance, table, frozenset((i,)),
+                                     _bid_gain, bids)[0]
             continue
         memo, codes = known
         key = codes[:i], codes[i + 1:]
         pivot = memo.get(key)
         if pivot is None:
-            pivot = memo[key] = _solve_indirect(instance, profile, table,
-                                                frozenset((i,)))[0]
+            pivot = memo[key] = _solve_rows(instance, table, frozenset((i,)),
+                                            _bid_gain, bids)[0]
         without[i] = pivot
     return sw, entries, without
 
 
 def _direct_table(instance, reported):
-    """Per grid price p_hat: (p_hat, diagonal entries, ranked best entries).
+    """Per grid price p_hat: (p_hat, holders, ranked best entries), rows
+    for ``_solve_rows``.
 
     Entries are (agent, price, weight, q), where q is q(price, p_hat) and
-    the weight q * gain(price).  An agent's diagonal entry, one per agent
-    in agent order, is hers at price p_hat, what she brings when
-    designated to show it.  Her best entry is hers at the first price
-    >= p_hat whose weight beats the best so far by more than WELFARE_TOL;
-    it depends on p_hat alone, not on the designated agent or on who is
-    excluded, so one table serves every solve.  Agents with no positive
-    weight have no entry, and only the first keep = m + 1 entries in
-    ``_ranked`` order are kept: a solve excludes at most one agent, so it
-    still finds its first m there.
+    the weight q * gain(price).  An agent's best entry is hers at the
+    first price >= p_hat whose weight beats the best so far by more than
+    WELFARE_TOL; it depends on p_hat alone, not on who is excluded, so one
+    table serves every solve.  Agents with no positive weight have no
+    entry, and only the first keep = m + 1 entries in ``_ranked`` order
+    are kept: a solve excludes at most one agent, so it still finds its
+    first m there.  A row's holders are its ranked agents, as any of them
+    can show the row's price.
 
     Qualities are non-decreasing in the minimum price, so an agent's
     weight at price grid[j] and any p_hat <= grid[j] is at most
@@ -499,9 +511,9 @@ def _direct_table(instance, reported):
     best entry at p_hat = grid[k] at most the suffix maximum of those
     terms over j >= k, her bound.  Each p_hat scans the agents in
     descending bound order, scoring full rows, until ``_threshold_top``
-    stops.  Every agent's diagonal is scored once per grid price and
-    serves as her row's first cell, so a table costs n |P| quality
-    evaluations plus the rows of the agents scanned.
+    stops.  Every agent's diagonal q(p, p) is scored once per grid price,
+    for her bounds and as her row's first cell, so a table costs n |P|
+    quality evaluations plus the rows of the agents scanned.
     """
     grid = instance.price_grid
     keep = instance.m + 1
@@ -510,16 +522,13 @@ def _direct_table(instance, reported):
     for h in range(instance.n):
         quality = instance.quality(h)
         gains_h = [reported[h].gain(p) for p in grid]
-        diagonal = []
-        terms = []
-        for p, gain in zip(grid, gains_h):
-            d = quality.q(p, p)
-            diagonal.append((h, p, d * gain, d))
-            terms.append(quality.peak(p, d) * gain)
+        diagonal = [quality.q(p, p) for p in grid]
         # Suffix maxima; a bound <= 0 is never scanned, so start at 0.
         bound = 0.0
         bounds_h = []
-        for term in reversed(terms):
+        for p, gain, d in zip(reversed(grid), reversed(gains_h),
+                              reversed(diagonal)):
+            term = quality.peak(p, d) * gain
             if term > bound:
                 bound = term
             bounds_h.append(bound)
@@ -535,7 +544,7 @@ def _direct_table(instance, reported):
         _, rank, h, k = item
         best = None
         for j in range(k, len(grid)):
-            v = diagonals[h][k][3] if j == k else qs[h](grid[j], grid[k])
+            v = diagonals[h][k] if j == k else qs[h](grid[j], grid[k])
             w = v * gains[h][j]
             if w > 0.0 and (best is None or w > best[0] + WELFARE_TOL):
                 best = (w, -rank, h, grid[j], v)
@@ -549,162 +558,29 @@ def _direct_table(instance, reported):
         scan = sorted((-b[k], ranks[h], h, k) for h, b in enumerate(bounds)
                       if b[k] > 0.0)
         top = _threshold_top(scan, keep, entry)
-        table.append((p_hat, [d[k] for d in diagonals],
+        table.append((p_hat, [h for _, _, h, _, _ in top],
                       [(h, p, w, v) for w, _, h, p, v in top]))
     return table
 
 
-def _row_bounds(instance, table):
-    """Per row of a direct ``table``, a welfare that no candidate of the
-    row exceeds under any single exclusion, or inf.
-
-    The bound is the left-to-right sum of lam_j * w_j over the row's
-    first m ranked weights.  It holds when every positive diagonal weight
-    is at most its agent's cap: her ranked entry's weight or, when she
-    has none, the m-th ranked weight (0.0 if the row ranks fewer than
-    m).  ``_direct_table`` builds only such rows: a diagonal is at most
-    its agent's best entry, and a best entry left out of the m + 1 kept
-    is at most the m-th.  A row that breaks this is bounded by inf.
-    Then a candidate's slot-ordered weights are at most those m weights
-    one by one, as its other entries are ranked entries that are not the
-    designated agent's, and her weight is at most her cap.  Rounding is
-    monotone and every term is non-negative, so the candidate's
-    left-to-right sum is at most the bound, bit for bit, with no margin.
-    """
-    m = instance.m
-    lams = instance.slots.prominences
-    bounds = []
-    for _, diagonal, ranked in table:
-        caps = {e[0]: e[2] for e in ranked}
-        floor = ranked[m - 1][2] if len(ranked) >= m else 0.0
-        bound = 0.0
-        for lam, e in zip(lams, ranked):
-            bound += lam * e[2]
-        for h, _, w, _ in diagonal:
-            if w > caps.get(h, floor):
-                bound = math.inf
-                break
-        bounds.append(bound)
-    return bounds
-
-
-def _solve_direct(instance, table, exclude, bounds):
-    """Best (welfare, entries) over the table without ``exclude``.
-
-    Candidates run in ascending (p_hat, designated agent) order.  The
-    designated agent i shows p_hat; the other slots go to the first m - 1
-    ranked entries that are neither i nor excluded: the first m entries
-    not excluded (``top``) less i's own entry, or else less the m-th, the
-    row's shared view.  Her diagonal entry is inserted, as it is, where
-    ``_ranked`` would put it.  A candidate wins when its welfare beats
-    the bar, the best so far plus WELFARE_TOL, which never falls.
-
-    A row whose ``_row_bounds`` bound does not beat the bar is skipped
-    whole, before its views are built.  Per view of L entries, prefix
-    sums pre of lam_j * w_j, the left-to-right partial sums of
-    ``declared_welfare``'s arithmetic, and suffix sums of
-    lam_{j+1} * w_j price each candidate in O(1):
-
-    * A weight w strictly below the view's last, low, goes last, and
-      pre[L] + lam_L * w is its exact welfare.  It is non-decreasing in
-      w, as rounding is monotone.  So once a shared-view candidate of
-      weight w_f < low fails the bar, every later agent of the row whose
-      weight is at most w_f fails it too, and is rejected by one
-      comparison.  That holds for a top agent as well: her view drops an
-      entry at least as heavy as the m-th, so her slot-ordered weights
-      are at most the shared candidate's at w_f one by one, and so is
-      her left-to-right sum.  w_f starts at 0.0 in each row.
-    * Otherwise the estimate, from the view's sort keys and suffix sums
-      (built once per view that needs them), adds the same m or fewer
-      non-negative products as that left-to-right sum in another order,
-      so the two differ by about 2 (m - 1) 2^-53 times the estimate at
-      most.  A candidate is skipped when its estimate plus a margin of
-      4 (m + 2) 2^-53 times it still cannot beat the bar; every other
-      one is summed exactly as pre[pos] + lam_pos * w, then the tail
-      terms in slot order, the bits of ``declared_welfare``.
-
-    A NaN estimate or sum never wins, and an infinite one only while
-    the bar is finite.  Only the winner's entries are built.
-    """
-    m = instance.m
-    lams = instance.slots.prominences
-    ranks = [instance.rank(i) for i in range(instance.n)]
-    slack = 4 * (m + 2) * 2.0 ** -53
-    best_sw = 0.0
-    bar = best_sw + WELFARE_TOL
-    best = None
-    for (_, diagonal, ranked), bound in zip(table, bounds):
-        if bound <= bar:
-            continue
-        if exclude:
-            top = [e for e in ranked if e[0] not in exclude][:m]
-        else:
-            top = ranked[:m]
-        top_index = {e[0]: k for k, e in enumerate(top)}
-        views: dict = {}
-        w_f = 0.0
-        for i, designated in enumerate(diagonal):
-            w_i = designated[2]
-            if w_i <= w_f or i in exclude:
-                continue
-            # Drop i's own entry, or else the m-th.
-            k = top_index.get(i, m - 1)
-            view = views.get(k)
-            if view is None:
-                others = top[:k] + top[k + 1:]
-                pre = [0.0]
-                for lam, (_, _, w, _) in zip(lams, others):
-                    pre.append(pre[-1] + lam * w)
-                # Sort keys and suffix sums come third, when first needed.
-                view = views[k] = [others, pre, None]
-            others, pre, tail = view
-            pos = len(others)
-            if not pos or w_i < others[-1][2]:
-                sw = pre[pos] + lams[pos] * w_i
-                if sw <= bar:
-                    if k == m - 1:
-                        w_f = w_i
-                    continue
-            else:
-                if tail is None:
-                    suf = [0.0] * len(pre)
-                    for j in range(len(others) - 1, -1, -1):
-                        suf[j] = lams[j + 1] * others[j][2] + suf[j + 1]
-                    tail = view[2] = ([(-w, ranks[a])
-                                       for a, _, w, _ in others], suf)
-                keys, suf = tail
-                pos = bisect_left(keys, (-w_i, ranks[i]))
-                est = pre[pos] + lams[pos] * w_i + suf[pos]
-                if est + slack * est <= bar:
-                    continue
-                sw = pre[pos] + lams[pos] * w_i
-                for j in range(pos, len(others)):
-                    sw += lams[j + 1] * others[j][2]
-            if sw > bar:
-                best_sw = sw
-                bar = best_sw + WELFARE_TOL
-                best = others, pos, designated
-    if best is None:
-        return best_sw, []
-    others, pos, designated = best
-    return best_sw, others[:pos] + [designated] + others[pos:]
+def _report_gain(reported, i, p):
+    """Agent i's gain at price p in a direct table: her reported type's."""
+    return reported[i].gain(p)
 
 
 def direct_allocate(instance: AuctionInstance, reported
                     ) -> DirectAllocationResult:
     """Joint assignment-and-price optimum over the instance price grid.
 
-    Tries every (candidate minimum price, designated agent) pair: the
-    designated agent is fixed at the candidate price, every other agent
-    gets her best allowed price (when it yields positive value), and
-    slots are filled greedily.  Each agent's diagonal is scored once per
-    grid price, and her best price per candidate only while she can still
-    enter the best m + 1 there: n |P| quality evaluations plus the rows of
-    those contenders, O(n |P|^2) at worst.  A candidate minimum whose
-    best m weights cannot beat the best so far is skipped whole; within
-    one, a designated agent no heavier than one who already failed is
-    rejected by one comparison, and each other pair's welfare is
-    estimated in O(1) and summed exactly only when it can win.
+    Per candidate minimum price p_hat, every agent gets her best allowed
+    price >= p_hat (when it yields positive value) and the slots are
+    filled greedily; the page is re-scored at its own minimum, and the
+    best candidate wins (see ``direct_pivots`` for why that is the
+    optimum).  Each agent's diagonal is scored once per grid price, and
+    her best price per candidate only while she can still enter the best
+    m + 1 there: n |P| quality evaluations plus the rows of those
+    contenders, O(n |P|^2) at worst, then O(|P| m) steps and at most
+    m |P| re-evaluations.
     """
     sw, entries, _ = direct_pivots(instance, reported, ())
     return DirectAllocationResult(_allocation_from(entries), sw)
@@ -716,26 +592,43 @@ def direct_pivots(instance: AuctionInstance, reported, pivots=None
     of the direct optimum without her.
 
     The optimum comes as its welfare and its slot-ordered (agent, price,
-    weight, q) entries, where q is q(price, p_hat) at the designated
-    minimum price p_hat, the allocation's own minimum, and the weight
-    q * gain(price).  ``pivots`` defaults to the agents the optimum
-    assigns (the VCG pivots).  All solves share one table and its row
-    bounds, so each pivot adds no quality evaluation and at most
-    O(|P| (n log m + m^2)) steps: a row is skipped whole, or takes one
-    comparison per designated agent no heavier than a failed one, an
-    O(1) estimate (after an O(log m) search when she does not go last)
-    for each other, and an exact O(m) sum for each pair that can win.  Only the winner's entries are built.  The welfare is
-    the search's own score, equal bit for bit to ``declared_welfare`` of
-    the allocation it picks at its chosen gains, and a true value is
+    weight, q) entries, where q is q(price, p_min) at the page minimum
+    p_min and the weight q * gain(price).  ``pivots`` defaults to the
+    agents the optimum assigns (the VCG pivots).
+
+    Every solve is ``_solve_rows`` on ``_direct_table``: row p_hat ranks
+    each agent's best entry at prices >= p_hat, scored at p_hat, and the
+    solve takes its first m, re-scored at their actual minimum.  That is
+    the optimum, with no agent designated to show p_hat, provided that
+    every quality is non-decreasing in the page minimum:
+
+    * The best page at p_hat, all of whose prices are >= p_hat, scored at
+      p_hat, is row p_hat's first m entries.  Let p' >= p_hat be its
+      actual minimum.  Scored at p', its welfare is at least that at
+      p_hat, since no quality falls when the minimum rises.
+    * Scored at p', it weighs at most row p''s best: each agent's best
+      entry at p' weighs at least her weight at any price >= p', up to
+      the WELFARE_TOL rule by which the table picks a best price.
+    * So the optimum's page, whose minimum is some grid price p*, weighs
+      at most row p*'s first m re-scored at their own minimum, a page
+      that the solve scores exactly.  The best row, re-scored, is the
+      optimum, and the first best wins under WELFARE_TOL.
+
+    The same holds of the rows without one excluded agent, so it serves
+    the pivots too.  All solves share the table, so each adds O(|P| m)
+    steps and at most m |P| quality re-evaluations.  The welfare is the
+    search's own score, equal bit for bit to ``declared_welfare`` of the
+    allocation it picks at its chosen gains, and a true value is
     lam * (q * true gain) with no quality evaluation.
     """
     require_one_per_agent(instance, reported, "the report list")
     table = _direct_table(instance, reported)
-    bounds = _row_bounds(instance, table)
-    sw, entries = _solve_direct(instance, table, frozenset(), bounds)
+    sw, entries = _solve_rows(instance, table, frozenset(), _report_gain,
+                              reported)
     if pivots is None:
         pivots = [e[0] for e in entries]
-    without = {i: _solve_direct(instance, table, frozenset({i}), bounds)[0]
+    without = {i: _solve_rows(instance, table, frozenset({i}), _report_gain,
+                              reported)[0]
                for i in pivots}
     return sw, entries, without
 

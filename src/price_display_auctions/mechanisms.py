@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 from .allocation import (
     _allocation_from,
+    _bid_gain,
     _indirect_pivots,
     _indirect_table,
     _merge_bid,
     _score_bid,
-    _solve_indirect,
+    _solve_rows,
     direct_allocate,
     direct_pivots,
     indirect_pivots,
@@ -99,9 +100,9 @@ def run_direct_vcg(instance: AuctionInstance, reported=None) -> Outcome:
     Each assigned agent pays her declared value minus the welfare
     improvement her presence brings over the best allocation without her.
     The optimum and every pivot come from one shared direct search; each
-    payer's entry weight is her declared value at the designated minimum
-    price, and each displayed agent's true value is read off the quality
-    her entry carries, so nothing is re-scored.
+    payer's entry weight is her declared value at the page minimum, and
+    each displayed agent's true value is read off the quality her entry
+    carries, so nothing is re-scored.
     """
     if reported is None:
         reported = [instance.atype(i) for i in range(instance.n)]
@@ -168,7 +169,8 @@ def _indirect_gsp(instance, profile, table, allow_zero_gain):
     keeps m + 1, so she is there unless no positive weight is left out
     (then 0.0).  ``allow_zero_gain`` fills free slots with zero-gain
     agents."""
-    sw, entries = _solve_indirect(instance, profile, table, frozenset())
+    sw, entries = _solve_rows(instance, table, frozenset(), _bid_gain,
+                              profile.strategies)
     if allow_zero_gain:
         entries = _fill_zero_gain(instance, profile, entries)
     payments = [0.0] * instance.n
@@ -258,10 +260,9 @@ def run_indirect_vcg_star(instance: AuctionInstance,
             diagnostics.append(f"agent {i}: inferred alpha clamped into [0, 1]")
         inferred.append(AgentType(it.alpha_hat, max(0.0, it.c_hat)))
 
-    sw, entries = _solve_indirect(
-        instance, profile,
-        _indirect_table(instance, enumerate(profile.strategies)),
-        frozenset())
+    sw, entries = _solve_rows(
+        instance, _indirect_table(instance, enumerate(profile.strategies)),
+        frozenset(), _bid_gain, profile.strategies)
     *_, sw_without = direct_pivots(instance, inferred, range(instance.n))
 
     if sw < max(sw_without.values(), default=0.0) - WELFARE_TOL:

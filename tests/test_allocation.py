@@ -35,14 +35,14 @@ from price_display_auctions import (
 from price_display_auctions.allocation import (
     DirectAllocationResult,
     _allocation_from,
+    _bid_gain,
     _direct_table,
     _indirect_table,
     _merge_bid,
     _ranked,
-    _row_bounds,
+    _report_gain,
     _score_bid,
-    _solve_direct,
-    _solve_indirect,
+    _solve_rows,
 )
 from price_display_auctions.mechanisms import _fill_zero_gain, _indirect_gsp
 from price_display_auctions.model import (
@@ -129,7 +129,8 @@ def test_exclusion():
     inst = two_agent_instance()
     prof = profile((1.0, 0.5), (2.0, 0.9))
     table = _indirect_table(inst, enumerate(prof.strategies))
-    sw, entries = _solve_indirect(inst, prof, table, frozenset({1}))
+    sw, entries = _solve_rows(inst, table, frozenset({1}), _bid_gain,
+                              prof.strategies)
     expected = _reference_indirect_allocate(inst, prof, exclude=frozenset({1}))
     assert _allocation_from(entries) == expected
     assert expected.slot_agents == (0,)
@@ -150,7 +151,7 @@ def test_direct_joint_price_choice():
 def test_direct_designated_agent_holds_min_price():
     inst = two_agent_instance()
     result = direct_allocate(inst, [inst.atype(0), inst.atype(1)])
-    # Best: agent 0 designated at 2.0 (q=1, gain 2), agent 1 also at 2.0.
+    # Best: agent 0 shows the minimum 2.0 (q=1, gain 2), agent 1 also 2.0.
     assert result.allocation.p_min == 2.0
     assert set(result.allocation.slot_agents) == {0, 1}
     assert result.declared_welfare == pytest.approx(2.0 + 0.5 * 2.0)
@@ -309,25 +310,31 @@ def _fields(result):
 
 
 def test_direct_matches_reference_exactly():
-    for seed in range(120):
-        inst = _tie_heavy_instance(seed)
+    # Every solve, with and without each single exclusion, returns the
+    # entries of the row rule scored on every agent's full row.  Its
+    # welfare is also the original designated-agent search's, bit for
+    # bit, although on exact ties that search keeps another page.
+    for seed, inst in _direct_cases():
         reported = [inst.atype(i) for i in range(inst.n)]
         sw, entries, without = direct_pivots(inst, reported, range(inst.n))
-        expected = _reference_direct_allocate(inst, reported)
-        assert (_allocation_from(entries), sw) == \
-            (expected.allocation, expected.declared_welfare), seed
-        assert _fields(direct_allocate(inst, reported)) == _fields(expected)
+        assert (sw, entries) == _reference_direct_rows(inst, reported), seed
+        assert sw.hex() == _reference_direct_allocate(
+            inst, reported).declared_welfare.hex(), seed
+        assert direct_allocate(inst, reported) == DirectAllocationResult(
+            _allocation_from(entries), sw), seed
         table = _direct_table(inst, reported)
         for i in range(inst.n):
-            expected = _reference_direct_allocate(inst, reported,
-                                                  exclude=frozenset({i}))
-            sw, entries = _solve_direct(inst, table, frozenset({i}),
-                                        _row_bounds(inst, table))
-            assert _allocation_from(entries) == expected.allocation, (seed, i)
-            assert sw == expected.declared_welfare, (seed, i)
+            exclude = frozenset({i})
+            expected = _reference_direct_rows(inst, reported, exclude)
+            assert _solve_rows(inst, table, exclude,
+                               _report_gain, reported) == expected, (seed, i)
+            assert without[i].hex() == expected[0].hex() == \
+                _reference_direct_allocate(
+                    inst, reported, exclude=exclude).declared_welfare.hex(), \
+                (seed, i)
+            alloc = _allocation_from(expected[1])
             assert without[i] == declared_welfare(
-                inst, expected.allocation,
-                truthful_gains(inst, expected.allocation)), (seed, i)
+                inst, alloc, truthful_gains(inst, alloc)), (seed, i)
 
 
 def test_direct_best_price_ties_go_to_the_lowest_price():
@@ -408,6 +415,86 @@ def _reference_solve_direct(instance, table, exclude):
     return best_sw, best_entries
 
 
+def _reference_direct_rows(instance, reported, exclude=frozenset()):
+    """The direct search as the row rule states it, on every agent's full
+    row of ``_reference_direct_table``: per grid price p_hat in ascending
+    order, the first m best entries of the agents left in, re-scored and
+    re-ranked at their actual minimum when none of them shows p_hat; the
+    first page that beats the best so far by more than WELFARE_TOL wins.
+    Returns (welfare, slot-ordered entries)."""
+    m = instance.m
+    best_sw = 0.0
+    best_entries: list = []
+    for p_hat, _, ranked in _reference_direct_table(instance, reported):
+        chosen = [e for e in ranked if e[0] not in exclude][:m]
+        if not chosen:
+            continue
+        actual = min(p for _, p, _, _ in chosen)
+        if actual != p_hat:
+            rescored = []
+            for i, p, _, _ in chosen:
+                q = instance.quality(i).q(p, actual)
+                rescored.append((i, p, q * reported[i].gain(p), q))
+            chosen = _ranked(instance, rescored)
+        sw = _weighted_sw(instance, chosen)
+        if sw > best_sw + WELFARE_TOL:
+            best_sw = sw
+            best_entries = chosen
+    return best_sw, best_entries
+
+
+def _dipping_coarse_instance(seed):
+    """A ``_coarse_case`` instance whose tabulated cells move by 0 or
+    +-4e-13, within the table's monotonicity slack, so that a quality may
+    fall by a hair as the page minimum rises."""
+    rng = random.Random(seed ^ 0xD1B)
+    inst = _coarse_case(seed)[0]
+    agents = []
+    for atype, quality in inst.agents:
+        if isinstance(quality, TabulatedQuality):
+            nudged = tuple(
+                tuple(min(1.0, max(0.0, v + rng.choice((-4e-13, 0.0, 4e-13))))
+                      for v in row) for row in quality.values)
+            quality = TabulatedQuality(quality.prices, quality.min_prices,
+                                       nudged)
+        agents.append((atype, quality))
+    return AuctionInstance(tuple(agents), inst.slots, inst.price_grid,
+                           inst.tie_break)
+
+
+# (instance, whether every quality is non-decreasing in the page minimum)
+_DIRECT_DRAWS = st.one_of(
+    st.integers(0, 10 ** 6).map(lambda seed: (random_instance(seed), True)),
+    st.integers(0, 10 ** 6).map(lambda seed: (_coarse_case(seed)[0], True)),
+    st.integers(0, 10 ** 6).map(lambda seed: (_tie_heavy_instance(seed),
+                                              True)),
+    st.integers(0, 10 ** 6).map(lambda seed: (_dipping_coarse_instance(seed),
+                                              False)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_DIRECT_DRAWS)
+def test_direct_row_solve_keeps_the_designated_agent_welfare_property(case):
+    # The row solve on the pruned table, with no exclusion and with each
+    # single one, picks the row rule's page on every agent's full row.
+    # When every quality is non-decreasing in the page minimum, its
+    # welfare is also the designated-agent search's, bit for bit.  A
+    # table that dips within its slack breaks that precondition, and the
+    # two move apart by about the dip, far inside WELFARE_TOL.
+    inst, monotone = case
+    reported = [inst.atype(i) for i in range(inst.n)]
+    table = _direct_table(inst, reported)
+    expected = _reference_direct_table(inst, reported)
+    for exclude in [frozenset()] + [frozenset({i}) for i in range(inst.n)]:
+        sw, entries = _solve_rows(inst, table, exclude, _report_gain,
+                                  reported)
+        assert (sw, entries) == \
+            _reference_direct_rows(inst, reported, exclude), exclude
+        if monotone:
+            assert sw.hex() == _reference_solve_direct(
+                inst, expected, exclude)[0].hex(), exclude
+
+
 def _direct_within_slack_instance():
     """Agent 0's table row dips by 5e-13 (inside the constructor's 1e-12
     slack), so at p_hat 1.0 her best weight is 1.0, above every diagonal
@@ -433,6 +520,16 @@ def _direct_equal_bound_instance():
                            (0, 3, 2, 1))
 
 
+def _direct_infinite_instance():
+    """Two agents whose values are each a finite 1.7e308 and one rival far
+    below: the optimum's welfare is inf, which every solve must still
+    return as the reference scores it."""
+    big = (AgentType(1.0, 0.0), PriceThresholdQuality(1.7e308))
+    rival = (AgentType(1.0, 0.0), PriceThresholdQuality(1.7e308, 1e-300))
+    return AuctionInstance((big, big, rival), SlotProfile((1.0, 1.0)),
+                           (1e308, 1.7e308))
+
+
 def _direct_cases():
     for seed in range(120):
         yield seed, _tie_heavy_instance(seed)
@@ -440,6 +537,7 @@ def _direct_cases():
         yield ("coarse", seed), _coarse_case(seed)[0]
     yield "within slack", _direct_within_slack_instance()
     yield "equal bound", _direct_equal_bound_instance()
+    yield "infinite welfare", _direct_infinite_instance()
 
 
 def test_direct_table_matches_full_scoring():
@@ -447,149 +545,11 @@ def test_direct_table_matches_full_scoring():
         reported = [inst.atype(i) for i in range(inst.n)]
         table = _direct_table(inst, reported)
         expected = _reference_direct_table(inst, reported)
-        assert [(p, d) for p, d, _ in table] == \
-            [(p, d) for p, d, _ in expected], seed
+        assert [p for p, _, _ in table] == [p for p, _, _ in expected], seed
         assert [r for _, _, r in table] == \
             [r[:inst.m + 1] for _, _, r in expected], seed
-
-
-def test_direct_solve_matches_the_exact_scoring():
-    for seed, inst in _direct_cases():
-        reported = [inst.atype(i) for i in range(inst.n)]
-        table = _direct_table(inst, reported)
-        expected = _reference_direct_table(inst, reported)
-        for exclude in [frozenset()] + [frozenset({i}) for i in range(inst.n)]:
-            assert _solve_direct(inst, table, exclude,
-                                 _row_bounds(inst, table)) == \
-                _reference_solve_direct(inst, expected, exclude), \
-                (seed, exclude)
-
-
-def test_direct_solve_scores_estimates_at_the_tolerance_boundary():
-    # At p_hat 2.0, agent 1 is designated with weight 1.0 and agents 2 and
-    # 3 follow.  The estimate adds 1.0 to a + b; the exact left-to-right
-    # sum adds a, then b, and rounds one ulp higher.  The bar, the first
-    # candidate's welfare plus WELFARE_TOL, equals the estimate, so only
-    # the exact sum clears it: a filter with no margin would keep the
-    # first candidate.
-    agents = ((AgentType(1.0, 0.0), PriceThresholdQuality(2.0)),) * 4
-    inst = AuctionInstance(agents, SlotProfile((1.0, 1.0, 1.0)), (1.0, 2.0))
-    a = float.fromhex("0x1.526eb52fe346ap-1")
-    b = float.fromhex("0x1.c764c27bc23e1p-2")
-    chosen = [(1, 2.0, 1.0, 0.5), (2, 2.0, a, a / 2), (3, 2.0, b, b / 2)]
-    est = 1.0 + (a + b)
-    exact = _weighted_sw(inst, chosen)
-    assert est < exact == (1.0 + a) + b
-    first = est - WELFARE_TOL
-    assert first + WELFARE_TOL == est
-
-    def diagonal(p_hat, weights):
-        # Every gain at price p is p, so an entry's q is w / p.
-        return [(h, p_hat, w, w / p_hat) for h, w in enumerate(weights)]
-
-    table = [(1.0, diagonal(1.0, [first, 0.0, 0.0, 0.0]), []),
-             (2.0, diagonal(2.0, [0.0, 1.0, 0.0, 0.0]), chosen[1:])]
-    assert _reference_solve_direct(inst, table, frozenset()) == (exact, chosen)
-    assert _solve_direct(inst, table, frozenset(),
-                         _row_bounds(inst, table)) == (exact, chosen)
-
-
-def test_direct_solve_keeps_a_row_whose_bound_is_just_above_the_bar():
-    # At p_hat 2.0 the designated agent 1 and agents 2 and 3 are the
-    # row's best three, so its bound, their left-to-right sum, equals
-    # that page's welfare.  The first row's page puts the bar one ulp
-    # below it.  The bound needs no margin, and a bound lowered by any
-    # would skip the row and keep the first page.
-    agents = ((AgentType(1.0, 0.0), PriceThresholdQuality(2.0)),) * 4
-    inst = AuctionInstance(agents, SlotProfile((1.0, 1.0, 1.0)), (1.0, 2.0))
-    a = float.fromhex("0x1.526eb52fe346ap-1")
-    b = float.fromhex("0x1.c764c27bc23e1p-2")
-    chosen = [(1, 2.0, 1.0, 0.5), (2, 2.0, a, a / 2), (3, 2.0, b, b / 2)]
-    exact = _weighted_sw(inst, chosen)
-    first = float.fromhex("0x1.0d8845994b57ep+1")
-    assert first + WELFARE_TOL == math.nextafter(exact, 0.0)
-    table = [(1.0, [(0, 1.0, first, first)] + [(h, 1.0, 0.0, 0.0)
-                                               for h in (1, 2, 3)],
-              [(0, 1.0, first, first)]),
-             (2.0, [(0, 2.0, 0.0, 0.0), chosen[0], (2, 2.0, 0.0, 0.0),
-                    (3, 2.0, 0.0, 0.0)], chosen)]
-    assert _row_bounds(inst, table) == [first, exact]
-    assert _reference_solve_direct(inst, table, frozenset()) == (exact, chosen)
-    assert _solve_direct(inst, table, frozenset(),
-                         _row_bounds(inst, table)) == (exact, chosen)
-
-
-def test_direct_solve_on_an_infinite_estimate():
-    # Two agents whose values are each a finite 1.7e308 and one rival
-    # with a finite value far below: the optimum's welfare, and so its
-    # estimate, is inf, yet every solve returns what exact scoring does.
-    big = (AgentType(1.0, 0.0), PriceThresholdQuality(1.7e308))
-    rival = (AgentType(1.0, 0.0), PriceThresholdQuality(1.7e308, 1e-300))
-    inst = AuctionInstance((big, big, rival), SlotProfile((1.0, 1.0)),
-                           (1e308, 1.7e308))
-    reported = [inst.atype(i) for i in range(inst.n)]
-    table = _direct_table(inst, reported)
-    expected = _reference_direct_table(inst, reported)
-    assert _reference_solve_direct(inst, expected, frozenset())[0] == math.inf
-    for exclude in [frozenset()] + [frozenset({i}) for i in range(inst.n)]:
-        assert _solve_direct(inst, table, exclude,
-                             _row_bounds(inst, table)) == \
-            _reference_solve_direct(inst, expected, exclude), exclude
-
-
-# Weights that tie, that sit WELFARE_TOL apart, and the two of the
-# tolerance-boundary test above, whose sums round differently by order.
-_DIRECT_WEIGHTS = (0.25, 0.5, 0.5 + WELFARE_TOL, 1.0 - WELFARE_TOL, 1.0,
-                   1.0 + WELFARE_TOL, float.fromhex("0x1.526eb52fe346ap-1"),
-                   float.fromhex("0x1.c764c27bc23e1p-2"))
-
-
-@st.composite
-def _direct_solve_tables(draw):
-    """An instance and a hand-built direct table: m = 1 to 4 prominences
-    that tie or are 0, a shuffled tie-break, and per row every agent's
-    best weight (or none) and a diagonal weight, both from
-    ``_DIRECT_WEIGHTS``.  So weights tie, equal a view's last weight, and
-    top agents are often lighter on their diagonal than an agent who
-    fails.  Mostly each diagonal is at most its best entry, as in
-    ``_direct_table``; otherwise it is drawn freely, which the row bounds
-    must survive."""
-    n = draw(st.integers(1, 7))
-    m = draw(st.integers(1, 4))
-    lams = sorted(draw(st.lists(st.sampled_from((0.0, 0.5, 1.0)),
-                                min_size=m, max_size=m)), reverse=True)
-    grid = (1.0, 2.0, 3.0)[:draw(st.integers(1, 3))]
-    order = draw(st.permutations(range(n)))
-    inst = AuctionInstance(
-        ((AgentType(1.0, 0.0), PriceThresholdQuality(4.0)),) * n,
-        SlotProfile(tuple(lams)), grid, tuple(order))
-    consistent = draw(st.integers(0, 4)) > 0
-    weight = st.sampled_from((0.0,) + _DIRECT_WEIGHTS)
-    table = []
-    for p_hat in grid:
-        best, diagonal = [], []
-        for h in range(n):
-            w = draw(weight)
-            if consistent:
-                d = draw(st.sampled_from(
-                    [0.0] + [x for x in _DIRECT_WEIGHTS if x <= w]))
-            else:
-                d = draw(weight)
-            if w > 0.0:
-                best.append((h, 3.0, w, w / 3.0))
-            diagonal.append((h, p_hat, d, d / p_hat))
-        table.append((p_hat, diagonal, _ranked(inst, best)[:m + 1]))
-    return inst, table
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=600)
-@given(_direct_solve_tables())
-def test_direct_solve_matches_the_exact_scoring_property(case):
-    inst, table = case
-    for exclude in [frozenset()] + [frozenset({i}) for i in range(inst.n)]:
-        assert _solve_direct(inst, table, exclude,
-                             _row_bounds(inst, table)) == \
-            _reference_solve_direct(inst, table, exclude), exclude
+        assert [h for _, h, _ in table] == \
+            [[e[0] for e in r[:inst.m + 1]] for _, _, r in expected], seed
 
 
 def test_direct_table_stops_early(count_q_calls):
@@ -758,7 +718,8 @@ def test_indirect_matches_reference_exactly():
         for i in range(inst.n):
             expected = _reference_indirect_allocate(inst, prof,
                                                     exclude=frozenset({i}))
-            _, entries = _solve_indirect(inst, prof, table, frozenset({i}))
+            _, entries = _solve_rows(inst, table, frozenset({i}),
+                                     _bid_gain, prof.strategies)
             assert _allocation_from(entries) == expected, (seed, i)
             if i in without:
                 assert without[i] == declared_welfare(
@@ -1013,7 +974,8 @@ def test_search_entries_carry_the_quality_at_the_page_minimum():
         assert not _carried_q_problems(inst, entries), seed
         table = _indirect_table(inst, enumerate(prof.strategies))
         for i in range(inst.n):
-            _, entries = _solve_indirect(inst, prof, table, frozenset({i}))
+            _, entries = _solve_rows(inst, table, frozenset({i}),
+                                     _bid_gain, prof.strategies)
             assert not _carried_q_problems(inst, entries), (seed, i)
         entries, _, _ = _indirect_gsp(inst, prof, table, True)
         assert not _carried_q_problems(inst, entries), seed
@@ -1022,8 +984,8 @@ def test_search_entries_carry_the_quality_at_the_page_minimum():
         assert not _carried_q_problems(inst, entries), seed
         table = _direct_table(inst, reported)
         for i in range(inst.n):
-            _, entries = _solve_direct(inst, table, frozenset({i}),
-                                       _row_bounds(inst, table))
+            _, entries = _solve_rows(inst, table, frozenset({i}),
+                                     _report_gain, reported)
             assert not _carried_q_problems(inst, entries), (seed, i)
 
 
@@ -1040,7 +1002,8 @@ def test_a_re_evaluated_entry_carries_its_new_quality():
     assert table[0][0] == 1.0
     assert table[0][2][0] == (0, 2.0, q(2.0, 1.0), q(2.0, 1.0))
     assert q(2.0, 1.0) < q(2.0, 2.0)
-    _, entries = _solve_indirect(inst, prof, table, frozenset())
+    _, entries = _solve_rows(inst, table, frozenset(), _bid_gain,
+                             prof.strategies)
     assert entries == [(0, 2.0, q(2.0, 2.0), q(2.0, 2.0))]
 
 

@@ -603,16 +603,16 @@ def test_enumeration_solves_each_pivot_once(monkeypatch):
                                ).allocation.slot_agents:
             keys.add((i, combo[:i] + combo[i + 1:]))
             payers += 1
-    solve = allocation._solve_indirect
+    solve = allocation._solve_rows
     pivots = 0
 
-    def counted(instance, profile, table, exclude):
+    def counted(instance, table, exclude, gain, bids):
         nonlocal pivots
         pivots += bool(exclude)
-        return solve(instance, profile, table, exclude)
+        return solve(instance, table, exclude, gain, bids)
 
     with monkeypatch.context() as patch:
-        patch.setattr(allocation, "_solve_indirect", counted)
+        patch.setattr(allocation, "_solve_rows", counted)
         enumerate_pure_nash(inst, VCG, space)
     assert inst.n == 3
     assert pivots == len(keys) < payers // 2

@@ -335,6 +335,19 @@ def test_direct_vcg_pivots_add_no_quality_evaluations(count_q_calls):
     assert calls() == search
 
 
+def test_direct_vcg_quality_evaluations_are_pinned(count_q_calls):
+    # A work budget that a noisy host still shows.  On README's seeded
+    # n=30, m=5, 8-price instance a run costs the direct table's 487
+    # evaluations plus the row solves' re-scorings at a page's actual
+    # minimum: 180 over the optimum and its five pivots.
+    inst = random_instance(238, max_agents=30, max_slots=5, max_prices=8)
+    assert (inst.n, inst.m, len(inst.price_grid)) == (30, 5, 8)
+    with count_q_calls() as calls:
+        out = run_direct_vcg(inst)
+    assert len(out.allocation.slot_agents) == 5
+    assert calls() == 487 + 180
+
+
 def _counting_instance():
     agents = tuple(
         (AgentType(1.0, 0.05 * i), SmoothDecayQuality(0.2, 0.1, 1.0))

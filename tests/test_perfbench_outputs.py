@@ -6,7 +6,9 @@ does: no problem from the workload's own invariants (and its reference
 re-check, on the ops a run re-checks), and a record that matches the
 committed golden digest in ``perfbench/golden/``.  So a change that
 breaks a workload, or moves an output the benchmark pins, fails here and
-not only in a benchmark run.
+not only in a benchmark run.  The quality evaluations of the first
+``clear-direct`` ops are pinned too, a work budget that a noisy host
+still shows.
 """
 
 import importlib.util
@@ -44,3 +46,15 @@ def test_first_ops_match_the_golden_digests(name, tmp_path):
         assert problems == [], (name, k)
         assert WORKLOADS.digests_match(workload.record(pool[k], result),
                                        golden["ops"][k]), (name, k)
+
+
+def test_clear_direct_quality_evaluations_are_pinned(count_q_calls):
+    # A work budget that a noisy host still shows: the first 20 seed-0
+    # clear-direct ops, one truthful direct VCG run each at n=30, m=5 and
+    # 8 grid prices, make exactly this many quality evaluations.
+    workload = WORKLOADS.WORKLOADS["clear-direct"](0, None)
+    pool = workload.build_pool(range(20))
+    with count_q_calls() as calls:
+        for k in range(20):
+            workload.run(pool[k])
+    assert calls() == 12220
