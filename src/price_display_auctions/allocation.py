@@ -325,18 +325,24 @@ def _merge_bid(instance, rows, bid):
     ascending order.  The bid joins its own price's holders when it is
     live, which keep the first two in agent order.  Its scored entry
     joins each row's ranked entries, as it is, where ``_ranked`` puts it,
-    if among the first m + 1.  Both sides' rows are exact, so each merged
+    if among the first m + 1.  A row that the bid leaves as it is comes
+    back as the same object.  Both sides' rows are exact, so each merged
     row equals the profile's own; the merge takes O(|C| m) steps and no
     quality evaluation.
     """
     agent, price, live, entries = bid
-    keep = instance.m + 1
+    keep = len(instance.slots.prominences) + 1
     rank = instance.rank(agent)
     table = []
-    for cand, holders, ranked in rows:
+    for row in rows:
+        cand = row[0]
+        entry = entries.get(cand)
+        if entry is None and (cand != price or not live):
+            table.append(row)  # the bid changes nothing here
+            continue
+        _, holders, ranked = row
         if live and cand == price:
             holders = sorted([*holders, agent])[:2]
-        entry = entries.get(cand)
         if entry is not None:
             w = entry[2]
             for k, (i, _, v, _) in enumerate(ranked):
@@ -372,8 +378,8 @@ def _solve_rows(instance, table, exclude, gain, bids):
     left-in live holder's (her diagonal weight).  A direct row's holders
     are its ranked agents, so it is skipped exactly when none is left.
     """
-    m = instance.m
     lams = instance.slots.prominences
+    m = len(lams)
     best_entries: list = []
     best_sw = 0.0
     for cand, holders, ranked in table:
@@ -457,12 +463,13 @@ def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
     """
     require_one_per_agent(instance, profile, "the profile")
     return _indirect_pivots(
-        instance, profile,
+        instance, profile.strategies,
         _indirect_table(instance, enumerate(profile.strategies)), None)
 
 
-def _indirect_pivots(instance, profile, table, known):
-    """``indirect_pivots`` over the profile's prebuilt ``table``.
+def _indirect_pivots(instance, bids, table, known):
+    """``indirect_pivots`` over a profile's ``bids``, its strategies, and
+    its prebuilt ``table``.
 
     ``known`` is None, and every pivot is solved, or (memo, codes): a
     memo that one walk of many profiles owns, and this profile's
@@ -473,7 +480,6 @@ def _indirect_pivots(instance, profile, table, known):
     others' strategies: it is stored under their codes and solved only
     on a miss, bit for bit what a fresh solve gives.
     """
-    bids = profile.strategies
     sw, entries = _solve_rows(instance, table, frozenset(), _bid_gain, bids)
     without = {}
     for i, _, _, _ in entries:

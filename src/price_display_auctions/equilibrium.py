@@ -99,8 +99,9 @@ def is_nash(instance: AuctionInstance, kind: MechanismKind,
     None.  An agent's non-participating strategies give every agent the
     same utilities (see ``_menu_classes``), so only her first one is
     tried, and none when she already plays one.  Each agent's deviations
-    are one line of ``_lines``: the other agents' rows are built once per
-    agent, and the profile itself is run once, on the first line walked.
+    are one line of ``_lines``: per agent, the other agents' rows are one
+    table of n - 2 bids with the highest-indexed other agent's bid merged
+    in, and the profile itself is run once, on the first line walked.
     """
     _refuse_types(kind)
     require_one_per_agent(instance, space.options, "the strategy space")
@@ -136,18 +137,20 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
     mechanism's core once, filling a table of every agent's utility
     (memory is O(collapsed profiles)).  ``itertools.product`` varies the
     last agent fastest, so the table fills line by line along her axis
-    (see ``_lines``): per line, the other agents' bids are scored and
-    their rows built once; per profile, her pre-scored bid is merged into
-    those rows, the optimum is solved and the utilities read, and no
-    ``Outcome`` is built.  Under VCG each payer's pivot is solved once
-    per set of the other agents' strategies.  A profile is
-    Nash iff each agent's utility is within NASH_TOL of the maximum along
-    that agent's axis of the table, which is the test ``is_nash``
-    applies; an axis maximum is the same over the collapsed menu as over
-    the whole one.  Each collapsed equilibrium then stands for every
-    profile that swaps in other non-participants, and all are listed.
-    Direct VCG raises ``AuctionError``; over ``ENUMERATION_GUARD``
-    profiles of the whole game, no run is made and
+    (see ``_lines``): the second-last agent's strategies and hers are
+    each scored once, and the rows of the agents before them built once
+    per change of their strategies; per line, the second-last agent's
+    bid is merged into those rows; per profile, her pre-scored bid is
+    merged in, the optimum is solved and the utilities read, and no
+    ``StrategyProfile`` or ``Outcome`` is built.  Under VCG each payer's
+    pivot is solved once per set of the other agents' strategies.  A
+    profile is Nash iff each agent's utility is within NASH_TOL of the
+    maximum along that agent's axis of the table, which is the test
+    ``is_nash`` applies; an axis maximum is the same over the collapsed
+    menu as over the whole one.  Each collapsed equilibrium then stands
+    for every profile that swaps in other non-participants, and all are
+    listed.  Direct VCG raises ``AuctionError``; over
+    ``ENUMERATION_GUARD`` profiles of the whole game, no run is made and
     ``GuardExceededError`` is raised.
     """
     return [_profile_at(space, index) for index, _ in _nash_indices(

@@ -13,6 +13,7 @@ outcome, and ``_lines`` yields utility rows along one agent's axis.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 from .allocation import (
@@ -64,7 +65,7 @@ def _vcg(instance, sw, entries, without):
     the welfare the others lose by her presence, max(0, without[i] -
     (sw - v_hat)), where her declared value v_hat is lam * her entry's
     weight, ``declared_value``'s arithmetic."""
-    payments = [0.0] * instance.n
+    payments = [0.0] * len(instance.agents)
     for lam, (i, _, w, _) in zip(instance.slots.prominences, entries):
         payments[i] = max(0.0, without[i] - (sw - lam * w))
     return entries, payments, sw
@@ -75,8 +76,8 @@ def _true_values(instance, entries):
     lam * (q * true gain(price)) for a displayed agent, from the q her
     entry carries (``true_value``'s arithmetic, bit for bit, with no
     quality evaluation), and 0.0 for the others."""
-    values = [0.0] * instance.n
     agents = instance.agents
+    values = [0.0] * len(agents)
     for lam, (i, p, _, q) in zip(instance.slots.prominences, entries):
         values[i] = lam * (q * agents[i][0].gain(p))
     return values
@@ -121,9 +122,9 @@ def run_indirect_vcg(instance: AuctionInstance, profile: StrategyProfile) -> Out
                                     *indirect_pivots(instance, profile)))
 
 
-def _fill_zero_gain(instance, profile, entries):
+def _fill_zero_gain(instance, strategies, entries):
     """Append zero-gain agents (b == 0, positive quality) to free slots,
-    as entries (agent, price, 0.0, q).
+    as entries (agent, price, 0.0, q), from a profile's ``strategies``.
 
     They join at the page minimum, or on an empty page at the submitted
     price that fits the most of them (ties to the lower price), in
@@ -134,16 +135,16 @@ def _fill_zero_gain(instance, profile, entries):
     empty page, when the cut drops every extra that holds the chosen
     price, that minimum is higher, and the extras are re-evaluated there.
     """
-    free = instance.m - len(entries)
+    free = len(instance.slots.prominences) - len(entries)
     if free <= 0:
         return entries
     candidates = ([min([e[1] for e in entries])] if entries
-                  else sorted({s.price for s in profile.strategies}))
+                  else sorted({s.price for s in strategies}))
     taken = {e[0] for e in entries}
     extras, at = [], None
     for cand in candidates:
         fit = []
-        for i, s in enumerate(profile.strategies):
+        for i, s in enumerate(strategies):
             if i not in taken and s.gain == 0.0 and s.price >= cand:
                 q = instance.quality(i).q(s.price, cand)
                 if q > 0.0:
@@ -160,20 +161,20 @@ def _fill_zero_gain(instance, profile, entries):
     return entries + extras
 
 
-def _indirect_gsp(instance, profile, table, allow_zero_gain):
-    """Indirect GSP's (entries, payments, declared welfare), from the
-    profile's indirect ``table``.  The next slot's occupant's weighted
-    value is her search entry's weight.  The best agent left out is the
-    first entry at the page minimum (always a candidate) that is not
-    displayed: at most m positive weights are displayed and the table
-    keeps m + 1, so she is there unless no positive weight is left out
-    (then 0.0).  ``allow_zero_gain`` fills free slots with zero-gain
-    agents."""
+def _indirect_gsp(instance, strategies, table, allow_zero_gain):
+    """Indirect GSP's (entries, payments, declared welfare), from a
+    profile's ``strategies`` and its indirect ``table``.  The next slot's
+    occupant's weighted value is her search entry's weight.  The best
+    agent left out is the first entry at the page minimum (always a
+    candidate) that is not displayed: at most m positive weights are
+    displayed and the table keeps m + 1, so she is there unless no
+    positive weight is left out (then 0.0).  ``allow_zero_gain`` fills
+    free slots with zero-gain agents."""
     sw, entries = _solve_rows(instance, table, frozenset(), _bid_gain,
-                              profile.strategies)
+                              strategies)
     if allow_zero_gain:
-        entries = _fill_zero_gain(instance, profile, entries)
-    payments = [0.0] * instance.n
+        entries = _fill_zero_gain(instance, strategies, entries)
+    payments = [0.0] * len(instance.agents)
     if entries:
         shown = [e[0] for e in entries]
         p_min = min([e[1] for e in entries])
@@ -207,7 +208,7 @@ def run_indirect_gsp(instance: AuctionInstance, profile: StrategyProfile,
     """
     require_one_per_agent(instance, profile, "the profile")
     return _outcome(instance, *_indirect_gsp(
-        instance, profile,
+        instance, profile.strategies,
         _indirect_table(instance, enumerate(profile.strategies)),
         allow_zero_gain))
 
@@ -333,17 +334,24 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
     merged in (``_merge_bid``), and along a line only her bid changes.
     So each of her strategies is scored once, on its first line, at
     ``cands`` (the prices the other agents can hold) and at its own price.
-    Per line, the other agents' bids are scored once and their rows built
-    at the prices they hold and at hers.  Per profile, her bid is merged
-    into their rows and the mechanism's core solves the merged table for
-    the entries and payments, so no ``Outcome`` is built, and each
-    displayed agent's true value is read off the quality her entry
-    carries, with no quality evaluation.  Under VCG a
-    payer's pivot reads only the other agents' bids, so the walk keeps
-    one memo of pivots under the others' strategies, coded as ints (her
-    strategies by their index in ``strategies``): each is solved once
-    per walk, and only when its payer pays.  The starred mechanism runs
-    in full per profile.
+    The other agents' rows are built by merging too.  Agent j, the
+    highest-indexed other agent, changes strategy on every line of an
+    ``itertools.product`` walk, and the rest of them only every |S_j|
+    lines.  So the walk keeps the rest's rows, at every price it can hold
+    (``cands`` and hers), until the rest's strategies change, and scores
+    each of j's strategies once, at those prices; a line's rows are j's
+    bid merged into the rest's rows at the prices the other agents hold
+    and at hers, cut per price of hers to the profile's candidates.  Per
+    profile, her bid is merged into those rows and the mechanism's core
+    solves the merged table for the entries and payments from the
+    profile's strategies, so no ``StrategyProfile`` or ``Outcome`` is
+    built, and each displayed agent's true value is read off the quality
+    her entry carries, with no quality evaluation.  Under VCG a payer's
+    pivot reads only the other agents' bids, so the walk keeps one memo
+    of pivots under the others' strategies, coded as ints (her strategies
+    by their index in ``strategies``): each is solved once per walk, and
+    only when its payer pays.  The starred mechanism runs in full per
+    profile.
     """
     if kind is MechanismKind.INDIRECT_VCG_STAR:
         def star_line(start):
@@ -352,12 +360,18 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
                                             ).utilities(instance)
         return star_line
     vcg = kind is MechanismKind.INDIRECT_VCG
+    n = len(instance.agents)
+    j = n - 1 if agent < n - 1 else agent - 1  # -1 when she plays alone
     bids = [None] * len(strategies)
+    j_bids: dict = {}  # j's strategies, scored at every walk price
     prices = {s.price for s in strategies}
+    walk_prices = {*cands, *prices}
+    rest_key, rest_rows = None, {}  # the rest's strategies, rows by price
     memo: dict = {}  # VCG pivots, keyed as in _indirect_pivots
     codes: dict = {}  # the other agents' strategies, as ints
 
     def line(start):
+        nonlocal rest_key, rest_rows
         head = start.strategies[:agent]
         tail = start.strategies[agent + 1:]
         if vcg:
@@ -365,28 +379,41 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
                                 for s in head])
             tail_codes = tuple([codes.setdefault(s, len(codes))
                                 for s in tail])
-        others = [(i, s) for i, s in enumerate(start.strategies)
-                  if i != agent]
-        held = {s.price for _, s in others}
-        at = {row[0]: row
-              for row in _indirect_table(instance, others, prices)}
+        rest = [(i, s) for i, s in enumerate(start.strategies)
+                if i != agent and i != j]
+        key = [s for _, s in rest]
+        if key != rest_key:
+            rest_key = key
+            rest_rows = {row[0]: row for row in _indirect_table(
+                instance, rest, walk_prices)}
+        held = {s.price for s in (*head, *tail)}
+        at = rest_rows
+        if j >= 0:
+            s_j = start.strategies[j]
+            bid_j = j_bids.get(s_j)
+            if bid_j is None:
+                bid_j = j_bids[s_j] = _score_bid(instance, j, s_j,
+                                                  walk_prices)
+            at = {row[0]: row for row in _merge_bid(
+                instance, [at[cand] for cand in sorted({*held, *prices})],
+                bid_j)}
         rows = {p: [at[cand] for cand in sorted({*held, p})] for p in prices}
         for k, s in enumerate(strategies):
             bid = bids[k]
             if bid is None:
                 bid = bids[k] = _score_bid(instance, agent, s, cands)
-            prof = StrategyProfile((*head, s, *tail))
+            strats = (*head, s, *tail)
             table = _merge_bid(instance, rows[s.price], bid)
             if vcg:
                 known = memo, (*head_codes, k, *tail_codes)
-                out = _vcg(instance, *_indirect_pivots(instance, prof, table,
-                                                       known))
+                out = _vcg(instance, *_indirect_pivots(instance, strats,
+                                                       table, known))
             else:
-                out = _indirect_gsp(instance, prof, table,
+                out = _indirect_gsp(instance, strats, table,
                                     gsp_allow_zero_gain)
             entries, payments, _ = out
-            yield tuple([v - pay for v, pay in zip(
-                _true_values(instance, entries), payments)])
+            yield tuple(map(operator.sub, _true_values(instance, entries),
+                            payments))
     return line
 
 

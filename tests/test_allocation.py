@@ -712,7 +712,8 @@ def test_indirect_matches_reference_exactly():
         assert sw == declared_welfare(inst, expected, prof.gains), seed
         assert indirect_allocate(inst, prof) == expected, seed
         assert run_indirect_gsp(inst, prof, allow_zero_gain=True).allocation \
-            == _allocation_from(_fill_zero_gain(inst, prof, entries)), seed
+            == _allocation_from(_fill_zero_gain(inst, prof.strategies,
+                                                entries)), seed
         assert set(without) == set(alloc.slot_agents)
         table = _indirect_table(inst, enumerate(prof.strategies))
         for i in range(inst.n):
@@ -977,7 +978,7 @@ def test_search_entries_carry_the_quality_at_the_page_minimum():
             _, entries = _solve_rows(inst, table, frozenset({i}),
                                      _bid_gain, prof.strategies)
             assert not _carried_q_problems(inst, entries), (seed, i)
-        entries, _, _ = _indirect_gsp(inst, prof, table, True)
+        entries, _, _ = _indirect_gsp(inst, prof.strategies, table, True)
         assert not _carried_q_problems(inst, entries), seed
         reported = [inst.atype(i) for i in range(inst.n)]
         _, entries, _ = direct_pivots(inst, reported, ())
@@ -1016,7 +1017,7 @@ def test_the_zero_gain_fill_carries_the_quality_at_its_own_page_minimum():
                            SlotProfile((1.0,)), (3.0, 5.0))
     prof = profile((5.0, 0.0), (3.0, 0.0))
     assert (quality.q(5.0, 5.0), round(quality.q(5.0, 3.0), 12)) == (0.5, 0.1)
-    assert _fill_zero_gain(inst, prof, []) == [(0, 5.0, 0.0, 0.5)]
+    assert _fill_zero_gain(inst, prof.strategies, []) == [(0, 5.0, 0.0, 0.5)]
     out = run_indirect_gsp(inst, prof, allow_zero_gain=True)
     assert out.true_welfare == 0.5 * (5.0 - 1.0)
     assert out.utilities(inst) == (out.true_welfare, 0.0)

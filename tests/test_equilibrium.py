@@ -253,11 +253,16 @@ def test_enumeration_of_an_empty_menu_finds_nothing():
 
 
 def _line_games():
-    """The differential games, and a 4-agent game whose collapsed menus
-    hold different price sets: agent 3's lacks 0.147, which agent 0 bids,
-    so a line agent scored only at her own menu's prices misses rows."""
+    """The differential games, a one-agent game, whose walk has no other
+    agent, and a 4-agent game whose collapsed menus hold different price
+    sets: agent 3's lacks 0.147, which agent 0 bids, so a line agent
+    scored only at her own menu's prices misses rows."""
     games = [(inst, space) for inst in _differential_instances()
              for space in _differential_spaces(inst).values()]
+    inst = random_instance(5, max_agents=1, max_slots=2, max_prices=4)
+    assert (inst.n, len(inst.price_grid)) == (1, 4)
+    games.append((inst, StrategySpace.build(inst,
+                                            gain_levels=(0.0, 0.5, 1.0))))
     inst = random_instance(145, max_agents=4, max_prices=4)
     space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
     classes = _menu_classes(inst, VCG, space.options, False)
@@ -313,6 +318,43 @@ def test_engine_utilities_equal_the_outcomes_exactly(
     assert checked > 10_000
 
 
+@pytest.mark.parametrize("kind,allow_zero_gain", [
+    (VCG, False),
+    (MechanismKind.INDIRECT_GSP, False),
+    (MechanismKind.INDIRECT_GSP, True),
+])
+def test_walk_tables_are_the_profiles_own_tables(
+        monkeypatch, kind, allow_zero_gain):
+    # A walk merges each profile's table: the line agent's bid into the
+    # other agents' rows, which are agent j's bid merged into the rest's
+    # rows, built at every price the walk can hold and cut to the
+    # profile's candidates.  Every table it hands the mechanism's core
+    # must be the profile's own, exactly: an extra row, or a row that
+    # misses a bid, can leave every utility as it is.  The games hold one
+    # agent (no j), two (no rest) and more, with one menu of size 1.
+    build = allocation._indirect_table
+    name = "_indirect_pivots" if kind is VCG else "_indirect_gsp"
+    core = getattr(mechanisms, name)
+    checked = 0
+
+    def checked_core(instance, strategies, table, *args):
+        nonlocal checked
+        assert table == build(instance, enumerate(strategies)), strategies
+        checked += 1
+        return core(instance, strategies, table, *args)
+
+    monkeypatch.setattr(mechanisms, name, checked_core)
+    games = _line_games()
+    assert {inst.n for inst, _ in games} == {1, 2, 3, 4}
+    for inst, space in games:
+        enumerate_pure_nash(inst, kind, space,
+                            gsp_allow_zero_gain=allow_zero_gain)
+        for combo in list(itertools.product(*space.options))[::7]:
+            is_nash(inst, kind, space, StrategyProfile(combo),
+                    gsp_allow_zero_gain=allow_zero_gain)
+    assert checked > 10_000
+
+
 @pytest.mark.parametrize("kind", [
     MechanismKind.DIRECT_VCG, MechanismKind.INDIRECT_VCG_STAR])
 def test_engine_refuses_mechanisms_without_strategy_menus(kind):
@@ -342,8 +384,9 @@ def test_starred_mechanism_enumerates_menus_with_standalone_prices():
 
 
 def test_enumeration_quality_evaluations_are_pinned(count_q_calls):
-    # Per line, the engine scores the other agents' bids and their rows;
-    # per game, each strategy of the line agent; per profile, only the
+    # Per game, the engine scores each strategy of the line agent and of
+    # agent j, the other agent whose strategy changes on every line; per
+    # change of the rest's strategies, their rows; per profile, only the
     # solves' re-scoring.  A true value reads the q its search entry
     # carries, so it costs no evaluation.  Building each profile's table,
     # re-scoring the optimum or a true value, building an Outcome per
@@ -356,7 +399,7 @@ def test_enumeration_quality_evaluations_are_pinned(count_q_calls):
             enumerate_pure_nash(inst, kind, space)
         counts.append(calls())
     assert (inst.n, inst.m, space.size) == (3, 2, 216)
-    assert counts == [52, 52]
+    assert counts == [32, 32]
 
 
 def test_efficiency_report_runs_once_per_collapsed_equilibrium(monkeypatch):
@@ -622,22 +665,24 @@ def test_enumeration_solves_each_pivot_once(monkeypatch):
     (VCG, False),
     (MechanismKind.INDIRECT_GSP, True),
 ])
-def test_enumeration_scores_bids_once_per_line(
+def test_enumeration_scores_each_bid_once_and_the_rest_per_change(
         monkeypatch, kind, allow_zero_gain):
-    # The engine walks lines along the last agent's axis: the other
-    # agents' bids are scored once per line, and each of her collapsed
-    # strategies once per game.  Building each profile's table from
-    # scratch would score every bid once per profile.
+    # The engine walks lines along the last agent's axis (agent 2).  Each
+    # of her collapsed strategies and of agent j's (agent 1, whose
+    # strategy changes on every line) is scored once per game, as a table
+    # of its one bid; the rest (agent 0) get their rows once per change of
+    # their strategies.  Scoring the other agents' bids per line, or
+    # building each profile's table from scratch, would make more calls.
     inst = random_instance(22, max_agents=3, max_slots=2, max_prices=4)
     space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
-    *heads, last = [len(classes) for classes in
-                    _menu_classes(inst, kind, space.options, allow_zero_gain)]
+    rest, j, last = [len(classes) for classes in _menu_classes(
+        inst, kind, space.options, allow_zero_gain)]
     build = allocation._indirect_table
     scored = []
 
     def counted(instance, bids, extra=()):
         bids = list(bids)
-        scored.append(len(bids))
+        scored.append(tuple([i for i, _ in bids]))
         return build(instance, bids, extra)
 
     with monkeypatch.context() as patch:
@@ -645,5 +690,7 @@ def test_enumeration_scores_bids_once_per_line(
         patch.setattr(mechanisms, "_indirect_table", counted)
         enumerate_pure_nash(inst, kind, space,
                             gsp_allow_zero_gain=allow_zero_gain)
-    assert sorted(scored) == [1] * last + [inst.n - 1] * math.prod(heads)
-    assert math.prod(heads) * last > 2 * len(scored)
+    assert inst.n == 3
+    assert scored == [(0,), (1,), *[(2,)] * last, *[(1,)] * (j - 1),
+                      *[(0,)] * (rest - 1)]
+    assert rest * j * last > 2 * len(scored)

@@ -7,8 +7,8 @@ re-check, on the ops a run re-checks), and a record that matches the
 committed golden digest in ``perfbench/golden/``.  So a change that
 breaks a workload, or moves an output the benchmark pins, fails here and
 not only in a benchmark run.  The quality evaluations of the first
-``clear-direct`` ops are pinned too, a work budget that a noisy host
-still shows.
+``clear-direct`` and ``nash-enum`` ops are pinned too, work budgets that
+a noisy host still shows.
 """
 
 import importlib.util
@@ -58,3 +58,17 @@ def test_clear_direct_quality_evaluations_are_pinned(count_q_calls):
         for k in range(20):
             workload.run(pool[k])
     assert calls() == 12220
+
+
+def test_nash_enum_quality_evaluations_are_pinned(count_q_calls):
+    # The same budget for the equilibrium engine: the first 20 seed-0
+    # nash-enum ops, each one 3-agent game of 1728 profiles analysed
+    # under indirect VCG and GSP, make exactly this many quality
+    # evaluations.  Scoring the other agents' bids per line, as the walk
+    # once did, made 20921.
+    workload = WORKLOADS.WORKLOADS["nash-enum"](0, None)
+    pool = workload.build_pool(range(20))
+    with count_q_calls() as calls:
+        for k in range(20):
+            workload.run(pool[k])
+    assert calls() == 11529
