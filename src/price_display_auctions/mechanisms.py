@@ -13,7 +13,6 @@ outcome, and ``_lines`` yields utility rows along one agent's axis.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 
 from .allocation import (
@@ -64,29 +63,33 @@ def _vcg(instance, sw, entries, without):
     ``entries`` and each payer's welfare ``without`` her.  Payer i pays
     the welfare the others lose by her presence, max(0, without[i] -
     (sw - v_hat)), where her declared value v_hat is lam * her entry's
-    weight, ``declared_value``'s arithmetic."""
+    weight, ``declared_value``'s arithmetic.  The payments list is
+    fresh, so the caller may overwrite it."""
     payments = [0.0] * len(instance.agents)
     for lam, (i, _, w, _) in zip(instance.slots.prominences, entries):
         payments[i] = max(0.0, without[i] - (sw - lam * w))
     return entries, payments, sw
 
 
-def _true_values(instance, entries):
-    """Each agent's true value on the page of slot-ordered ``entries``:
-    lam * (q * true gain(price)) for a displayed agent, from the q her
-    entry carries (``true_value``'s arithmetic, bit for bit, with no
-    quality evaluation), and 0.0 for the others."""
+def _true_values(instance, entries, payments):
+    """Each agent's true value on the page of slot-ordered ``entries``
+    less her entry of ``payments``, written over ``payments``, which is
+    returned.  A displayed agent's true value is lam * (q * true
+    gain(price)) from the q her entry carries (``true_value``'s
+    arithmetic, bit for bit, with no quality evaluation); the others'
+    entries are left as they are.  Given a run's payments, which charge
+    no agent who is not displayed, that is every agent's utility; given
+    zeros, every agent's true value, as ``v - 0.0 == v``."""
     agents = instance.agents
-    values = [0.0] * len(agents)
     for lam, (i, p, _, q) in zip(instance.slots.prominences, entries):
-        values[i] = lam * (q * agents[i][0].gain(p))
-    return values
+        payments[i] = lam * (q * agents[i][0].gain(p)) - payments[i]
+    return payments
 
 
 def _outcome(instance, entries, payments, sw, diagnostics=()):
     """The ``Outcome`` of a run's slot-ordered ``entries``; the true
     welfare adds the true values in slot order, as ``true_welfare``."""
-    values = _true_values(instance, entries)
+    values = _true_values(instance, entries, [0.0] * len(instance.agents))
     true_sw = 0.0
     for entry in entries:
         true_sw += values[entry[0]]
@@ -169,7 +172,8 @@ def _indirect_gsp(instance, strategies, table, allow_zero_gain):
     candidate) that is not displayed: at most m positive weights are
     displayed and the table keeps m + 1, so she is there unless no
     positive weight is left out (then 0.0).  ``allow_zero_gain`` fills
-    free slots with zero-gain agents."""
+    free slots with zero-gain agents.  The payments list is fresh, so the
+    caller may overwrite it."""
     sw, entries = _solve_rows(instance, table, frozenset(), _bid_gain,
                               strategies)
     if allow_zero_gain:
@@ -341,12 +345,16 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
     (``cands`` and hers), until the rest's strategies change, and scores
     each of j's strategies once, at those prices; a line's rows are j's
     bid merged into the rest's rows at the prices the other agents hold
-    and at hers, cut per price of hers to the profile's candidates.  Per
-    profile, her bid is merged into those rows and the mechanism's core
-    solves the merged table for the entries and payments from the
+    and at hers, cut per price of hers to the profile's candidates.  With
+    no rest (two agents) each of j's strategies starts one line only, so
+    her scored bids are kept only when there is a rest.  Per profile, her
+    bid is merged into those rows and the mechanism's core solves the
+    merged table for the entries and a fresh payments list from the
     profile's strategies, so no ``StrategyProfile`` or ``Outcome`` is
-    built, and each displayed agent's true value is read off the quality
-    her entry carries, with no quality evaluation.  Under VCG a payer's
+    built.  The utility row is ``_true_values`` written over that
+    payments list: each displayed agent's true value, read off the
+    quality her entry carries with no quality evaluation, less her
+    payment, and 0.0 for the others.  Under VCG a payer's
     pivot reads only the other agents' bids, so the walk keeps one memo
     of pivots under the others' strategies, coded as ints (her strategies
     by their index in ``strategies``): each is solved once per walk, and
@@ -392,8 +400,9 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
             s_j = start.strategies[j]
             bid_j = j_bids.get(s_j)
             if bid_j is None:
-                bid_j = j_bids[s_j] = _score_bid(instance, j, s_j,
-                                                  walk_prices)
+                bid_j = _score_bid(instance, j, s_j, walk_prices)
+                if rest:
+                    j_bids[s_j] = bid_j
             at = {row[0]: row for row in _merge_bid(
                 instance, [at[cand] for cand in sorted({*held, *prices})],
                 bid_j)}
@@ -412,8 +421,7 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
                 out = _indirect_gsp(instance, strats, table,
                                     gsp_allow_zero_gain)
             entries, payments, _ = out
-            yield tuple(map(operator.sub, _true_values(instance, entries),
-                            payments))
+            yield tuple(_true_values(instance, entries, payments))
     return line
 
 

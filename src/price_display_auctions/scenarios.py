@@ -305,8 +305,10 @@ def _zero_revenue_checks(scenario, direct, per_kind):
                 "every indirect-vcg equilibrium has equal prices",
                 not mismatched, f"{len(mismatched)} unequal-price",
                 "0 unequal-price"))
-    checks.append(Check("revenue stability ratio is infinite",
-                        direct.revenue > VALUE_TOL * scale, "+inf", "+inf"))
+    stable = direct.revenue > VALUE_TOL * scale
+    checks.append(Check("revenue stability ratio is infinite", stable,
+                        "+inf" if stable
+                        else f"direct revenue {direct.revenue:.12g}", "+inf"))
     return checks
 
 

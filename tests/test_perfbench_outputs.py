@@ -6,9 +6,10 @@ does: no problem from the workload's own invariants (and its reference
 re-check, on the ops a run re-checks), and a record that matches the
 committed golden digest in ``perfbench/golden/``.  So a change that
 breaks a workload, or moves an output the benchmark pins, fails here and
-not only in a benchmark run.  The quality evaluations of the first
-``clear-direct`` and ``nash-enum`` ops are pinned too, work budgets that
-a noisy host still shows.
+not only in a benchmark run.  The quality evaluations of each
+workload's first ops (20 of ``clear-direct``, ``nash-enum`` and
+``clear-indirect``, 10 ``cli-mix`` sessions) are pinned too, work
+budgets that a noisy host still shows.
 """
 
 import importlib.util
@@ -72,3 +73,27 @@ def test_nash_enum_quality_evaluations_are_pinned(count_q_calls):
         for k in range(20):
             workload.run(pool[k])
     assert calls() == 11529
+
+
+def test_clear_indirect_quality_evaluations_are_pinned(count_q_calls):
+    # The same budget for the indirect search at scale: the first 20
+    # seed-0 clear-indirect ops, each one 1000-bid page cleared by
+    # indirect VCG and GSP, make exactly this many quality evaluations.
+    workload = WORKLOADS.WORKLOADS["clear-indirect"](0, None)
+    pool = workload.build_pool(range(20))
+    with count_q_calls() as calls:
+        for k in range(20):
+            workload.run(pool[k])
+    assert calls() == 13460
+
+
+def test_cli_mix_quality_evaluations_are_pinned(count_q_calls, tmp_path):
+    # The same budget for the CLI: the first 10 seed-0 cli-mix sessions,
+    # each fourteen pda commands over its own JSON files, make exactly
+    # this many quality evaluations.
+    workload = WORKLOADS.WORKLOADS["cli-mix"](0, str(tmp_path))
+    pool = workload.build_pool(range(10))
+    with count_q_calls() as calls:
+        for k in range(10):
+            workload.run(pool[k])
+    assert calls() == 16221

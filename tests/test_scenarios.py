@@ -12,7 +12,7 @@ from price_display_auctions import (
     reproduce,
 )
 from price_display_auctions import scenarios
-from price_display_auctions.model import profile
+from price_display_auctions.model import EMPTY_ALLOCATION, Outcome, profile
 from price_display_auctions.scenarios import SCENARIO_IDS
 
 VCG = MechanismKind.INDIRECT_VCG
@@ -161,6 +161,18 @@ def test_checks_at_the_defaults_are_pinned(scenario_id):
     assert [(c.name, c.observed, c.passed) for c in verdict.checks] == \
         PINNED_CHECKS[scenario_id]
     assert verdict.passed
+
+
+def test_failing_stability_ratio_shows_the_direct_revenue():
+    # The ratio is infinite only while the direct mechanism earns revenue;
+    # when it earns none, the check shows that revenue, not "+inf".
+    scenario = build("T12")
+    direct = Outcome(EMPTY_ALLOCATION, (0.0, 0.0), 0.0, 0.0)
+    check = next(c for c in scenario.check(scenario, direct)
+                 if c.name == "revenue stability ratio is infinite")
+    assert not check.passed
+    assert check.observed == "direct revenue 0"
+    assert check.expected == "+inf"
 
 
 def _count_is_nash(monkeypatch):
