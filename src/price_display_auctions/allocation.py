@@ -102,32 +102,31 @@ def _indirect_table(instance, bids, extra=()):
     at most one agent, so two tell it whether one is left, and it still
     finds its first m entries in a row; and as at most m entries are
     displayed, so does the best agent left out at the page minimum.
-    Qualities are non-decreasing in the minimum price, so an agent's
-    weight at any candidate is at most her bound, and the bound-ordered
-    scan of each row is exact.
 
-    A bid's bound, peak * gain (see ``QualityModel.peak``), is the largest
-    weight it can take at any candidate, and its gain bounds that in turn
-    when its quality lies in [0, 1], as every model of ``QUALITY_KINDS``'
-    does.  With at most ``keep`` positive gains per price on average, or
-    when some agent's model is not exactly one of those kinds, every
-    diagonal is evaluated, and each candidate scans the bids sorted by
-    bound until ``_threshold_top`` stops, or scores them all when at most
-    ``keep`` have a positive bound, as nothing can be pruned.  That scan
-    needs no [0, 1] range.  Otherwise, each price's bucket yields its
-    bids in descending (bound, -rank) order through an exact prefix that
-    every candidate shares: it holds the bids sorted by gain and
-    evaluates a bid's diagonal, then its peak, only once its gain
-    reaches the best bound pending in the bucket.
-    Each candidate merges the buckets priced at or above it by their
-    best bound, reading a bucket while its next bound reaches every other
-    bucket's, until the threshold algorithm (Fagin, Lotem and Naor)
-    stops: it holds ``keep`` entries and no bucket's bound reaches the
-    keep-th weight; an equal bound may still tie and win on rank.  A bid
-    whose gain is below the threshold, or below another bucket's bound
-    while the scan reads there, is not evaluated.  So the scans read the
-    bids in the one descending bound order of all of them, and evaluate
-    no quality that the scan of every bid sorted by bound would not.
+    There are two scans, and the page picks one.  With at most ``keep``
+    positive gains, or when some agent's model is not exactly one of the
+    kinds of ``QUALITY_KINDS``, every diagonal is evaluated, and each
+    candidate scores every bid priced at or above it and keeps the first
+    ``keep``: O(n |C|) evaluations.  A bid whose bound, peak * gain (see
+    ``QualityModel.peak``), is <= 0 is never scored.  That scan needs no
+    bound on the weights.
+
+    Otherwise the scan is lazy.  Qualities are non-decreasing in the
+    minimum price, so a bid's bound is the largest weight it can take at
+    any candidate, and its gain bounds that in turn, as every built-in
+    model's quality lies in [0, 1].  Each price's bucket yields its bids
+    in descending (bound, -rank) order through an exact prefix that every
+    candidate shares: it holds the bids sorted by gain and evaluates a
+    bid's diagonal, then its peak, only once its gain reaches the best
+    bound pending in the bucket.  Each candidate merges the buckets priced
+    at or above it by their best bound, reading a bucket while its next
+    bound reaches every other bucket's, until the threshold algorithm
+    (Fagin, Lotem and Naor) stops: it holds ``keep`` entries and no
+    bucket's bound reaches the keep-th weight; an equal bound may still
+    tie and win on rank.  A bid whose gain is below the threshold, or
+    below another bucket's bound while the scan reads there, is not
+    evaluated.  So every candidate reads the bids in the one descending
+    bound order of all of them, and each row is exact.
     """
     buckets: dict = {}
     gains = {}
@@ -144,10 +143,11 @@ def _indirect_table(instance, bids, extra=()):
     agents = instance.agents
     rank = instance.rank
     table = []
-    if len(gains) <= keep * len(buckets) or not instance._unit_qualities:
-        # Few bids per price, where a lazy scan would read nearly every
-        # bucket whole at a higher cost per bid, or a custom model, whose
-        # gain need not bound its weight: evaluate every diagonal.
+    if len(gains) <= keep or not instance._unit_qualities:
+        # So few bids that a row can keep them all, where a lazy scan
+        # prunes nothing at a higher cost per bid, or a custom model, whose
+        # gain need not bound its weight: score every bid at every
+        # candidate.
         holders = {}
         scored = []
         for p, ids in buckets.items():
@@ -158,32 +158,18 @@ def _indirect_table(instance, bids, extra=()):
                 d = quality.q(p, p)
                 if d * gain > 0.0 and len(live) < 2:
                     live.append(i)
-                bound = quality.peak(p, d) * gain
-                if bound > 0.0:
-                    scored.append((-bound, rank(i), i, p, gain, quality, d))
-        prunable = len(scored) > keep
-        if prunable:
-            scored.sort()
+                if quality.peak(p, d) * gain > 0.0:
+                    scored.append((rank(i), i, p, gain, quality, d))
         for cand in cands:
-            if not prunable:
-                top = []
-                for _, r, i, p, gain, quality, d in scored:
-                    if p >= cand:
-                        v = d if p == cand else quality.q(p, cand)
-                        w = v * gain
-                        if w > 0.0:
-                            top.append((w, -r, i, p, v))
-                top.sort(reverse=True)
-            else:
-                def score(item, cand=cand):
-                    _, r, i, p, gain, quality, d = item
-                    if p >= cand:
-                        v = d if p == cand else quality.q(p, cand)
-                        w = v * gain
-                        if w > 0.0:
-                            return (w, -r, i, p, v)
-                    return None
-                top = _threshold_top(scored, keep, score)
+            top = []
+            for r, i, p, gain, quality, d in scored:
+                if p >= cand:
+                    v = d if p == cand else quality.q(p, cand)
+                    w = v * gain
+                    if w > 0.0:
+                        top.append((w, -r, i, p, v))
+            top.sort(reverse=True)
+            del top[keep:]
             table.append((cand, holders.get(cand, []),
                           [(i, p, w, v) for w, _, i, p, v in top]))
         return table
@@ -429,17 +415,19 @@ def indirect_allocate(instance: AuctionInstance, profile: StrategyProfile
     bid an agent submits.
 
     The search relies on every quality being non-decreasing in the
-    minimum price.  Per candidate (|C| distinct submitted prices) it
-    reads the bids in descending bound order only until none left can
-    enter the best m + 1.  On a page with more than m + 1 positive gains
-    per price on average, whose agents all use the built-in quality
-    kinds (values in [0, 1]), it buckets the bids by price, each bucket
-    sorted by gain, which bounds every weight a bid can take, and
-    evaluates a bid's diagonal only when its gain can still reach the
-    row, plus the first two live holders of each price; on others, every
-    diagonal.  That is O(n log n) steps, a few evaluations per bid that
-    can enter a row and O(|C| m) more when weights stay near their
-    bounds, and O(n |C|) at worst; then O(|C| m) steps and at most m |C|
+    minimum price, and it builds its table of the best m + 1 per
+    candidate (|C| distinct submitted prices) by one of two scans.  A
+    page with at most m + 1 positive gains, or with an agent whose quality
+    model is not exactly a built-in kind, has every diagonal evaluated
+    and every bid scored at every candidate at or below its price:
+    O(n |C|) evaluations, for a large custom-model page too.  Any other
+    page buckets its bids by price, each bucket sorted by gain, which
+    bounds every weight a bid can take, as the built-in qualities lie in
+    [0, 1]; it evaluates a bid's diagonal only when its gain can still
+    reach a row, plus the first two live holders of each price.  That is
+    O(n log n) steps, a few evaluations per bid that can enter a row and
+    O(|C| m) more when weights stay near their bounds, and O(n |C|) at
+    worst.  The solve then takes O(|C| m) steps and at most m |C|
     re-evaluations.
     """
     require_one_per_agent(instance, profile, "the profile")

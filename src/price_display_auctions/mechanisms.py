@@ -29,7 +29,6 @@ from .allocation import (
 )
 from .errors import AuctionError, InferenceError
 from .model import (
-    EMPTY_ALLOCATION,
     WELFARE_TOL,
     AgentType,
     AuctionInstance,
@@ -240,20 +239,16 @@ def infer_type(quality, bid) -> InferredType:
     return InferredType(c_hat, alpha_hat, clamped)
 
 
-def run_indirect_vcg_star(instance: AuctionInstance,
-                          profile: StrategyProfile) -> Outcome:
-    """Indirect allocation with direct-style payments on inferred types.
-
-    If the declared welfare of the indirect allocation falls below the
-    best inferred welfare achievable without some agent, nothing is
-    allocated and all payments are zero (the individual-rationality
-    fallback).
-    """
-    require_one_per_agent(instance, profile, "the profile")
+def _vcg_star(instance, strategies, table):
+    """The starred mechanism's (entries, payments, declared welfare,
+    diagnostics), from a profile's ``strategies`` and its indirect
+    ``table``.  Each agent's type is inferred from her bid, and every
+    agent's pivot is the direct optimum without her on the inferred
+    types.  The payments list is fresh, so the caller may overwrite
+    it."""
     diagnostics = []
     inferred = []
-    for i in range(instance.n):
-        s = profile[i]
+    for i, s in enumerate(strategies):
         if s.standalone_price is None:
             raise AuctionError(f"agent {i} did not submit a standalone price")
         try:
@@ -265,17 +260,14 @@ def run_indirect_vcg_star(instance: AuctionInstance,
             diagnostics.append(f"agent {i}: inferred alpha clamped into [0, 1]")
         inferred.append(AgentType(it.alpha_hat, max(0.0, it.c_hat)))
 
-    sw, entries = _solve_rows(
-        instance, _indirect_table(instance, enumerate(profile.strategies)),
-        frozenset(), _bid_gain, profile.strategies)
+    sw, entries = _solve_rows(instance, table, frozenset(), _bid_gain,
+                              strategies)
     *_, sw_without = direct_pivots(instance, inferred, range(instance.n))
+    payments = [0.0] * instance.n
 
     if sw < max(sw_without.values(), default=0.0) - WELFARE_TOL:
-        payments = (0.0,) * instance.n
-        return Outcome(EMPTY_ALLOCATION, payments, 0.0, 0.0,
-                       tuple(diagnostics + ["fallback: no ad allocated"]))
+        return [], payments, 0.0, (*diagnostics, "fallback: no ad allocated")
 
-    payments = [0.0] * instance.n
     for lam, (i, _, w, _) in zip(instance.slots.prominences, entries):
         v_hat = lam * w
         pi = sw_without[i] - (sw - v_hat)
@@ -283,7 +275,22 @@ def run_indirect_vcg_star(instance: AuctionInstance,
             diagnostics.append(
                 f"agent {i}: payment {pi} clamped into [0, declared value]")
         payments[i] = min(max(0.0, pi), max(0.0, v_hat))
-    return _outcome(instance, entries, payments, sw, tuple(diagnostics))
+    return entries, payments, sw, tuple(diagnostics)
+
+
+def run_indirect_vcg_star(instance: AuctionInstance,
+                          profile: StrategyProfile) -> Outcome:
+    """Indirect allocation with direct-style payments on inferred types.
+
+    If the declared welfare of the indirect allocation falls below the
+    best inferred welfare achievable without some agent, nothing is
+    allocated and all payments are zero (the individual-rationality
+    fallback).
+    """
+    require_one_per_agent(instance, profile, "the profile")
+    return _outcome(instance, *_vcg_star(
+        instance, profile.strategies,
+        _indirect_table(instance, enumerate(profile.strategies))))
 
 
 def truthful_star_profile(instance: AuctionInstance) -> StrategyProfile:
@@ -358,16 +365,10 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
     pivot reads only the other agents' bids, so the walk keeps one memo
     of pivots under the others' strategies, coded as ints (her strategies
     by their index in ``strategies``): each is solved once per walk, and
-    only when its payer pays.  The starred mechanism runs in full per
-    profile.
+    only when its payer pays.
     """
-    if kind is MechanismKind.INDIRECT_VCG_STAR:
-        def star_line(start):
-            for s in strategies:
-                yield run_indirect_vcg_star(instance, start.replace(agent, s)
-                                            ).utilities(instance)
-        return star_line
     vcg = kind is MechanismKind.INDIRECT_VCG
+    star = kind is MechanismKind.INDIRECT_VCG_STAR
     n = len(instance.agents)
     j = n - 1 if agent < n - 1 else agent - 1  # -1 when she plays alone
     bids = [None] * len(strategies)
@@ -417,10 +418,12 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
                 known = memo, (*head_codes, k, *tail_codes)
                 out = _vcg(instance, *_indirect_pivots(instance, strats,
                                                        table, known))
+            elif star:
+                out = _vcg_star(instance, strats, table)
             else:
                 out = _indirect_gsp(instance, strats, table,
                                     gsp_allow_zero_gain)
-            entries, payments, _ = out
+            entries, payments = out[0], out[1]
             yield tuple(_true_values(instance, entries, payments))
     return line
 

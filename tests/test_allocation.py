@@ -686,6 +686,50 @@ def _within_slack_case():
     return inst, profile((2.0, 1.0), (2.0, 1.0), (2.0, 1.0), (1.0, 0.1))
 
 
+class _ScaledDecay:
+    """A smooth decay scaled by 1.5, so above 1 near its intercept: not
+    a built-in kind, and still non-decreasing in the minimum.  It is no
+    ``QualityModel`` subclass, so the registry of kinds stays as it is."""
+
+    def __init__(self, price_slope, gap_slope):
+        self.decay = SmoothDecayQuality(price_slope, gap_slope)
+
+    def q(self, p, p_min):
+        return 1.5 * self.decay.q(p, p_min)
+
+    def peak(self, p, diagonal):
+        return diagonal
+
+
+def _custom_model_case(seed):
+    """A page of 10 to 14 bids on three prices with round gains, where
+    agent 0's model is a ``_ScaledDecay``: the table scores every bid at
+    every candidate, and cuts the lowest candidate's row from more than
+    m + 1 positive weights to its first m + 1."""
+    rng = random.Random(seed)
+    grid = (1.0, 1.5, 2.0, 3.0)
+    n = rng.randint(10, 14)
+    m = rng.randint(1, 3)
+    agents = [(AgentType(1.0, 0.0), _ScaledDecay(0.1, 0.1))]
+    for _ in range(n - 1):
+        if rng.random() < 0.5:
+            quality = PriceThresholdQuality(rng.choice(grid),
+                                            rng.choice((0.5, 1.0)))
+        else:
+            quality = SmoothDecayQuality(0.1, rng.choice((0.0, 0.1)))
+        agents.append((AgentType(1.0, 0.0), quality))
+    inst = AuctionInstance(tuple(agents), SlotProfile((1.0,) * m), grid)
+    prices = [grid[k % 3 + (seed % 2)] for k in range(n)]
+    rng.shuffle(prices)
+    prof = StrategyProfile(tuple(
+        Strategy(p, rng.choice((0.0, 0.5, 1.0, 2.0))) for p in prices))
+    assert not inst._unit_qualities
+    assert len(set(prices)) == 3
+    uncut = _reference_indirect_table(inst, prof, n)[0][2]
+    assert len(uncut) > inst.m + 1
+    return inst, prof
+
+
 def _indirect_cases():
     for seed in range(120):
         inst = _tie_heavy_instance(seed)
@@ -701,6 +745,8 @@ def _indirect_cases():
     # Pages of 40 to 200 bids, where the table's scan stops early.
     for seed in range(12):
         yield ("large", seed), *_coarse_case(seed, n_range=(40, 200))
+    for seed in range(8):
+        yield ("custom model", seed), *_custom_model_case(seed)
 
 
 def test_indirect_matches_reference_exactly():

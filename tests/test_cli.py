@@ -19,6 +19,7 @@ from price_display_auctions import (
     OnlyMinQuality,
     PriceThresholdQuality,
     SlotProfile,
+    __version__,
     profile,
     random_instance,
     random_profile,
@@ -510,6 +511,7 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+    assert capsys.readouterr() == (f"pda {__version__}\n", "")
 
 
 @pytest.mark.parametrize("command", ["equilibria", "report"])

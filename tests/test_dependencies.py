@@ -9,7 +9,8 @@ global, so every object the package builds is safe to share across
 threads.  A private name crosses one layer of the stack at most: it is
 imported only from the module directly below the importer.  Every
 private function or class is used by the package itself, so none is
-kept for the tests alone.
+kept for the tests alone, and every module reads every name it imports,
+bar ``__init__.py``, whose imports are its re-exports.
 """
 
 import ast
@@ -17,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from price_display_auctions import __version__
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "price_display_auctions"
@@ -80,6 +83,33 @@ def _referenced_names(path):
             yield node.name
 
 
+def _unused_imports(path):
+    """(name, line) of every name that an import in the file at ``path``
+    binds and its code never reads; ``from __future__`` binds none."""
+    nodes = list(_nodes(path))
+    read = {node.id for node in nodes
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0]
+                     for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        yield from ((name, node.lineno) for name in bound
+                    if name not in read)
+
+
+def test_every_imported_name_is_read():
+    sources = [path for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"]
+    assert sources
+    unused = [(path.name, name, line) for path in sources
+              for name, line in _unused_imports(path)]
+    assert not unused
+
+
 def test_every_private_definition_is_used_by_the_package():
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
@@ -122,3 +152,10 @@ def test_pyproject_declares_no_runtime_dependency():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == __version__

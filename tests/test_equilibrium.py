@@ -273,10 +273,33 @@ def _line_games():
     return games
 
 
+STAR = MechanismKind.INDIRECT_VCG_STAR
+
+
+def _star_game(seed):
+    """A smooth instance whose agents each choose between the truthful
+    starred bid and the same bid at half the gain, with its standalone
+    price: a game the starred mechanism can run."""
+    inst = smooth_instance(seed)
+    truthful = truthful_star_profile(inst)
+    return inst, StrategySpace(tuple(
+        (s, Strategy(s.price, 0.5 * s.gain, s.standalone_price))
+        for s in truthful.strategies))
+
+
+def _walk_games(kind):
+    """The games that the walk tests enumerate under ``kind``: the
+    starred mechanism's hold one to four agents."""
+    if kind is STAR:
+        return [_star_game(seed) for seed in range(12)]
+    return _line_games()
+
+
 @pytest.mark.parametrize("kind,allow_zero_gain", [
     (VCG, False),
     (MechanismKind.INDIRECT_GSP, False),
     (MechanismKind.INDIRECT_GSP, True),
+    (STAR, False),
 ])
 def test_engine_utilities_equal_the_outcomes_exactly(
         monkeypatch, kind, allow_zero_gain):
@@ -308,20 +331,21 @@ def test_engine_utilities_equal_the_outcomes_exactly(
         return checked_line
 
     monkeypatch.setattr(equilibrium, "_lines", checked_lines)
-    for inst, space in _line_games():
+    for inst, space in _walk_games(kind):
         wanted: dict = {}
         enumerate_pure_nash(inst, kind, space,
                             gsp_allow_zero_gain=allow_zero_gain)
         for combo in list(itertools.product(*space.options))[::7]:
             is_nash(inst, kind, space, StrategyProfile(combo),
                     gsp_allow_zero_gain=allow_zero_gain)
-    assert checked > 10_000
+    assert checked > (150 if kind is STAR else 10_000)
 
 
 @pytest.mark.parametrize("kind,allow_zero_gain", [
     (VCG, False),
     (MechanismKind.INDIRECT_GSP, False),
     (MechanismKind.INDIRECT_GSP, True),
+    (STAR, False),
 ])
 def test_walk_tables_are_the_profiles_own_tables(
         monkeypatch, kind, allow_zero_gain):
@@ -333,7 +357,8 @@ def test_walk_tables_are_the_profiles_own_tables(
     # misses a bid, can leave every utility as it is.  The games hold one
     # agent (no j), two (no rest) and more, with one menu of size 1.
     build = allocation._indirect_table
-    name = "_indirect_pivots" if kind is VCG else "_indirect_gsp"
+    name = {VCG: "_indirect_pivots", STAR: "_vcg_star"}.get(kind,
+                                                           "_indirect_gsp")
     core = getattr(mechanisms, name)
     checked = 0
 
@@ -344,7 +369,7 @@ def test_walk_tables_are_the_profiles_own_tables(
         return core(instance, strategies, table, *args)
 
     monkeypatch.setattr(mechanisms, name, checked_core)
-    games = _line_games()
+    games = _walk_games(kind)
     assert {inst.n for inst, _ in games} == {1, 2, 3, 4}
     for inst, space in games:
         enumerate_pure_nash(inst, kind, space,
@@ -352,7 +377,7 @@ def test_walk_tables_are_the_profiles_own_tables(
         for combo in list(itertools.product(*space.options))[::7]:
             is_nash(inst, kind, space, StrategyProfile(combo),
                     gsp_allow_zero_gain=allow_zero_gain)
-    assert checked > 10_000
+    assert checked > (150 if kind is STAR else 10_000)
 
 
 @pytest.mark.parametrize("kind", [
@@ -371,16 +396,11 @@ def test_engine_refuses_mechanisms_without_strategy_menus(kind):
 
 
 def test_starred_mechanism_enumerates_menus_with_standalone_prices():
-    inst = smooth_instance(2)
-    truthful = truthful_star_profile(inst)
-    space = StrategySpace(tuple(
-        (s, Strategy(s.price, 0.5 * s.gain, s.standalone_price))
-        for s in truthful.strategies))
-    star = MechanismKind.INDIRECT_VCG_STAR
-    want = _plain_nash(inst, star, space, False)
+    inst, space = _star_game(2)
+    want = _plain_nash(inst, STAR, space, False)
     assert want
-    assert enumerate_pure_nash(inst, star, space) == want
-    assert all(is_nash(inst, star, space, eq)[0] for eq in want)
+    assert enumerate_pure_nash(inst, STAR, space) == want
+    assert all(is_nash(inst, STAR, space, eq)[0] for eq in want)
 
 
 def test_enumeration_quality_evaluations_are_pinned(count_q_calls):

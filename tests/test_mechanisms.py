@@ -371,7 +371,7 @@ def test_indirect_vcg_pivots_add_few_quality_evaluations(count_q_calls):
         out = run_indirect_vcg(inst, prof)
     assert out.allocation == _allocation_from(entries)
     assert len(entries) == 3
-    assert (search, calls()) == (47, 47)
+    assert (search, calls()) == (43, 43)
 
 
 def test_indirect_gsp_adds_few_quality_evaluations(count_q_calls):
@@ -389,7 +389,7 @@ def test_indirect_gsp_adds_few_quality_evaluations(count_q_calls):
         out = run_indirect_gsp(inst, prof)
     assert out.allocation == alloc
     assert len(alloc.slot_agents) == 3
-    assert (search, calls()) == (38, 38)
+    assert (search, calls()) == (34, 34)
 
 
 @st.composite
