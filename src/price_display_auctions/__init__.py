@@ -24,7 +24,6 @@ from .equilibrium import (
     efficiency_report,
     enumerate_pure_nash,
     is_nash,
-    truthful_direct_profile,
 )
 from .errors import (
     AuctionError,
@@ -60,7 +59,6 @@ from .model import (
     profile,
     true_value,
     true_welfare,
-    truthful_gains,
 )
 from .quality import (
     QUALITY_KINDS,
@@ -74,7 +72,6 @@ from .quality import (
     audit_quality,
     probe_grid,
 )
-from .sampling import random_instance, random_profile, smooth_instance
 from .scenarios import SCENARIO_IDS, Scenario, VerdictReport, build, reproduce
 from .serialization import (
     instance_from_dict,
@@ -83,4 +80,4 @@ from .serialization import (
     save_instance,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"

@@ -257,7 +257,11 @@ def cmd_audit(args) -> int:
     return 0 if total == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call,
+    not at import.  ``parse_args`` leaves it unchanged and writes to the
+    ``sys.stdout`` and ``sys.stderr`` of the moment."""
     parser = argparse.ArgumentParser(
         prog="pda",
         description="Ad auctions with displayed prices: allocation, "
@@ -316,14 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first ``main`` call,
-    not at import.  ``parse_args`` leaves it unchanged and writes to the
-    ``sys.stdout`` and ``sys.stderr`` of the moment."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .allocation import direct_allocate
 from .errors import AuctionError, GuardExceededError
 from .mechanisms import (
     MechanismKind,
@@ -276,19 +275,3 @@ def efficiency_report(instance: AuctionInstance, kind: MechanismKind,
                              benchmark_sw, benchmark_rev,
                              poa_sw, pos_sw, poa_rev, pos_rev,
                              grid_resolution=resolution)
-
-
-def truthful_direct_profile(instance: AuctionInstance) -> StrategyProfile:
-    """The profile that mimics the direct mechanism under truthful play:
-    displayed agents submit its chosen price with their true gain there,
-    everyone else submits (0, 0)."""
-    reported = [instance.atype(i) for i in range(instance.n)]
-    allocation = direct_allocate(instance, reported).allocation
-    strategies = []
-    for i in range(instance.n):
-        p = allocation.price_of(i)
-        if p is None:
-            strategies.append(Strategy(0.0, 0.0))
-        else:
-            strategies.append(Strategy(p, instance.atype(i).gain(p)))
-    return StrategyProfile(tuple(strategies))

@@ -167,11 +167,6 @@ class StrategyProfile:
     def gains(self) -> tuple[float, ...]:
         return tuple(s.gain for s in self.strategies)
 
-    def replace(self, agent: int, strategy: Strategy) -> "StrategyProfile":
-        strategies = list(self.strategies)
-        strategies[agent] = strategy
-        return StrategyProfile(tuple(strategies))
-
 
 def require_one_per_agent(instance: AuctionInstance, items, what: str) -> None:
     """Raise ``AuctionError`` unless ``items`` (a strategy profile, a list
@@ -302,9 +297,6 @@ class Outcome:
             total += payment
         return total
 
-    def utility(self, instance: AuctionInstance, agent: int) -> float:
-        return self.utilities(instance)[agent]
-
     def utilities(self, instance: AuctionInstance) -> tuple[float, ...]:
         """Each agent's true value less her payment.
 
@@ -321,12 +313,3 @@ class Outcome:
                 atype, quality = instance.agents[i]
                 values[i] = lam * (quality.q(p, p_min) * atype.gain(p))
         return tuple([v - pay for v, pay in zip(values, self.payments)])
-
-
-def truthful_gains(instance: AuctionInstance, allocation: Allocation) -> list[float]:
-    """Per-agent true gain at the allocation's display prices (0 if unassigned)."""
-    out = []
-    for i in range(instance.n):
-        p = allocation.price_of(i)
-        out.append(0.0 if p is None else instance.atype(i).gain(p))
-    return out

@@ -248,6 +248,11 @@ def build_t10(delta: float = 0.1, p_low: float = 1.0, p_high: float = 2.5,
     _require(p_low < p_high / 2, "p_low < p_high / 2")
     _require(0 < delta < p_low / p_high, "0 < delta < p_low / p_high")
     _require(interior_points >= 0, "interior_points >= 0")
+    # ``reproduce`` first runs the direct mechanism, whose table grows as
+    # the grid squared: interior_points = 150 takes about 3 s (100 about
+    # 1.4 s) on a 2-core host, within the 5 s budget of
+    # ``cli.AUDIT_CHECK_LIMIT``.
+    _require(interior_points <= 150, "interior_points <= 150")
     q1 = OnlyMinQuality(cap=p_high)
     q2 = HyperbolaQuality(p_low, p_high, delta)
     step = (p_high - p_low) / (interior_points + 1)

@@ -1,23 +1,28 @@
-"""Seeded random instance generators for property tests and audits."""
+"""Test helpers: seeded random instances and profiles, and the truthful
+profiles and gains that the property tests compare against.
+
+Tests import them as ``from sampling import ...``; pytest puts
+``tests/`` on the path.
+"""
 
 from __future__ import annotations
 
 import random
 
-from .model import (
-    AgentType,
-    AuctionInstance,
-    SlotProfile,
-    Strategy,
-    StrategyProfile,
-)
-from .quality import (
+from price_display_auctions import (
     QUALITY_KINDS,
+    AgentType,
+    Allocation,
+    AuctionInstance,
     HyperbolaQuality,
     OnlyMinQuality,
     PriceThresholdQuality,
+    SlotProfile,
     SmoothDecayQuality,
+    Strategy,
+    StrategyProfile,
     TabulatedQuality,
+    direct_allocate,
 )
 
 
@@ -134,3 +139,36 @@ def smooth_instance(seed: int, *, max_agents: int = 4,
                                intercept=rng.uniform(0.7, 1.0))
         agents.append((t, q))
     return AuctionInstance(tuple(agents), slots, grid)
+
+
+def replace_strategy(profile: StrategyProfile, agent: int,
+                     strategy: Strategy) -> StrategyProfile:
+    """``profile`` with ``agent``'s strategy replaced by ``strategy``."""
+    strategies = list(profile.strategies)
+    strategies[agent] = strategy
+    return StrategyProfile(tuple(strategies))
+
+
+def truthful_gains(instance: AuctionInstance, allocation: Allocation) -> list[float]:
+    """Per-agent true gain at the allocation's display prices (0 if unassigned)."""
+    out = []
+    for i in range(instance.n):
+        p = allocation.price_of(i)
+        out.append(0.0 if p is None else instance.atype(i).gain(p))
+    return out
+
+
+def truthful_direct_profile(instance: AuctionInstance) -> StrategyProfile:
+    """The profile that mimics the direct mechanism under truthful play:
+    displayed agents submit its chosen price with their true gain there,
+    everyone else submits (0, 0)."""
+    reported = [instance.atype(i) for i in range(instance.n)]
+    allocation = direct_allocate(instance, reported).allocation
+    strategies = []
+    for i in range(instance.n):
+        p = allocation.price_of(i)
+        if p is None:
+            strategies.append(Strategy(0.0, 0.0))
+        else:
+            strategies.append(Strategy(p, instance.atype(i).gain(p)))
+    return StrategyProfile(tuple(strategies))

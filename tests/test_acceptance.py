@@ -27,18 +27,20 @@ from price_display_auctions import (
     infer_type,
     is_nash,
     profile,
-    random_instance,
-    random_profile,
     run_direct_vcg,
     run_indirect_gsp,
     run_mechanism,
-    smooth_instance,
-    truthful_direct_profile,
     truthful_star_profile,
 )
 from price_display_auctions.model import (
     declared_value,
     declared_welfare,
+)
+from sampling import (
+    random_instance,
+    random_profile,
+    smooth_instance,
+    truthful_direct_profile,
     truthful_gains,
 )
 
@@ -191,7 +193,7 @@ def test_criterion_08_direct_mechanism_is_truthful():
         reported = [inst.atype(j) for j in range(inst.n)]
         reported[i] = lie
         deviated = run_direct_vcg(inst, reported)
-        if deviated.utility(inst, i) > truthful.utility(inst, i) + 1e-9:
+        if deviated.utilities(inst)[i] > truthful.utilities(inst)[i] + 1e-9:
             violations.append((seed, i))
     report(8, not violations,
            f"1000 misreport trials, utility never improves; "

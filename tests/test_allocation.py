@@ -28,8 +28,6 @@ from price_display_auctions import (
     indirect_allocate,
     indirect_pivots,
     profile,
-    random_instance,
-    random_profile,
     run_indirect_gsp,
 )
 from price_display_auctions.allocation import (
@@ -49,9 +47,8 @@ from price_display_auctions.model import (
     EMPTY_ALLOCATION,
     WELFARE_TOL,
     declared_welfare,
-    truthful_gains,
 )
-from price_display_auctions.sampling import _monotone
+from sampling import _monotone, random_instance, random_profile, truthful_gains
 
 
 def two_agent_instance():

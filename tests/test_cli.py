@@ -21,13 +21,11 @@ from price_display_auctions import (
     SlotProfile,
     __version__,
     profile,
-    random_instance,
-    random_profile,
     save_instance,
-    smooth_instance,
 )
 from price_display_auctions.cli import main
 from price_display_auctions.scenarios import VerdictReport, Check, build
+from sampling import random_instance, random_profile, smooth_instance
 
 
 @pytest.fixture
@@ -225,6 +223,7 @@ def test_reproduce_bad_param(capsys):
     ("T5", "foo=1", "unknown parameter 'foo'"),
     ("T10", "interior_points=1.5", "must be an integer"),
     ("T10", "interior_points=-5", "interior_points >= 0"),
+    ("T10", "interior_points=151", "interior_points <= 150"),
     ("T7", "m=101", "m <= 100"),
     ("T5", "eps=nan", "eps must be a finite number"),
 ])

@@ -10,10 +10,16 @@ threads.  A private name crosses one layer of the stack at most: it is
 imported only from the module directly below the importer.  Every
 private function or class is used by the package itself, so none is
 kept for the tests alone, and every module reads every name it imports,
-bar ``__init__.py``, whose imports are its re-exports.
+bar ``__init__.py``, whose imports are its re-exports.  Every public
+function, class or method is read by the package itself (re-exports
+aside), read by ``perfbench/``, or named in README's ``## Library``
+section, whose example runs; the ``cmd_*`` handlers, which ``cli.main``
+looks up by name, are the one exception.  Test helpers live in
+``tests/sampling.py``.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -26,6 +32,12 @@ PACKAGE = ROOT / "src" / "price_display_auctions"
 # The layered stack, bottom first.
 LAYERS = ("quality", "model", "allocation", "mechanisms", "equilibrium",
           "scenarios", "cli")
+
+
+def _library_section():
+    """The text of README's ``## Library`` section, its heading aside."""
+    text = (ROOT / "README.md").read_text()
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
 
 
 def _nodes(path):
@@ -56,16 +68,15 @@ def _private_imports(path):
                     yield node.module, alias.name
 
 
-def _private_definitions(path):
-    """(name, line) of every private ``def`` or ``class``, dunders aside,
-    at the module level or in a class body of the file at ``path``."""
+def _definitions(path):
+    """(name, line) of every ``def`` or ``class`` at the module level or
+    in a class body of the file at ``path``."""
     bodies = [ast.parse(path.read_text(), str(path)).body]
     while bodies:
         for node in bodies.pop():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
-                if _is_private(node.name):
-                    yield node.name, node.lineno
+                yield node.name, node.lineno
                 if isinstance(node, ast.ClassDef):
                     bodies.append(node.body)
 
@@ -115,9 +126,31 @@ def test_every_private_definition_is_used_by_the_package():
     assert sources
     used = {name for path in sources for name in _referenced_names(path)}
     unused = [(path.name, name, line) for path in sources
-              for name, line in _private_definitions(path)
-              if name not in used]
+              for name, line in _definitions(path)
+              if _is_private(name) and name not in used]
     assert not unused
+
+
+def test_every_public_definition_is_used_or_documented():
+    sources = sorted(PACKAGE.glob("*.py"))
+    readers = [path for path in sources if path.name != "__init__.py"]
+    readers += sorted((ROOT / "perfbench").glob("*.py"))
+    assert sources and readers
+    used = {name for path in readers for name in _referenced_names(path)}
+    used.update(re.findall(r"\w+", _library_section()))
+    unused = [(path.name, name, line) for path in sources
+              for name, line in _definitions(path)
+              if not name.startswith("_") and name not in used
+              # ``cli.main`` looks each ``cmd_*`` handler up by name.
+              and not name.startswith("cmd_")]
+    assert not unused
+
+
+def test_readme_library_example_runs(capsys):
+    block = re.search(r"```python\n(.*?)```", _library_section(), re.S)
+    assert block
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_private_names_come_only_from_the_layer_below():

@@ -22,10 +22,7 @@ from price_display_auctions import (
     enumerate_pure_nash,
     is_nash,
     profile,
-    random_instance,
     run_mechanism,
-    smooth_instance,
-    truthful_direct_profile,
     truthful_star_profile,
 )
 from price_display_auctions import allocation, equilibrium, mechanisms
@@ -35,6 +32,12 @@ from price_display_auctions.equilibrium import (
     _menu_classes,
 )
 from price_display_auctions.model import true_value
+from sampling import (
+    random_instance,
+    replace_strategy,
+    smooth_instance,
+    truthful_direct_profile,
+)
 
 VCG = MechanismKind.INDIRECT_VCG
 
@@ -82,7 +85,7 @@ def test_enumeration_against_hand_check():
 
     def utility(prof, i):
         out = run_mechanism(inst, VCG, prof)
-        return out.utility(inst, i)
+        return out.utilities(inst)[i]
 
     expected = []
     import itertools
@@ -92,7 +95,7 @@ def test_enumeration_against_hand_check():
         for i in range(inst.n):
             base = utility(prof, i)
             for s in space.options[i]:
-                if utility(prof.replace(i, s), i) > base + 1e-9:
+                if utility(replace_strategy(prof, i, s), i) > base + 1e-9:
                     nash = False
         if nash:
             expected.append(tuple((s.price, s.gain) for s in combo))
@@ -318,7 +321,7 @@ def test_engine_utilities_equal_the_outcomes_exactly(
         def checked_line(start):
             nonlocal checked
             for s, row in zip(strategies, line(start)):
-                prof = start.replace(agent, s)
+                prof = replace_strategy(start, agent, s)
                 if prof not in wanted:
                     out = run_mechanism(inst, kind, prof,
                                         gsp_allow_zero_gain=allow_zero_gain)
@@ -542,9 +545,10 @@ def test_collapse_matches_plain_enumeration_on_edge_games(
         for stands_for, combo in itertools.product(
                 classes, itertools.product(*space.options)):
             prof = StrategyProfile(combo)
-            outcomes = {run_mechanism(inst, kind,
-                                      prof.replace(i, space.options[i][k]),
-                                      gsp_allow_zero_gain=allow_zero_gain)
+            outcomes = {run_mechanism(
+                            inst, kind,
+                            replace_strategy(prof, i, space.options[i][k]),
+                            gsp_allow_zero_gain=allow_zero_gain)
                         for k in stands_for}
             assert len(outcomes) == 1, (i, combo)
 

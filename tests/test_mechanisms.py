@@ -31,10 +31,6 @@ from price_display_auctions import (
     run_indirect_vcg,
     run_indirect_vcg_star,
     run_mechanism,
-    random_instance,
-    random_profile,
-    smooth_instance,
-    truthful_gains,
     truthful_star_profile,
 )
 from price_display_auctions.allocation import _allocation_from
@@ -42,7 +38,14 @@ from price_display_auctions.model import (
     declared_value,
     declared_welfare,
 )
-from price_display_auctions.sampling import SAMPLED_QUALITY_KINDS, _random_quality
+from sampling import (
+    SAMPLED_QUALITY_KINDS,
+    _random_quality,
+    random_instance,
+    random_profile,
+    smooth_instance,
+    truthful_gains,
+)
 
 
 def t10_instance():
@@ -237,7 +240,6 @@ def test_star_fallback_withholds_allocation():
 
 def test_star_payments_clamped_to_declared_value():
     inst = smooth_instance(3)
-    from price_display_auctions import random_profile
     for seed in range(20):
         prof = random_profile(inst, seed, with_standalone=True)
         try:

@@ -28,11 +28,11 @@ from price_display_auctions import (
     probe_grid,
     profile,
 )
-from price_display_auctions.sampling import _monotone
 from price_display_auctions.serialization import (
     quality_from_dict,
     quality_to_dict,
 )
+from sampling import _monotone
 
 
 def test_domain_guard():

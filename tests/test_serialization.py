@@ -17,8 +17,6 @@ from price_display_auctions import (
     instance_from_dict,
     instance_to_dict,
     load_instance,
-    random_instance,
-    random_profile,
     save_instance,
 )
 from price_display_auctions.serialization import (
@@ -27,6 +25,7 @@ from price_display_auctions.serialization import (
     quality_from_dict,
     quality_to_dict,
 )
+from sampling import random_instance, random_profile
 
 
 @pytest.mark.parametrize("seed", range(10))
