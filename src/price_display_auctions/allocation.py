@@ -55,32 +55,6 @@ def _allocation_from(entries):
                       tuple([e[1] for e in entries]))
 
 
-def _threshold_top(scan, keep, score):
-    """The best ``keep`` entries of a bound-ordered scan, descending.
-
-    ``scan`` yields tuples in ascending order whose first field is an
-    agent's negated bound, so in descending bound order, and ``score``
-    maps one to that agent's entry (w, -rank, agent, price, q), w at most
-    the bound, or to None.  The scan stops once it holds ``keep`` entries
-    and the next bound is strictly below the keep-th weight (Fagin, Lotem
-    and Naor's threshold algorithm); an equal bound may still tie and win
-    on rank.  It reads one tuple past the last it scores.
-    """
-    top: list = []  # a min-heap whose root is the worst entry kept
-    for item in scan:
-        if len(top) == keep and -item[0] < top[0][0]:
-            break
-        entry = score(item)
-        if entry is None:
-            continue
-        if len(top) < keep:
-            heapq.heappush(top, entry)
-        elif entry > top[0]:
-            heapq.heapreplace(top, entry)
-    top.sort(reverse=True)
-    return top
-
-
 def _indirect_table(instance, bids, extra=()):
     """Per candidate minimum: (cand, holders, ranked entries), over the
     (agent, strategy) ``bids``.
@@ -342,7 +316,7 @@ def _merge_bid(instance, rows, bid):
     return table
 
 
-def _solve_rows(instance, table, exclude, gain, bids):
+def _solve_rows(instance, table, exclude, gain, bids, record=None):
     """Best (welfare, entries) over a search table's rows without
     ``exclude``: the row solve of both searches.
 
@@ -363,33 +337,46 @@ def _solve_rows(instance, table, exclude, gain, bids):
     left in, or every positive weight at the candidate, among them the
     left-in live holder's (her diagonal weight).  A direct row's holders
     are its ranked agents, so it is skipped exactly when none is left.
+
+    ``record`` is None or a dict.  A solve with no exclusion stores each
+    row it tries there, as (welfare, chosen entries) under its candidate.
+    A pivot's solve reuses that at each row it tries whose first m entries
+    do not hold the excluded agent: its chosen list is the same there, so
+    its welfare is too, bit for bit.
     """
     lams = instance.slots.prominences
     m = len(lams)
     best_entries: list = []
     best_sw = 0.0
+    reuse, store = (record, None) if exclude else (None, record)
     for cand, holders, ranked in table:
         if exclude.issuperset(holders):
             continue
-        if not exclude:
-            chosen = ranked[:m]
+        if reuse is not None and exclude.isdisjoint(
+                [e[0] for e in ranked[:m]]):
+            sw, chosen = reuse[cand]
         else:
-            chosen = [e for e in ranked if e[0] not in exclude][:m]
-        actual = chosen[0][1]
-        for _, p, _, _ in chosen:
-            if p < actual:
-                actual = p
-        if actual != cand:
-            rescored = []
-            for i, p, _, _ in chosen:
-                q = instance.quality(i).q(p, actual)
-                rescored.append((i, p, q * gain(bids, i, p), q))
-            chosen = _ranked(instance, rescored)
-        # declared_welfare's left-to-right sum, inlined: this is the
-        # engine's hottest loop.
-        sw = 0.0
-        for lam, (_, _, w, _) in zip(lams, chosen):
-            sw += lam * w
+            if not exclude:
+                chosen = ranked[:m]
+            else:
+                chosen = [e for e in ranked if e[0] not in exclude][:m]
+            actual = chosen[0][1]
+            for _, p, _, _ in chosen:
+                if p < actual:
+                    actual = p
+            if actual != cand:
+                rescored = []
+                for i, p, _, _ in chosen:
+                    q = instance.quality(i).q(p, actual)
+                    rescored.append((i, p, q * gain(bids, i, p), q))
+                chosen = _ranked(instance, rescored)
+            # declared_welfare's left-to-right sum, inlined: this is the
+            # engine's hottest loop.
+            sw = 0.0
+            for lam, (_, _, w, _) in zip(lams, chosen):
+                sw += lam * w
+            if store is not None:
+                store[cand] = sw, chosen
         if sw > best_sw + WELFARE_TOL:
             best_sw = sw
             best_entries = chosen
@@ -445,9 +432,11 @@ def indirect_pivots(instance: AuctionInstance, profile: StrategyProfile
     weight, q) entries, where q is q(price, p_min) at the page minimum
     p_min and the weight q * gain.  All solves share the search's table,
     so each pivot adds O(|C| m) steps and at most m |C| quality
-    re-evaluations.  The welfare is the search's own score, equal bit for
-    bit to ``declared_welfare`` of the allocation it picks, and a true
-    value is lam * (q * true gain) with no quality evaluation.
+    re-evaluations, and reuses the optimum's row wherever its first m do
+    not hold the payer (see ``_solve_rows``).  The welfare is the search's
+    own score, equal bit for bit to ``declared_welfare`` of the allocation
+    it picks, and a true value is lam * (q * true gain) with no quality
+    evaluation.
     """
     require_one_per_agent(instance, profile, "the profile")
     return _indirect_pivots(
@@ -459,21 +448,23 @@ def _indirect_pivots(instance, bids, table, known):
     """``indirect_pivots`` over a profile's ``bids``, its strategies, and
     its prebuilt ``table``.
 
-    ``known`` is None, and every pivot is solved, or (memo, codes): a
-    memo that one walk of many profiles owns, and this profile's
-    strategies as codes, one int per agent that stands for the same
-    strategy in every profile of the walk.  The solve without i tries
-    exactly the prices where some other bid is live and reads the
-    others' first m entries there, so her pivot depends only on the
-    others' strategies: it is stored under their codes and solved only
-    on a miss, bit for bit what a fresh solve gives.
+    ``known`` is None, and every pivot is solved, reusing the optimum's
+    rows as ``_solve_rows`` allows, or (memo, codes): a memo that one walk
+    of many profiles owns, and this profile's strategies as codes, one int
+    per agent that stands for the same strategy in every profile of the
+    walk.  The solve without i tries exactly the prices where some other
+    bid is live and reads the others' first m entries there, so her pivot
+    depends only on the others' strategies: it is stored under their codes
+    and solved only on a miss, bit for bit what a fresh solve gives.
     """
-    sw, entries = _solve_rows(instance, table, frozenset(), _bid_gain, bids)
+    record = {} if known is None else None
+    sw, entries = _solve_rows(instance, table, frozenset(), _bid_gain, bids,
+                              record)
     without = {}
     for i, _, _, _ in entries:
         if known is None:
             without[i] = _solve_rows(instance, table, frozenset((i,)),
-                                     _bid_gain, bids)[0]
+                                     _bid_gain, bids, record)[0]
             continue
         memo, codes = known
         key = codes[:i], codes[i + 1:]
@@ -503,56 +494,63 @@ def _direct_table(instance, reported):
     weight at price grid[j] and any p_hat <= grid[j] is at most
     peak(grid[j]) * gain(grid[j]) (see ``QualityModel.peak``), and her
     best entry at p_hat = grid[k] at most the suffix maximum of those
-    terms over j >= k, her bound.  Each p_hat scans the agents in
-    descending bound order, scoring full rows, until ``_threshold_top``
-    stops.  Every agent's diagonal q(p, p) is scored once per grid price,
-    for her bounds and as her row's first cell, so a table costs n |P|
-    quality evaluations plus the rows of the agents scanned.
+    terms over j >= k, her bound.  Each p_hat scans the agents with a
+    positive bound in descending bound order, ties in rank order, scoring
+    each one's diagonal cell, then the cells above it, until it holds keep
+    entries and the next bound is strictly below the keep-th weight (Fagin,
+    Lotem and Naor's threshold algorithm); an equal bound may still tie and
+    win on rank.  Every agent's diagonal q(p, p) is scored once per grid
+    price, for her bounds and as her row's first cell, so a table costs
+    n |P| quality evaluations plus the rows of the agents scanned.
     """
     grid = instance.price_grid
     keep = instance.m + 1
-    ranks = [instance.rank(h) for h in range(instance.n)]
-    qs, gains, diagonals, bounds = [], [], [], []
+    # Per agent (q, gains, diagonals, -rank); per grid price, all bounds.
+    records = []
+    columns = [[0.0] * instance.n for _ in grid]
     for h in range(instance.n):
         quality = instance.quality(h)
-        gains_h = [reported[h].gain(p) for p in grid]
-        diagonal = [quality.q(p, p) for p in grid]
+        gains = [reported[h].gain(p) for p in grid]
+        diagonals = [quality.q(p, p) for p in grid]
+        records.append((quality.q, gains, diagonals, -instance.rank(h)))
         # Suffix maxima; a bound <= 0 is never scanned, so start at 0.
         bound = 0.0
-        bounds_h = []
-        for p, gain, d in zip(reversed(grid), reversed(gains_h),
-                              reversed(diagonal)):
-            term = quality.peak(p, d) * gain
+        for k in range(len(grid) - 1, -1, -1):
+            term = quality.peak(grid[k], diagonals[k]) * gains[k]
             if term > bound:
                 bound = term
-            bounds_h.append(bound)
-        bounds_h.reverse()
-        qs.append(quality.q)
-        gains.append(gains_h)
-        diagonals.append(diagonal)
-        bounds.append(bounds_h)
-
-    def entry(item):
-        """Agent h's best entry at p_hat = grid[k], as
-        (w, -rank, h, price, q), or None."""
-        _, rank, h, k = item
-        best = None
-        for j in range(k, len(grid)):
-            v = diagonals[h][k] if j == k else qs[h](grid[j], grid[k])
-            w = v * gains[h][j]
-            if w > 0.0 and (best is None or w > best[0] + WELFARE_TOL):
-                best = (w, -rank, h, grid[j], v)
-        return best
-
+            columns[k][h] = bound
+    order = sorted(range(instance.n), key=instance.rank)
     table = []
     for k, p_hat in enumerate(grid):
-        # (-bound, rank) and (w, -rank) are unique per agent; the kept
-        # (w, -rank, agent, price, q) in descending order are in _ranked's
-        # order.
-        scan = sorted((-b[k], ranks[h], h, k) for h, b in enumerate(bounds)
-                      if b[k] > 0.0)
-        top = _threshold_top(scan, keep, entry)
-        table.append((p_hat, [h for _, _, h, _, _ in top],
+        column = columns[k]
+        top: list = []  # a min-heap whose root is the worst entry kept
+        # A stable sort of the rank-ordered agents.  (w, -rank) is unique
+        # per agent, so the kept entries, descending, are in _ranked order.
+        for h in sorted(order, key=column.__getitem__, reverse=True):
+            bound = column[h]
+            if bound <= 0.0 or (len(top) == keep and bound < top[0][0]):
+                break
+            q, gains, diagonals, neg_rank = records[h]
+            v = diagonals[k]
+            w = v * gains[k]
+            best, floor = None, 0.0  # her first positive weight beats 0
+            if w > 0.0:
+                best, floor = (w, neg_rank, h, p_hat, v), w + WELFARE_TOL
+            for j in range(k + 1, len(grid)):
+                p = grid[j]
+                v = q(p, p_hat)
+                w = v * gains[j]
+                if w > floor:
+                    best, floor = (w, neg_rank, h, p, v), w + WELFARE_TOL
+            if best is None:
+                continue
+            if len(top) < keep:
+                heapq.heappush(top, best)
+            elif best > top[0]:
+                heapq.heapreplace(top, best)
+        top.sort(reverse=True)
+        table.append((p_hat, [e[2] for e in top],
                       [(h, p, w, v) for w, _, h, p, v in top]))
     return table
 
@@ -570,11 +568,10 @@ def direct_allocate(instance: AuctionInstance, reported
     price >= p_hat (when it yields positive value) and the slots are
     filled greedily; the page is re-scored at its own minimum, and the
     best candidate wins (see ``direct_pivots`` for why that is the
-    optimum).  Each agent's diagonal is scored once per grid price, and
-    her best price per candidate only while she can still enter the best
-    m + 1 there: n |P| quality evaluations plus the rows of those
-    contenders, O(n |P|^2) at worst, then O(|P| m) steps and at most
-    m |P| re-evaluations.
+    optimum).  The table (see ``_direct_table``) costs n |P| quality
+    evaluations plus the rows of the agents that can still enter a
+    candidate's best m + 1, O(n |P|^2) at worst; the solve then takes
+    O(|P| m) steps and at most m |P| re-evaluations.
     """
     sw, entries, _ = direct_pivots(instance, reported, ())
     return DirectAllocationResult(_allocation_from(entries), sw)
@@ -610,19 +607,22 @@ def direct_pivots(instance: AuctionInstance, reported, pivots=None
 
     The same holds of the rows without one excluded agent, so it serves
     the pivots too.  All solves share the table, so each adds O(|P| m)
-    steps and at most m |P| quality re-evaluations.  The welfare is the
-    search's own score, equal bit for bit to ``declared_welfare`` of the
-    allocation it picks at its chosen gains, and a true value is
-    lam * (q * true gain) with no quality evaluation.
+    steps and at most m |P| quality re-evaluations, and reuses the
+    optimum's row wherever its first m do not hold the excluded agent (see
+    ``_solve_rows``).  The welfare is the search's own score, equal bit for
+    bit to ``declared_welfare`` of the allocation it picks at its chosen
+    gains, and a true value is lam * (q * true gain) with no quality
+    evaluation.
     """
     require_one_per_agent(instance, reported, "the report list")
     table = _direct_table(instance, reported)
+    record: dict = {}
     sw, entries = _solve_rows(instance, table, frozenset(), _report_gain,
-                              reported)
+                              reported, record)
     if pivots is None:
         pivots = [e[0] for e in entries]
     without = {i: _solve_rows(instance, table, frozenset({i}), _report_gain,
-                              reported)[0]
+                              reported, record)[0]
                for i in pivots}
     return sw, entries, without
 

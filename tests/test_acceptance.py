@@ -8,8 +8,6 @@ import math
 import random
 import time
 
-import pytest
-
 from price_display_auctions import (
     AgentType,
     AuctionInstance,

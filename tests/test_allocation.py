@@ -669,6 +669,27 @@ def _excluded_holder_case():
     return inst, profile((2.0, 1.0), (2.0, 1.0), (1.0, 5.0))
 
 
+def _lone_holder_case():
+    """Agent 1 alone bids 2.0, so she is candidate 2.0's one live holder,
+    but agents 2 to 4, priced 3.0, outweigh her there and fill its first
+    m.  The optimum shows agents 0 and 1 at candidate 1.0, so agent 1 pays,
+    and her pivot skips candidate 2.0.  Its first m, re-scored at 3.0,
+    fall short of candidate 3.0's page, where agent 4 leads, by less than
+    WELFARE_TOL: a pivot that tried candidate 2.0 would keep it, as the
+    first best, and return 1.5."""
+    steep = TabulatedQuality((1.0, 2.0, 3.0), (1.0, 2.0, 3.0),
+                             ((1.0,) * 3, (1.0,) * 3, (0.1, 1.0, 1.0)))
+    late = TabulatedQuality((1.0, 2.0, 3.0), (1.0, 2.0, 3.0),
+                            ((1.0,) * 3, (1.0,) * 3, (0.1, 0.9, 1.0)))
+    agents = ((AgentType(1.0, 0.0), OnlyMinQuality()),
+              (AgentType(1.0, 0.0), PriceThresholdQuality(5.0, 0.5)),
+              (AgentType(1.0, 0.0), steep), (AgentType(1.0, 0.0), steep),
+              (AgentType(1.0, 0.0), late))
+    inst = AuctionInstance(agents, SlotProfile((1.0, 0.5)), (1.0, 2.0, 3.0))
+    return inst, profile((1.0, 1.3), (2.0, 1.0), (3.0, 1.0), (3.0, 1.0),
+                         (3.0, 1.0 + 1e-10))
+
+
 def _within_slack_case():
     """Agent 0's table row dips by 5e-13 (inside the constructor's 1e-12
     slack), so her weight at candidate 1.0 is 0.5, above her diagonal.
@@ -738,6 +759,7 @@ def _indirect_cases():
     # Only this case catches a pivot solve that tries the candidate of an
     # excluded agent.
     yield "excluded holder", *_excluded_holder_case()
+    yield "lone holder", *_lone_holder_case()
     yield "within slack", *_within_slack_case()
     # Pages of 40 to 200 bids, where the table's scan stops early.
     for seed in range(12):
@@ -1031,6 +1053,33 @@ def test_search_entries_carry_the_quality_at_the_page_minimum():
             _, entries = _solve_rows(inst, table, frozenset({i}),
                                      _report_gain, reported)
             assert not _carried_q_problems(inst, entries), (seed, i)
+
+
+def test_pivot_welfares_are_fresh_single_exclusion_solves():
+    # A pivot's solve reuses the optimum's row where the row's first m do
+    # not hold the payer; each pivot welfare must still be a fresh solve's
+    # without her, bit for bit, also at a row whose one live holder is the
+    # payer but lies outside the first m: the pivot skips that row,
+    # although its first m would be the same list.
+    lone_holders = 0
+    for seed, inst, prof in _carried_q_cases():
+        _, entries, without = indirect_pivots(inst, prof)
+        table = _indirect_table(inst, enumerate(prof.strategies))
+        for i, _, _, _ in entries:
+            fresh, _ = _solve_rows(inst, table, frozenset({i}), _bid_gain,
+                                   prof.strategies)
+            assert without[i].hex() == fresh.hex(), (seed, i)
+            lone_holders += sum(
+                holders == [i] and i not in [e[0] for e in ranked[:inst.m]]
+                for _, holders, ranked in table)
+        reported = [inst.atype(i) for i in range(inst.n)]
+        _, _, without = direct_pivots(inst, reported, range(inst.n))
+        table = _direct_table(inst, reported)
+        for i in range(inst.n):
+            fresh, _ = _solve_rows(inst, table, frozenset({i}), _report_gain,
+                                   reported)
+            assert without[i].hex() == fresh.hex(), (seed, i)
+    assert lone_holders
 
 
 def test_a_re_evaluated_entry_carries_its_new_quality():

@@ -10,12 +10,12 @@ threads.  A private name crosses one layer of the stack at most: it is
 imported only from the module directly below the importer.  Every
 private function or class is used by the package itself, so none is
 kept for the tests alone, and every module reads every name it imports,
-bar ``__init__.py``, whose imports are its re-exports.  Every public
-function, class or method is read by the package itself (re-exports
-aside), read by ``perfbench/``, or named in README's ``## Library``
-section, whose example runs; the ``cmd_*`` handlers, which ``cli.main``
-looks up by name, are the one exception.  Test helpers live in
-``tests/sampling.py``.
+bar ``__init__.py``, whose imports are its re-exports; so does every
+test module.  Every public function, class or method is read by the
+package itself (re-exports aside), read by ``perfbench/``, or named in
+README's ``## Library`` section, whose example runs; the ``cmd_*``
+handlers, which ``cli.main`` looks up by name, are the one exception.
+Test helpers live in ``tests/sampling.py``.
 """
 
 import ast
@@ -115,6 +115,7 @@ def _unused_imports(path):
 def test_every_imported_name_is_read():
     sources = [path for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "__init__.py"]
+    sources += sorted((ROOT / "tests").glob("*.py"))
     assert sources
     unused = [(path.name, name, line) for path in sources
               for name, line in _unused_imports(path)]

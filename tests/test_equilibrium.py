@@ -673,10 +673,10 @@ def test_enumeration_solves_each_pivot_once(monkeypatch):
     solve = allocation._solve_rows
     pivots = 0
 
-    def counted(instance, table, exclude, gain, bids):
+    def counted(instance, table, exclude, gain, bids, record=None):
         nonlocal pivots
         pivots += bool(exclude)
-        return solve(instance, table, exclude, gain, bids)
+        return solve(instance, table, exclude, gain, bids, record)
 
     with monkeypatch.context() as patch:
         patch.setattr(allocation, "_solve_rows", counted)

@@ -341,13 +341,14 @@ def test_direct_vcg_quality_evaluations_are_pinned(count_q_calls):
     # A work budget that a noisy host still shows.  On README's seeded
     # n=30, m=5, 8-price instance a run costs the direct table's 487
     # evaluations plus the row solves' re-scorings at a page's actual
-    # minimum: 180 over the optimum and its five pivots.
+    # minimum: 150 over the optimum and its five pivots, which re-score
+    # only the rows whose first m hold the payer.
     inst = random_instance(238, max_agents=30, max_slots=5, max_prices=8)
     assert (inst.n, inst.m, len(inst.price_grid)) == (30, 5, 8)
     with count_q_calls() as calls:
         out = run_direct_vcg(inst)
     assert len(out.allocation.slot_agents) == 5
-    assert calls() == 487 + 180
+    assert calls() == 487 + 150
 
 
 def _counting_instance():

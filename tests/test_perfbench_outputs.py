@@ -58,7 +58,7 @@ def test_clear_direct_quality_evaluations_are_pinned(count_q_calls):
     with count_q_calls() as calls:
         for k in range(20):
             workload.run(pool[k])
-    assert calls() == 12220
+    assert calls() == 11750
 
 
 def test_nash_enum_quality_evaluations_are_pinned(count_q_calls):
@@ -72,7 +72,7 @@ def test_nash_enum_quality_evaluations_are_pinned(count_q_calls):
     with count_q_calls() as calls:
         for k in range(20):
             workload.run(pool[k])
-    assert calls() == 11529
+    assert calls() == 11505
 
 
 def test_clear_indirect_quality_evaluations_are_pinned(count_q_calls):
@@ -84,7 +84,7 @@ def test_clear_indirect_quality_evaluations_are_pinned(count_q_calls):
     with count_q_calls() as calls:
         for k in range(20):
             workload.run(pool[k])
-    assert calls() == 13460
+    assert calls() == 13315
 
 
 def test_cli_mix_quality_evaluations_are_pinned(count_q_calls, tmp_path):
@@ -96,4 +96,4 @@ def test_cli_mix_quality_evaluations_are_pinned(count_q_calls, tmp_path):
     with count_q_calls() as calls:
         for k in range(10):
             workload.run(pool[k])
-    assert calls() == 16221
+    assert calls() == 16173
