@@ -98,9 +98,11 @@ def is_nash(instance: AuctionInstance, kind: MechanismKind,
     None.  An agent's non-participating strategies give every agent the
     same utilities (see ``_menu_classes``), so only her first one is
     tried, and none when she already plays one.  Each agent's deviations
-    are one line of ``_lines``: per agent, the other agents' rows are one
-    table of n - 2 bids with the highest-indexed other agent's bid merged
-    in, and the profile itself is run once, on the first line walked.
+    are one line of ``_lines`` from ``profile.strategies``: per agent, the
+    other agents' rows are one table of n - 2 bids with the
+    highest-indexed other agent's bid merged in, and the profile itself
+    is run once, on the first line walked.  A VCG pivot's int key codes
+    the other agents' strategies, whether their menus hold them or not.
     """
     _refuse_types(kind)
     require_one_per_agent(instance, space.options, "the strategy space")
@@ -115,7 +117,7 @@ def is_nash(instance: AuctionInstance, kind: MechanismKind,
             continue
         others = {s.price for k, s in enumerate(profile.strategies) if k != i}
         rows = _lines(instance, kind, gsp_allow_zero_gain, i, line,
-                      others)(profile)
+                      others)(profile.strategies)
         if base is None:
             base = next(rows)
         for s, row in zip(tried, rows):
@@ -136,13 +138,14 @@ def enumerate_pure_nash(instance: AuctionInstance, kind: MechanismKind,
     mechanism's core once, filling a table of every agent's utility
     (memory is O(collapsed profiles)).  ``itertools.product`` varies the
     last agent fastest, so the table fills line by line along her axis
-    (see ``_lines``): the second-last agent's strategies and hers are
-    each scored once, and the rows of the agents before them built once
-    per change of their strategies; per line, the second-last agent's
-    bid is merged into those rows; per profile, her pre-scored bid is
-    merged in, the optimum is solved and the utilities read, and no
-    ``StrategyProfile`` or ``Outcome`` is built.  Under VCG each payer's
-    pivot is solved once per set of the other agents' strategies.  A
+    (see ``_lines``), each from its ``itertools.product`` tuple: the
+    second-last agent's strategies and hers are each scored once, and
+    the rows of the agents before them built once per change of their
+    strategies; per line, the second-last agent's bid is merged into
+    those rows; per profile, her pre-scored bid is merged in, the optimum
+    is solved and the utilities read, and no ``StrategyProfile`` or
+    ``Outcome`` is built.  Under VCG each payer's pivot is solved once per
+    set of the other agents' strategies, kept under one int.  A
     profile is Nash iff each agent's utility is within NASH_TOL of the
     maximum along that agent's axis of the table, which is the test
     ``is_nash`` applies; an axis maximum is the same over the collapsed
@@ -175,7 +178,7 @@ def _nash_indices(instance, kind, space, gsp_allow_zero_gain):
                   {s.price for menu in heads for s in menu})
     rows = []
     for start in itertools.product(*heads, last[:1]):
-        rows.extend(walk(StrategyProfile(start)))
+        rows.extend(walk(start))
     nash = bytearray(b"\x01") * len(rows)
     # Axis i has stride prod(|S_j| for j > i); each line along it starts
     # at a profile whose axis-i strategy is the menu's first.

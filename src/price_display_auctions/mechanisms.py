@@ -13,9 +13,11 @@ outcome, and ``_lines`` yields utility rows along one agent's axis.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .allocation import (
+    _FIELD_BITS,
     _allocation_from,
     _bid_gain,
     _indirect_pivots,
@@ -40,6 +42,8 @@ from .model import (
 
 # Treat a diagonal derivative smaller than this as zero (inference error).
 DERIVATIVE_FLOOR = 1e-12
+
+_NO_ONE: frozenset = frozenset()  # an optimum's solve excludes no one
 
 
 class MechanismKind(enum.Enum):
@@ -173,26 +177,30 @@ def _indirect_gsp(instance, strategies, table, allow_zero_gain):
     positive weight is left out (then 0.0).  ``allow_zero_gain`` fills
     free slots with zero-gain agents.  The payments list is fresh, so the
     caller may overwrite it."""
-    sw, entries = _solve_rows(instance, table, frozenset(), _bid_gain,
+    sw, entries = _solve_rows(instance, table, _NO_ONE, _bid_gain,
                               strategies)
     if allow_zero_gain:
         entries = _fill_zero_gain(instance, strategies, entries)
     payments = [0.0] * len(instance.agents)
     if entries:
-        shown = [e[0] for e in entries]
-        p_min = min([e[1] for e in entries])
+        shown = []
+        p_min = entries[0][1]
+        for i, p, _, _ in entries:
+            shown.append(i)
+            if p < p_min:
+                p_min = p
         for cand, _, ranked in table:
             if cand == p_min:
                 break
-        best_left_out = 0.0
+        value = 0.0  # the best agent left out's weight
         for i, _, w, _ in ranked:
             if i not in shown:
-                best_left_out = w
+                value = w
                 break
-        next_values = [e[2] for e in entries[1:]] + [best_left_out]
-        for lam, i, value in zip(instance.slots.prominences, shown,
-                                 next_values):
-            payments[i] = lam * max(0.0, value)
+        lams = instance.slots.prominences
+        for k in range(len(entries) - 1, -1, -1):
+            payments[shown[k]] = lams[k] * max(0.0, value)
+            value = entries[k][2]
     return entries, payments, sw
 
 
@@ -260,7 +268,7 @@ def _vcg_star(instance, strategies, table):
             diagnostics.append(f"agent {i}: inferred alpha clamped into [0, 1]")
         inferred.append(AgentType(it.alpha_hat, max(0.0, it.c_hat)))
 
-    sw, entries = _solve_rows(instance, table, frozenset(), _bid_gain,
+    sw, entries = _solve_rows(instance, table, _NO_ONE, _bid_gain,
                               strategies)
     *_, sw_without = direct_pivots(instance, inferred, range(instance.n))
     payments = [0.0] * instance.n
@@ -337,9 +345,9 @@ def run_mechanism(instance: AuctionInstance, kind: MechanismKind, bids,
 
 def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
     """A walk of ``agent``'s lines under ``kind``: a function from a
-    profile to a generator of every agent's utilities at each profile of
-    its line, the profile with her strategy replaced by each of
-    ``strategies`` in turn.
+    profile's strategies, a tuple, to a generator of every agent's
+    utilities at each profile of its line, the profile with her strategy
+    replaced by each of ``strategies`` in turn.
 
     A profile's indirect table is the other bids' rows with her bid
     merged in (``_merge_bid``), and along a line only her bid changes.
@@ -352,7 +360,8 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
     (``cands`` and hers), until the rest's strategies change, and scores
     each of j's strategies once, at those prices; a line's rows are j's
     bid merged into the rest's rows at the prices the other agents hold
-    and at hers, cut per price of hers to the profile's candidates.  With
+    and at hers, cut once to the former, with each price of hers given
+    that cut and its own row inserted in order.  With
     no rest (two agents) each of j's strategies starts one line only, so
     her scored bids are kept only when there is a rest.  Per profile, her
     bid is merged into those rows and the mechanism's core solves the
@@ -361,11 +370,11 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
     built.  The utility row is ``_true_values`` written over that
     payments list: each displayed agent's true value, read off the
     quality her entry carries with no quality evaluation, less her
-    payment, and 0.0 for the others.  Under VCG a payer's
-    pivot reads only the other agents' bids, so the walk keeps one memo
-    of pivots under the others' strategies, coded as ints (her strategies
-    by their index in ``strategies``): each is solved once per walk, and
-    only when its payer pays.
+    payment, and 0.0 for the others.  Under VCG a payer's pivot reads
+    only the other agents' bids, so the walk keeps one memo of pivots
+    under one int per payer and others' strategies (``_indirect_pivots``),
+    coded per line (her strategies by their index in ``strategies``):
+    each is solved once per walk, and only when its payer pays.
     """
     vcg = kind is MechanismKind.INDIRECT_VCG
     star = kind is MechanismKind.INDIRECT_VCG_STAR
@@ -378,27 +387,26 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
     rest_key, rest_rows = None, {}  # the rest's strategies, rows by price
     memo: dict = {}  # VCG pivots, keyed as in _indirect_pivots
     codes: dict = {}  # the other agents' strategies, as ints
+    shift = _FIELD_BITS * agent  # her field's offset in a pivot key
 
     def line(start):
         nonlocal rest_key, rest_rows
-        head = start.strategies[:agent]
-        tail = start.strategies[agent + 1:]
+        head = start[:agent]
+        tail = start[agent + 1:]
         if vcg:
-            head_codes = tuple([codes.setdefault(s, len(codes))
-                                for s in head])
-            tail_codes = tuple([codes.setdefault(s, len(codes))
-                                for s in tail])
-        rest = [(i, s) for i, s in enumerate(start.strategies)
-                if i != agent and i != j]
+            fields = [(codes.setdefault(s, len(codes)) + 1) << _FIELD_BITS * i
+                      for i, s in enumerate(start)]
+            others = sum(fields) - fields[agent]
+        rest = [(i, s) for i, s in enumerate(start) if i != agent and i != j]
         key = [s for _, s in rest]
         if key != rest_key:
             rest_key = key
             rest_rows = {row[0]: row for row in _indirect_table(
                 instance, rest, walk_prices)}
-        held = {s.price for s in (*head, *tail)}
+        held = sorted({s.price for s in (*head, *tail)})
         at = rest_rows
         if j >= 0:
-            s_j = start.strategies[j]
+            s_j = start[j]
             bid_j = j_bids.get(s_j)
             if bid_j is None:
                 bid_j = _score_bid(instance, j, s_j, walk_prices)
@@ -407,7 +415,12 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
             at = {row[0]: row for row in _merge_bid(
                 instance, [at[cand] for cand in sorted({*held, *prices})],
                 bid_j)}
-        rows = {p: [at[cand] for cand in sorted({*held, p})] for p in prices}
+        cut = [at[cand] for cand in held]
+        rows = {}
+        for p in prices:
+            k = bisect_left(held, p)
+            rows[p] = (cut if k < len(held) and held[k] == p
+                       else [*cut[:k], at[p], *cut[k:]])
         for k, s in enumerate(strategies):
             bid = bids[k]
             if bid is None:
@@ -415,9 +428,9 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
             strats = (*head, s, *tail)
             table = _merge_bid(instance, rows[s.price], bid)
             if vcg:
-                known = memo, (*head_codes, k, *tail_codes)
-                out = _vcg(instance, *_indirect_pivots(instance, strats,
-                                                       table, known))
+                fields[agent] = field = (k + 1) << shift
+                out = _vcg(instance, *_indirect_pivots(
+                    instance, strats, table, (memo, others + field, fields)))
             elif star:
                 out = _vcg_star(instance, strats, table)
             else:

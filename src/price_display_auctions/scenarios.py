@@ -165,8 +165,8 @@ def build_t7(m: int = 2, p_high: float = 1.0) -> Scenario:
     """m slots, m+1 identical sellers: everyone at the low price is
     stable but earns only 1/m of the optimum."""
     _require(m >= 2, "m >= 2")
-    # The Nash checks grow about as m**3: m = 100 takes about 1.4 s on a
-    # 2-core host, within the 5 s budget of ``cli.AUDIT_CHECK_LIMIT``.
+    # The Nash checks grow about as m**3, so this guard bounds the time:
+    # at m = 100 ``reproduce`` takes about 1.3 s on a 2-core host.
     _require(m <= 100, "m <= 100")
     _require(p_high > 0, "p_high > 0")
     p_low = p_high / m
@@ -249,9 +249,8 @@ def build_t10(delta: float = 0.1, p_low: float = 1.0, p_high: float = 2.5,
     _require(0 < delta < p_low / p_high, "0 < delta < p_low / p_high")
     _require(interior_points >= 0, "interior_points >= 0")
     # ``reproduce`` enumerates each space's equilibria, a game that grows
-    # as the grid squared: interior_points = 150 takes about 3.2 s (100
-    # about 1.6 s) on a 2-core host, within the 5 s budget of
-    # ``cli.AUDIT_CHECK_LIMIT``; the direct mechanism takes 4 ms of it.
+    # as the grid squared, so this guard bounds the time: at 150 it takes
+    # about 3 s (100 about 1.5 s) on a 2-core host, direct VCG 4 ms of it.
     _require(interior_points <= 150, "interior_points <= 150")
     q1 = OnlyMinQuality(cap=p_high)
     q2 = HyperbolaQuality(p_low, p_high, delta)

@@ -321,7 +321,7 @@ def test_engine_utilities_equal_the_outcomes_exactly(
         def checked_line(start):
             nonlocal checked
             for s, row in zip(strategies, line(start)):
-                prof = replace_strategy(start, agent, s)
+                prof = replace_strategy(StrategyProfile(start), agent, s)
                 if prof not in wanted:
                     out = run_mechanism(inst, kind, prof,
                                         gsp_allow_zero_gain=allow_zero_gain)
@@ -617,6 +617,58 @@ def test_is_nash_witness_matches_the_whole_menu_scan(kind, allow_zero_gain):
 
 @pytest.mark.parametrize("kind,allow_zero_gain", [
     (VCG, False),
+    (MechanismKind.INDIRECT_GSP, False),
+    (MechanismKind.INDIRECT_GSP, True),
+])
+def test_is_nash_off_the_menus_matches_a_plain_scan(kind, allow_zero_gain):
+    # Profiles where one or more agents bid a gain between two menu levels,
+    # which no menu holds: the walk codes such a strategy like any other,
+    # and it must key no pivot of another profile's.  The verdict and
+    # witness must be a plain scan's, built from run_mechanism alone.
+    utilities: dict = {}
+
+    def run(inst, combo):
+        if combo not in utilities:
+            utilities[combo] = run_mechanism(
+                inst, kind, StrategyProfile(combo),
+                gsp_allow_zero_gain=allow_zero_gain).utilities(inst)
+        return utilities[combo]
+
+    checked = off_all = 0
+    for inst in _differential_instances():
+        utilities.clear()
+        space = _differential_spaces(inst)["plain"]
+        offs = [tuple(s for s in (Strategy(p, level * inst.atype(i).gain(p))
+                                  for p in inst.price_grid
+                                  for level in (0.25, 0.75))
+                      if s not in menu)
+                for i, menu in enumerate(space.options)]
+        combos = [combo for combo in itertools.product(*[
+            menu[::2] + off for menu, off in zip(space.options, offs)])
+            if any(s in off for s, off in zip(combo, offs))]
+        for combo in combos[::5]:
+            base = run(inst, combo)
+            want = None
+            for i, menu in enumerate(space.options):
+                for s in menu:
+                    if s == combo[i]:
+                        continue
+                    u = run(inst, combo[:i] + (s,) + combo[i + 1:])[i]
+                    if u > base[i] + NASH_TOL:
+                        want = i, s, u - base[i]
+                        break
+                if want:
+                    break
+            got = is_nash(inst, kind, space, StrategyProfile(combo),
+                          gsp_allow_zero_gain=allow_zero_gain)
+            assert got == (want is None, want), combo
+            checked += 1
+            off_all += all(s in off for s, off in zip(combo, offs))
+    assert checked > 1_000 and off_all > 200
+
+
+@pytest.mark.parametrize("kind,allow_zero_gain", [
+    (VCG, False),
     (MechanismKind.INDIRECT_GSP, True),
 ])
 def test_enumeration_runs_each_collapsed_profile_once(
@@ -652,13 +704,10 @@ def test_enumeration_runs_each_collapsed_profile_once(
     assert calls == collapsed < space.size
 
 
-def test_enumeration_solves_each_pivot_once(monkeypatch):
-    # Under VCG a payer's pivot reads only the other agents' bids, so the
-    # engine solves it once per (payer, other agents' strategies) among
-    # the collapsed profiles, and only for a payer.  Solving it per
-    # profile, or the line agent's per line, would raise the count.
-    inst = random_instance(22, max_agents=3, max_slots=2, max_prices=4)
-    space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
+def _pivot_solves(monkeypatch, inst, space):
+    """The pivot solves of a VCG enumeration of ``space``, the distinct
+    (payer, other agents' strategies) among its collapsed profiles, and
+    its payers, counted per profile."""
     reduced = [[menu[stands_for[0]] for stands_for in classes]
                for menu, classes in zip(
                    space.options,
@@ -681,8 +730,31 @@ def test_enumeration_solves_each_pivot_once(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(allocation, "_solve_rows", counted)
         enumerate_pure_nash(inst, VCG, space)
+    return pivots, len(keys), payers
+
+
+def test_enumeration_solves_each_pivot_once(monkeypatch):
+    # Under VCG a payer's pivot reads only the other agents' bids, so the
+    # engine solves it once per (payer, other agents' strategies) among
+    # the collapsed profiles, and only for a payer.  Solving it per
+    # profile, or the line agent's per line, would raise the count.
+    inst = random_instance(22, max_agents=3, max_slots=2, max_prices=4)
+    space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
+    pivots, keys, payers = _pivot_solves(monkeypatch, inst, space)
     assert inst.n == 3
-    assert pivots == len(keys) < payers // 2
+    assert pivots == keys < payers // 2
+
+
+def test_enumeration_solves_each_pivot_once_with_four_agents(monkeypatch):
+    # The same count where the walk's rest holds two agents (0 and 1), so
+    # each pivot key packs three other agents' fields: keys that ran into
+    # each other would solve fewer pivots, and keys that split one (payer,
+    # others' strategies) more.
+    inst = random_instance(17, max_agents=4, max_slots=2, max_prices=3)
+    space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
+    pivots, keys, payers = _pivot_solves(monkeypatch, inst, space)
+    assert (inst.n, inst.m) == (4, 2)
+    assert pivots == keys < payers // 2
 
 
 @pytest.mark.parametrize("kind,allow_zero_gain", [
