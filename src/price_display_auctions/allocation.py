@@ -30,8 +30,6 @@ from .model import (
     require_one_per_agent,
 )
 
-_FIELD_BITS = 64  # an agent's field in a VCG pivot key (_indirect_pivots)
-
 BRUTE_FORCE_MAX_AGENTS = 6
 BRUTE_FORCE_MAX_SLOTS = 4
 BRUTE_FORCE_MAX_PRICES = 6
@@ -452,19 +450,13 @@ def _indirect_pivots(instance, bids, table, known):
 
     ``known`` is None, and every pivot is solved, reusing the optimum's
     rows as ``_solve_rows`` allows, or (memo, key, fields): a memo that
-    one walk of many profiles owns, and this profile's key and fields.
-    Agent h's field is 1 + her code, shifted left by ``_FIELD_BITS`` * h,
-    where a code is an int that stands for the same strategy at index h
-    in every profile of the walk; the key is the sum of the fields.  The
+    one walk of many profiles owns, and this profile's int key and
+    per-agent ints, where the key less ``fields[i]`` stands for payer i
+    and the other agents' strategies (see ``mechanisms._lines``).  The
     solve without i tries exactly the prices where some other bid is
     live and reads the others' first m entries there, so her pivot
-    depends only on the others' strategies: it is stored under the key
-    less her field, one int, and solved only on a miss, bit for bit what
-    a fresh solve gives.  That int is distinct for distinct (payer,
-    others' strategies): a code is below the size of the list or dict
-    that interns it, which is below 2**63, so 1 + code fits its 64-bit
-    field and no field carries into the next; the int holds 0 exactly in
-    the payer's field and 1 + the other agents' codes in theirs.
+    depends only on the others' strategies: it is stored under that int
+    and solved only on a miss, bit for bit what a fresh solve gives.
     """
     record = {} if known is None else None
     sw, entries = _solve_rows(instance, table, frozenset(), _bid_gain, bids,

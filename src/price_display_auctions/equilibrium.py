@@ -98,11 +98,11 @@ def is_nash(instance: AuctionInstance, kind: MechanismKind,
     None.  An agent's non-participating strategies give every agent the
     same utilities (see ``_menu_classes``), so only her first one is
     tried, and none when she already plays one.  Each agent's deviations
-    are one line of ``_lines`` from ``profile.strategies``: per agent, the
-    other agents' rows are one table of n - 2 bids with the
+    are one line of ``_lines`` from ``profile.strategies``: per agent,
+    the other agents' rows are one table of n - 2 bids with the
     highest-indexed other agent's bid merged in, and the profile itself
     is run once, on the first line walked.  A VCG pivot's int key codes
-    the other agents' strategies, whether their menus hold them or not.
+    the other agents' strategies, on their menus or off them.
     """
     _refuse_types(kind)
     require_one_per_agent(instance, space.options, "the strategy space")

@@ -17,7 +17,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .allocation import (
-    _FIELD_BITS,
     _allocation_from,
     _bid_gain,
     _indirect_pivots,
@@ -43,7 +42,7 @@ from .model import (
 # Treat a diagonal derivative smaller than this as zero (inference error).
 DERIVATIVE_FLOOR = 1e-12
 
-_NO_ONE: frozenset = frozenset()  # an optimum's solve excludes no one
+_FIELD_BITS = 64  # an agent's field in a VCG pivot key (see _lines)
 
 
 class MechanismKind(enum.Enum):
@@ -177,7 +176,7 @@ def _indirect_gsp(instance, strategies, table, allow_zero_gain):
     positive weight is left out (then 0.0).  ``allow_zero_gain`` fills
     free slots with zero-gain agents.  The payments list is fresh, so the
     caller may overwrite it."""
-    sw, entries = _solve_rows(instance, table, _NO_ONE, _bid_gain,
+    sw, entries = _solve_rows(instance, table, frozenset(), _bid_gain,
                               strategies)
     if allow_zero_gain:
         entries = _fill_zero_gain(instance, strategies, entries)
@@ -268,7 +267,7 @@ def _vcg_star(instance, strategies, table):
             diagnostics.append(f"agent {i}: inferred alpha clamped into [0, 1]")
         inferred.append(AgentType(it.alpha_hat, max(0.0, it.c_hat)))
 
-    sw, entries = _solve_rows(instance, table, _NO_ONE, _bid_gain,
+    sw, entries = _solve_rows(instance, table, frozenset(), _bid_gain,
                               strategies)
     *_, sw_without = direct_pivots(instance, inferred, range(instance.n))
     payments = [0.0] * instance.n
@@ -361,20 +360,22 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
     each of j's strategies once, at those prices; a line's rows are j's
     bid merged into the rest's rows at the prices the other agents hold
     and at hers, cut once to the former, with each price of hers given
-    that cut and its own row inserted in order.  With
-    no rest (two agents) each of j's strategies starts one line only, so
-    her scored bids are kept only when there is a rest.  Per profile, her
-    bid is merged into those rows and the mechanism's core solves the
-    merged table for the entries and a fresh payments list from the
-    profile's strategies, so no ``StrategyProfile`` or ``Outcome`` is
-    built.  The utility row is ``_true_values`` written over that
-    payments list: each displayed agent's true value, read off the
-    quality her entry carries with no quality evaluation, less her
-    payment, and 0.0 for the others.  Under VCG a payer's pivot reads
-    only the other agents' bids, so the walk keeps one memo of pivots
-    under one int per payer and others' strategies (``_indirect_pivots``),
-    coded per line (her strategies by their index in ``strategies``):
-    each is solved once per walk, and only when its payer pays.
+    that cut and its own row inserted in order.  With no rest (two
+    agents) each of j's strategies starts one line only, so her scored
+    bids are kept only when there is a rest.  Per profile, her bid is
+    merged into those rows and the mechanism's core solves the merged
+    table for the entries and a fresh payments list from the profile's
+    strategies, so no ``StrategyProfile`` or ``Outcome`` is built.  The
+    utility row is ``_true_values`` written over that payments list:
+    each displayed agent's true value, read off the quality her entry
+    carries with no quality evaluation, less her payment, and 0.0 for
+    the others.  Under VCG a payer's pivot reads only the other agents'
+    bids, so the walk keeps one memo of pivots, each solved once per walk
+    and only when its payer pays, under one int: the sum, over agents h
+    but the payer, of (1 + h's code) << ``_FIELD_BITS`` * h, a code being
+    ``agent``'s index in ``strategies`` or an interned int.  Codes are
+    below 2**63, so no field carries into the next: each (payer, others'
+    strategies) has its own key.
     """
     vcg = kind is MechanismKind.INDIRECT_VCG
     star = kind is MechanismKind.INDIRECT_VCG_STAR
@@ -395,8 +396,8 @@ def _lines(instance, kind, gsp_allow_zero_gain, agent, strategies, cands):
         tail = start[agent + 1:]
         if vcg:
             fields = [(codes.setdefault(s, len(codes)) + 1) << _FIELD_BITS * i
-                      for i, s in enumerate(start)]
-            others = sum(fields) - fields[agent]
+                      if i != agent else 0 for i, s in enumerate(start)]
+            others = sum(fields)
         rest = [(i, s) for i, s in enumerate(start) if i != agent and i != j]
         key = [s for _, s in rest]
         if key != rest_key:

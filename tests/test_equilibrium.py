@@ -704,10 +704,23 @@ def test_enumeration_runs_each_collapsed_profile_once(
     assert calls == collapsed < space.size
 
 
-def _pivot_solves(monkeypatch, inst, space):
-    """The pivot solves of a VCG enumeration of ``space``, the distinct
-    (payer, other agents' strategies) among its collapsed profiles, and
-    its payers, counted per profile."""
+@pytest.mark.parametrize("seed,max_agents,max_prices,shape", [
+    (22, 3, 4, (3, 2)),
+    # The walk's rest holds two agents (0 and 1), so each pivot key packs
+    # three other agents' fields: keys that ran into each other would
+    # solve fewer pivots, and keys that split one (payer, others'
+    # strategies) more.
+    (17, 4, 3, (4, 2)),
+], ids=["three-agents", "four-agents"])
+def test_enumeration_solves_each_pivot_once(monkeypatch, seed, max_agents,
+                                            max_prices, shape):
+    # Under VCG a payer's pivot reads only the other agents' bids, so the
+    # engine solves it once per (payer, other agents' strategies) among
+    # the collapsed profiles, and only for a payer.  Solving it per
+    # profile, or the line agent's per line, would raise the count.
+    inst = random_instance(seed, max_agents=max_agents, max_slots=2,
+                           max_prices=max_prices)
+    space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
     reduced = [[menu[stands_for[0]] for stands_for in classes]
                for menu, classes in zip(
                    space.options,
@@ -730,31 +743,8 @@ def _pivot_solves(monkeypatch, inst, space):
     with monkeypatch.context() as patch:
         patch.setattr(allocation, "_solve_rows", counted)
         enumerate_pure_nash(inst, VCG, space)
-    return pivots, len(keys), payers
-
-
-def test_enumeration_solves_each_pivot_once(monkeypatch):
-    # Under VCG a payer's pivot reads only the other agents' bids, so the
-    # engine solves it once per (payer, other agents' strategies) among
-    # the collapsed profiles, and only for a payer.  Solving it per
-    # profile, or the line agent's per line, would raise the count.
-    inst = random_instance(22, max_agents=3, max_slots=2, max_prices=4)
-    space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
-    pivots, keys, payers = _pivot_solves(monkeypatch, inst, space)
-    assert inst.n == 3
-    assert pivots == keys < payers // 2
-
-
-def test_enumeration_solves_each_pivot_once_with_four_agents(monkeypatch):
-    # The same count where the walk's rest holds two agents (0 and 1), so
-    # each pivot key packs three other agents' fields: keys that ran into
-    # each other would solve fewer pivots, and keys that split one (payer,
-    # others' strategies) more.
-    inst = random_instance(17, max_agents=4, max_slots=2, max_prices=3)
-    space = StrategySpace.build(inst, gain_levels=(0.0, 0.5, 1.0))
-    pivots, keys, payers = _pivot_solves(monkeypatch, inst, space)
-    assert (inst.n, inst.m) == (4, 2)
-    assert pivots == keys < payers // 2
+    assert (inst.n, inst.m) == shape
+    assert pivots == len(keys) < payers // 2
 
 
 @pytest.mark.parametrize("kind,allow_zero_gain", [
